@@ -148,17 +148,6 @@ class MockGenerator:
         return GenerationResult(text=text, model_id=self.model_id)
 
 
-class FailingGenerator:
-    """Test double that always fails, for batch error-handling paths."""
-
-    def __init__(self, model_id: str = "failing-gen", message: str = "injected failure") -> None:
-        self.model_id = model_id
-        self.message = message
-
-    def generate(self, prompt: str) -> GenerationResult:
-        raise BackendError(self.message)
-
-
 def _is_retryable_status(status: int) -> bool:
     return status == 429 or status >= 500
 

@@ -53,7 +53,7 @@ from .metrics import (
     load_human_scores,
 )
 from .pipeline import DEFAULT_TEMPLATE, PromptTemplate, batch_translate, translate
-from .retrieval import RetrievalConfig
+from .retrieval import RetrievalConfig, RetrievalError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -618,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"lexrag: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, RetrievalError) as exc:
         print(f"lexrag: validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

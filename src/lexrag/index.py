@@ -3,8 +3,10 @@
 A corpus is indexed twice: an exact keyword-to-document mapping over
 normalized phrases, and a vector store of unit-normalized embeddings queried
 by cosine similarity (dot product, since rows are unit vectors).  Top-K is
-exact brute force: corpora here are dictionary-scale, and exactness is what
-makes the search testable against a full-sort oracle.
+exact and flat: every row is scored, ``np.partition`` finds the k-th best
+score, and only the rows scoring at least that much (ties at the boundary
+included) are sorted by (-score, id).  The result equals a full sort of
+every row, which is what the tests compare it with.
 
 Index directory layout::
 
@@ -41,6 +43,7 @@ MAGIC = b"LRXV"
 FORMAT_VERSION = 1
 MAX_PHRASE_LEN = 4
 UNIT_NORM_TOL = 1e-4
+EMBED_BATCH_SIZE = 32  # texts per embedding request
 
 MANIFEST_FILE = "manifest.json"
 KEYWORD_FILE = "keyword_index.json"
@@ -148,10 +151,6 @@ class VectorIndex:
     def count(self) -> int:
         return len(self.ids)
 
-    @property
-    def rows(self) -> list[tuple[str, np.ndarray]]:
-        return list(zip(self.ids, self.vectors))
-
 
 @dataclass(frozen=True)
 class IndexManifest:
@@ -248,7 +247,7 @@ def _unit_rows(raw: list[list[float]], ids: Sequence[str], dim: int) -> np.ndarr
 def build_vector_index(
     docs: Sequence[Document],
     embedder: Embedder,
-    batch_size: int = 32,
+    batch_size: int = EMBED_BATCH_SIZE,
     cache: EmbeddingCache | None = None,
 ) -> VectorIndex:
     """Embed each document's render_text (in document order), unit-normalize,
@@ -305,21 +304,30 @@ def build_vector_index(
 def vector_topk(
     index: VectorIndex, query_vec: Sequence[float], k: int
 ) -> list[tuple[str, float]]:
-    """Exact cosine top-K: score every row by dot product against the unit
-    query, sort descending, break score ties by ascending document id."""
+    """Exact cosine top-K: score every row by float64 dot product against the
+    unit query, rank descending, break score ties by ascending document id.
+
+    Only the rows scoring at least the k-th best score are sorted; every row
+    tied at that boundary is among them, so the ranking equals a sort of all
+    rows.  With ``k >= count`` every row is sorted."""
     if k < 0:
         raise ValueError("k must be >= 0")
     query = np.asarray(query_vec, dtype=np.float64)
     if query.shape != (index.dim,):
         raise ValueError(f"query dim {query.shape} does not match index dim {index.dim}")
     norm = float(np.linalg.norm(query))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
         raise ValueError(f"query vector norm {norm:.6f} is not unit length")
     if k == 0 or index.count == 0:
         return []
     scores = index.vectors.astype(np.float64) @ query
-    ranked = sorted(zip(index.ids, scores), key=lambda item: (-item[1], item[0]))
-    return [(doc_id, float(score)) for doc_id, score in ranked[:k]]
+    if k < index.count:
+        kth = np.partition(scores, index.count - k)[index.count - k]
+        rows = np.flatnonzero(scores >= kth).tolist()
+    else:
+        rows = range(index.count)
+    ranked = sorted(rows, key=lambda row: (-scores[row], index.ids[row]))
+    return [(index.ids[row], float(scores[row])) for row in ranked[:k]]
 
 
 @dataclass

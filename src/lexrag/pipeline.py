@@ -19,9 +19,11 @@ from .backends import BackendError, Embedder, Generator
 from .corpus import DICTIONARY_KIND, EXAMPLE_KIND
 from .index import IndexBundle
 from .retrieval import (
+    PreparedQuery,
     RetrievalConfig,
     RetrievalError,
     RetrievalResult,
+    prepare_queries,
     retrieve,
 )
 
@@ -156,10 +158,12 @@ def translate(
     template: PromptTemplate = DEFAULT_TEMPLATE,
     source_lang: str = "English",
     target_lang: str = "Cherokee",
+    prepared: PreparedQuery | None = None,
 ) -> TranslationRecord:
     """Retrieve, assemble the prompt, generate.  Backend and retrieval
     errors propagate; with mock backends the record is fully deterministic
-    apart from timings."""
+    apart from timings.  ``prepared`` is passed on to :func:`retrieve`, as
+    :func:`batch_translate` does for each of its queries."""
     started = time.perf_counter()
     results = retrieve(
         query,
@@ -168,8 +172,11 @@ def translate(
         indexes.doc_map,
         embedder,
         retrieval_config,
+        prepared,
     )
     retrieval_ms = (time.perf_counter() - started) * 1000.0
+    if prepared is not None:
+        retrieval_ms += prepared.prepare_ms
     prompt = assemble_prompt(query, results, template, source_lang, target_lang)
     started = time.perf_counter()
     generation = generator.generate(prompt)
@@ -198,18 +205,26 @@ def batch_translate(
 ) -> list[TranslationRecord]:
     """Translate a batch, preserving input order regardless of parallelism.
 
-    A backend or retrieval failure on one item is recorded on that item
-    (``error`` set, empty output) and the batch continues.
+    The keyword phase runs for every query first, and the queries that fall
+    back to the vector phase are embedded together, up to
+    ``EMBED_BATCH_SIZE`` per request (see :func:`prepare_queries`).  Vector
+    top-K, prompt assembly and generation then run per query, on
+    ``parallelism`` threads.  A backend or retrieval failure on one item is
+    recorded on that item (``error`` set, empty output) and the batch
+    continues.
     """
     if not queries:
         raise ValueError("batch_translate requires at least one query")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    prepared = prepare_queries(
+        queries, indexes.keyword, indexes.vector, indexes.doc_map, embedder, retrieval_config
+    )
 
-    def run_one(query: str) -> TranslationRecord:
+    def run_one(item: PreparedQuery) -> TranslationRecord:
         try:
             return translate(
-                query,
+                item.query,
                 indexes,
                 embedder,
                 generator,
@@ -217,10 +232,11 @@ def batch_translate(
                 template,
                 source_lang,
                 target_lang,
+                item,
             )
         except (BackendError, RetrievalError) as exc:
             return TranslationRecord(
-                query=query,
+                query=item.query,
                 results=[],
                 prompt="",
                 output="",
@@ -229,6 +245,6 @@ def batch_translate(
             )
 
     if parallelism == 1:
-        return [run_one(q) for q in queries]
+        return [run_one(item) for item in prepared]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(run_one, queries))
+        return list(pool.map(run_one, prepared))

@@ -4,18 +4,31 @@ Queries are matched exactly against the keyword index first; the embedding
 path runs only when keywords produce nothing (``strict_fallback``, the
 default) or when there is room left under the result cap (``fill``).  The
 vector query embeds the whole query sentence, not individual terms.
+
+A batch runs the keyword phase for every query first (:func:`prepare_queries`),
+so the queries that fall back to the vector phase are embedded together, up to
+``EMBED_BATCH_SIZE`` per request; :func:`retrieve` then finishes each query.
+A single query is a batch of one.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backends import Embedder
+from .backends import BackendError, Embedder
 from .corpus import Document
-from .index import KeywordIndex, VectorIndex, keyword_lookup, normalize_keyword, vector_topk
+from .index import (
+    EMBED_BATCH_SIZE,
+    KeywordIndex,
+    VectorIndex,
+    keyword_lookup,
+    normalize_keyword,
+    vector_topk,
+)
 
 KEYWORD = "keyword"
 VECTOR = "vector"
@@ -79,25 +92,27 @@ def _doc_for(doc_id: str, docs: Mapping[str, Document]) -> Document:
         ) from None
 
 
-def retrieve(
-    query: str,
-    kw_index: KeywordIndex,
-    vec_index: VectorIndex,
-    docs: Mapping[str, Document],
-    embedder: Embedder,
-    config: RetrievalConfig = RetrievalConfig(),
-) -> list[RetrievalResult]:
-    """Run the two retrieval phases and merge, capped at ``k_total``.
+@dataclass
+class PreparedQuery:
+    """A query after the keyword phase: its keyword hits, the unit embedding
+    the vector phase will use (``None`` when that phase does not run), or the
+    error that stopped either phase.  ``prepare_ms`` is the time spent on it,
+    including the whole embedding request that served it."""
 
-    Phase 1 walks the extracted phrases in order and appends exact keyword
-    hits.  Phase 2 embeds the full query and appends cosine top-K hits; it
-    runs only on zero keyword hits under ``strict_fallback``, or whenever
-    the cap is not yet filled under ``fill``.  Already-included documents
-    are never duplicated.  Deterministic for a deterministic embedder.
-    """
+    query: str
+    results: list[RetrievalResult]
+    embedding: list[float] | None = None
+    error: Exception | None = None
+    prepare_ms: float = 0.0
+
+
+def _keyword_phase(
+    query: str, kw_index: KeywordIndex, docs: Mapping[str, Document], config: RetrievalConfig
+) -> list[RetrievalResult]:
+    """Walk the extracted phrases in order, appending exact keyword hits
+    until ``k_total`` is reached."""
     results: list[RetrievalResult] = []
     included: set[str] = set()
-
     for phrase in extract_query_terms(query, config.max_phrase_len):
         if len(results) >= config.k_total:
             break
@@ -115,25 +130,117 @@ def retrieve(
             included.add(doc_id)
             if len(results) >= config.k_total:
                 break
+    return results
 
-    run_vector = (
-        not results
-        if config.policy == POLICY_STRICT_FALLBACK
-        else len(results) < config.k_total
-    )
-    if run_vector and vec_index.count:
-        query_vec = np.asarray(embedder.embed_texts([query])[0], dtype=np.float64)
+
+def _embed_queries(
+    embedder: Embedder, texts: list[str]
+) -> dict[str, list[float] | Exception]:
+    """Unit embeddings of ``texts`` from one request.  If the request fails
+    with a ``BackendError``, each text is embedded on its own, so a failure
+    stays with the text that caused it."""
+    try:
+        vectors = embedder.embed_texts(texts)
+        if len(vectors) != len(texts):
+            raise BackendError(f"embedder returned {len(vectors)} vectors for {len(texts)} queries")
+    except BackendError as exc:
+        if len(texts) == 1:
+            return {texts[0]: exc}
+        return {text: _embed_queries(embedder, [text])[text] for text in texts}
+    embedded: dict[str, list[float] | Exception] = {}
+    for text, vector in zip(texts, vectors):
+        query_vec = np.asarray(vector, dtype=np.float64)
         norm = float(np.linalg.norm(query_vec))
         if norm == 0.0:
-            raise RetrievalError("embedder returned a zero vector for the query")
-        unit = (query_vec / norm).tolist()
-        for doc_id, score in vector_topk(vec_index, unit, config.k_vector):
-            if len(results) >= config.k_total:
-                break
-            if doc_id in included:
-                continue
-            results.append(
-                RetrievalResult(doc=_doc_for(doc_id, docs), score=score, provenance=VECTOR)
+            embedded[text] = RetrievalError("embedder returned a zero vector for the query")
+        else:
+            embedded[text] = (query_vec / norm).tolist()
+    return embedded
+
+
+def prepare_queries(
+    queries: Sequence[str],
+    kw_index: KeywordIndex,
+    vec_index: VectorIndex,
+    docs: Mapping[str, Document],
+    embedder: Embedder,
+    config: RetrievalConfig = RetrievalConfig(),
+) -> list[PreparedQuery]:
+    """Run the keyword phase once per query, then embed the distinct queries
+    that need the vector phase, ``EMBED_BATCH_SIZE`` per request.
+
+    A query needs the vector phase when it has no keyword hits under
+    ``strict_fallback``, or fewer than ``k_total`` under ``fill``, and the
+    vector index is not empty.  Errors are kept on the query they belong to.
+    """
+    prepared: list[PreparedQuery] = []
+    fallback: dict[str, list[PreparedQuery]] = {}  # query -> its items needing phase 2
+    for query in queries:
+        started = time.perf_counter()
+        try:
+            item = PreparedQuery(query, _keyword_phase(query, kw_index, docs, config))
+        except RetrievalError as exc:
+            item = PreparedQuery(query, [], error=exc)
+        else:
+            run_vector = (
+                not item.results
+                if config.policy == POLICY_STRICT_FALLBACK
+                else len(item.results) < config.k_total
             )
-            included.add(doc_id)
+            if run_vector and vec_index.count:
+                fallback.setdefault(query, []).append(item)
+        item.prepare_ms = (time.perf_counter() - started) * 1000.0
+        prepared.append(item)
+
+    pending = list(fallback)
+    for start in range(0, len(pending), EMBED_BATCH_SIZE):
+        started = time.perf_counter()
+        embedded = _embed_queries(embedder, pending[start : start + EMBED_BATCH_SIZE])
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        for text, vector in embedded.items():
+            for item in fallback[text]:
+                if isinstance(vector, Exception):
+                    item.error = vector
+                else:
+                    item.embedding = vector
+                item.prepare_ms += elapsed_ms
+    return prepared
+
+
+def retrieve(
+    query: str,
+    kw_index: KeywordIndex,
+    vec_index: VectorIndex,
+    docs: Mapping[str, Document],
+    embedder: Embedder,
+    config: RetrievalConfig = RetrievalConfig(),
+    prepared: PreparedQuery | None = None,
+) -> list[RetrievalResult]:
+    """Run the two retrieval phases and merge, capped at ``k_total``.
+
+    Phase 1 walks the extracted phrases in order and appends exact keyword
+    hits.  Phase 2 embeds the full query and appends cosine top-K hits; it
+    runs only on zero keyword hits under ``strict_fallback``, or whenever
+    the cap is not yet filled under ``fill``.  Already-included documents
+    are never duplicated.  Deterministic for a deterministic embedder.
+
+    ``prepared`` is this query as :func:`prepare_queries` left it, for a
+    caller that prepared a whole batch; without it the query is prepared
+    here.  An error met while preparing is raised.
+    """
+    if prepared is None:
+        (prepared,) = prepare_queries([query], kw_index, vec_index, docs, embedder, config)
+    if prepared.error is not None:
+        raise prepared.error
+    results = list(prepared.results)
+    if prepared.embedding is None:
+        return results
+    included = {result.doc.id for result in results}
+    for doc_id, score in vector_topk(vec_index, prepared.embedding, config.k_vector):
+        if len(results) >= config.k_total:
+            break
+        if doc_id in included:
+            continue
+        results.append(RetrievalResult(doc=_doc_for(doc_id, docs), score=score, provenance=VECTOR))
+        included.add(doc_id)
     return results

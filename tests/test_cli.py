@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from lexrag.backends import MockGenerator
 from lexrag.cli import main
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
@@ -349,6 +350,25 @@ class TestTranslate:
         )
         assert code == 2
         assert out.read_text().strip()
+
+
+    def test_zero_query_embedding_is_exit_65(self, built_index, capsys, monkeypatch):
+        class _ZeroEmbedder:
+            embedder_id = "mock-embed-8"
+
+            def embed_texts(self, texts):
+                return [[0.0] * 8 for _ in texts]
+
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (_ZeroEmbedder(), MockGenerator())
+        )
+        code, out, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "nothing indexed here"
+        )
+        assert code == 65
+        assert out == ""
+        assert err.startswith("lexrag: validation error:")
+        assert "zero vector" in err
 
 
 class TestEvaluate:

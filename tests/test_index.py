@@ -218,6 +218,62 @@ class TestVectorTopK:
                 assert np.allclose([g[1] for g in got], [w[1] for w in want], atol=1e-6)
 
 
+def _full_sort_topk(index, query_vec, k):
+    """The pre-partition implementation: sort every row by (-score, id)."""
+    scores = index.vectors.astype(np.float64) @ np.asarray(query_vec, dtype=np.float64)
+    ranked = sorted(zip(index.ids, scores), key=lambda item: (-item[1], item[0]))
+    return [(doc_id, float(score)) for doc_id, score in ranked[:k]]
+
+
+_small_ints = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def _tied_index_and_query(draw):
+    """Few distinct quantised rows, each duplicated, under shuffled ids, so
+    many scores tie, including at the k-th boundary."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    nonzero = st.lists(_small_ints, min_size=dim, max_size=dim).filter(any)
+    base = draw(st.lists(nonzero, min_size=1, max_size=5))
+    rows = [row for row in base for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    ids = draw(st.permutations([f"r{i:02d}" for i in range(len(rows))]))
+    index = _index_from_rows(list(zip(ids, rows)))
+    query = _unit(draw(nonzero)).tolist()
+    count = index.count
+    k = draw(st.sampled_from(sorted({0, 1, max(count - 1, 0), count, count + 3})))
+    return index, query, k
+
+
+class TestPartitionTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_index_and_query())
+    def test_equals_full_sort_under_ties(self, case):
+        index, query, k = case
+        assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 199, 200, 203])
+    def test_equals_full_sort_on_random_rows(self, k):
+        rng = np.random.default_rng(7)
+        rows = [(f"doc:{i:04d}", vec) for i, vec in enumerate(rng.standard_normal((200, 16)))]
+        index = _index_from_rows(rows)
+        for _ in range(5):
+            query = _unit(rng.standard_normal(16)).tolist()
+            assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
+
+    def test_boundary_ties_all_considered(self):
+        # five identical rows tie for second place; only the lowest ids survive
+        rows = [("z", [1.0, 0.0])] + [(f"t{i}", [1.0, 1.0]) for i in (4, 2, 0, 3, 1)]
+        index = _index_from_rows(rows)
+        got = vector_topk(index, [1.0, 0.0], 3)
+        assert [doc_id for doc_id, _ in got] == ["z", "t0", "t1"]
+        assert got == _full_sort_topk(index, [1.0, 0.0], 3)
+
+    def test_nan_query_rejected(self):
+        index = _index_from_rows(THREE_ROWS)
+        with pytest.raises(ValueError, match="unit"):
+            vector_topk(index, [float("nan"), 0.0], 1)
+
+
 class TestPersistence:
     def _build(self, tiny_docs):
         keyword = build_keyword_index(tiny_docs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lexrag.pipeline import (
     batch_translate,
     translate,
 )
+from lexrag.index import EMBED_BATCH_SIZE
 from lexrag.retrieval import RetrievalConfig, RetrievalResult
 
 
@@ -212,3 +215,97 @@ class TestBatchTranslate:
     def test_empty_batch_rejected(self, tiny_bundle, mock_embedder, mock_generator):
         with pytest.raises(ValueError):
             batch_translate([], tiny_bundle, mock_embedder, mock_generator)
+
+
+class _CountingEmbedder:
+    """MockEmbedder that records every request's texts; texts containing
+    ``poison`` make the whole request fail."""
+
+    def __init__(self, poison=None):
+        self._inner = MockEmbedder(dim=8)
+        self.embedder_id = self._inner.embedder_id
+        self.poison = poison
+        self.requests = []
+
+    def embed_texts(self, texts):
+        self.requests.append(list(texts))
+        if self.poison is not None and any(self.poison in text for text in texts):
+            raise BackendError("poisoned embedding request")
+        return self._inner.embed_texts(texts)
+
+
+def _fallback_queries(n):
+    return [f"qqzx {i} nothing indexed" for i in range(n)]
+
+
+def _record_keys(records):
+    keys = []
+    for record in records:
+        payload = record.to_dict(include_prompt=True)
+        del payload["retrieval_ms"], payload["generation_ms"]
+        keys.append(payload)
+    return keys
+
+
+MIXED_BATCH = (
+    ["water", "sun and dog"]
+    + _fallback_queries(70)
+    + ["mountain lion", "qqzx 3 nothing indexed", "water is good"]
+    + _fallback_queries(5)
+)
+
+
+class TestBatchedFallback:
+    def test_one_embed_request_per_chunk_of_distinct_fallback_queries(self, tiny_bundle):
+        embedder = _CountingEmbedder()
+        batch_translate(MIXED_BATCH, tiny_bundle, embedder, MockGenerator())
+        distinct = len(set(_fallback_queries(70)))
+        assert len(embedder.requests) == math.ceil(distinct / EMBED_BATCH_SIZE) == 3
+        embedded = [text for request in embedder.requests for text in request]
+        assert sorted(embedded) == sorted(set(_fallback_queries(70)))
+
+    def test_keyword_only_batch_never_embeds(self, tiny_bundle):
+        embedder = _CountingEmbedder()
+        records = batch_translate(
+            ["water", "sun", "mountain lion", "water"], tiny_bundle, embedder, MockGenerator()
+        )
+        assert embedder.requests == []
+        assert not any(record.error for record in records)
+
+    @pytest.mark.parametrize("policy", ["strict_fallback", "fill"])
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_batch_equals_single_query_records(self, tiny_bundle, policy, parallelism):
+        config = RetrievalConfig(policy=policy, max_phrase_len=2)
+        embedder, generator = MockEmbedder(dim=8), MockGenerator()
+        batch = batch_translate(
+            MIXED_BATCH, tiny_bundle, embedder, generator, config, parallelism=parallelism
+        )
+        single = [translate(q, tiny_bundle, embedder, generator, config) for q in MIXED_BATCH]
+        assert _record_keys(batch) == _record_keys(single)
+
+    def test_failed_chunk_fails_only_the_poisoned_item(self, tiny_bundle):
+        queries = ["water"] + _fallback_queries(3) + ["POISON qqzx"] + _fallback_queries(2)
+        embedder = _CountingEmbedder(poison="POISON")
+        records = batch_translate(queries, tiny_bundle, embedder, MockGenerator())
+        assert [bool(record.error) for record in records] == [
+            False, False, False, False, True, False, False,
+        ]
+        assert "poisoned" in records[4].error and records[4].output == ""
+        clean = batch_translate(
+            [q for q in queries if "POISON" not in q], tiny_bundle, MockEmbedder(dim=8), MockGenerator()
+        )
+        assert _record_keys([r for r in records if not r.error]) == _record_keys(clean)
+        # one chunk request, then one request per distinct fallback query
+        assert len(embedder.requests) == 1 + 4
+
+    def test_zero_embedding_fails_only_its_item(self, tiny_bundle):
+        class _ZeroForOne(_CountingEmbedder):
+            def embed_texts(self, texts):
+                vectors = super().embed_texts(texts)
+                return [[0.0] * 8 if "ZERO" in t else v for t, v in zip(texts, vectors)]
+
+        records = batch_translate(
+            ["qqzx a", "ZERO qqzx", "qqzx b"], tiny_bundle, _ZeroForOne(), MockGenerator()
+        )
+        assert [bool(record.error) for record in records] == [False, True, False]
+        assert "zero vector" in records[1].error
