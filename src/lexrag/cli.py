@@ -15,10 +15,9 @@ import argparse
 import json
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from statistics import fmean
 
 from .backends import (
     BackendConfig,
@@ -47,6 +46,7 @@ from .index import (
 )
 from .metrics import (
     ALL_METRICS,
+    MetricReport,
     TokenizationPolicy,
     evaluate_set,
     human_eval_normalize,
@@ -82,6 +82,16 @@ def _reject_unknown(raw: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+# Each config section accepts the fields of the dataclass it builds, except
+# ``retrieval.max_phrase_len``: every index records its own in its manifest.
+_HTTP_KEYS = tuple(name for name in _field_names(BackendConfig) if name != "retry")
+_RETRIEVAL_KEYS = tuple(name for name in _field_names(RetrievalConfig) if name != "max_phrase_len")
+
+
 @dataclass(frozen=True)
 class BackendSettings:
     provider: str = "mock"
@@ -96,49 +106,23 @@ class BackendSettings:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BackendSettings":
-        _reject_unknown(
-            raw,
-            (
-                "provider",
-                "embed_dim",
-                "base_url",
-                "api_key_env",
-                "embed_model_id",
-                "chat_model_id",
-                "max_in_flight",
-                "timeout_s",
-                "retry",
-            ),
-            "backend",
-        )
+        """The config's ``backend`` section: ``provider``, ``embed_dim`` and
+        the fields of :class:`BackendConfig`, all at one level."""
+        _reject_unknown(raw, ("provider", "embed_dim", *_field_names(BackendConfig)), "backend")
         retry_raw = raw.get("retry", {})
-        _reject_unknown(retry_raw, ("max_attempts", "initial_backoff_ms", "multiplier"), "backend.retry")
-        http_kwargs = {
-            key: raw[key]
-            for key in (
-                "base_url",
-                "api_key_env",
-                "embed_model_id",
-                "chat_model_id",
-                "max_in_flight",
-                "timeout_s",
-            )
-            if key in raw
-        }
+        _reject_unknown(retry_raw, _field_names(RetryPolicy), "backend.retry")
+        http_kwargs = {key: raw[key] for key in _HTTP_KEYS if key in raw}
         if retry_raw:
             http_kwargs["retry"] = RetryPolicy(**retry_raw)
-        return cls(
-            provider=raw.get("provider", "mock"),
-            embed_dim=raw.get("embed_dim", 8),
-            http=BackendConfig(**http_kwargs),
-        )
+        own = {key: raw[key] for key in ("provider", "embed_dim") if key in raw}
+        return cls(**own, http=BackendConfig(**http_kwargs))
 
 
 @dataclass(frozen=True)
 class AppConfig:
     backend: BackendSettings = field(default_factory=BackendSettings)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
-    template_path: str | None = None
+    template: str | None = None
     tokenize: TokenizationPolicy = TokenizationPolicy.WHITESPACE
     index_dir: str | None = None
     report_format: str = "json"
@@ -149,10 +133,10 @@ class AppConfig:
         if self.report_format not in ("json", "csv", "markdown"):
             raise ValueError(f"report_format must be json, csv or markdown, got {self.report_format!r}")
 
-    def template(self) -> PromptTemplate:
-        if self.template_path is None:
+    def prompt_template(self) -> PromptTemplate:
+        if self.template is None:
             return DEFAULT_TEMPLATE
-        path = Path(self.template_path)
+        path = Path(self.template)
         if not path.is_file():
             raise ConfigFileError(f"template file not found: {path}")
         return PromptTemplate.from_file(path)
@@ -173,39 +157,20 @@ def load_config(path: str | None) -> AppConfig:
         raise ConfigFileError(f"{config_path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
-    _reject_unknown(
-        raw,
-        (
-            "backend",
-            "retrieval",
-            "template",
-            "tokenize",
-            "index_dir",
-            "report_format",
-            "source_lang",
-            "target_lang",
-        ),
-        "config",
-    )
+    _reject_unknown(raw, _field_names(AppConfig), "config")
     retrieval_raw = raw.get("retrieval", {})
     backend_raw = raw.get("backend", {})
     for name, section in (("retrieval", retrieval_raw), ("backend", backend_raw)):
         if not isinstance(section, dict):
             raise ValueError(f"{config_path}: {name} must be a JSON object")
-    _reject_unknown(
-        retrieval_raw, ("k_vector", "k_total", "policy", "max_phrase_len"), "retrieval"
-    )
+    _reject_unknown(retrieval_raw, _RETRIEVAL_KEYS, "retrieval")
     try:
-        return AppConfig(
-            backend=BackendSettings.from_dict(backend_raw),
-            retrieval=RetrievalConfig(**retrieval_raw),
-            template_path=raw.get("template"),
-            tokenize=TokenizationPolicy(raw.get("tokenize", "whitespace")),
-            index_dir=raw.get("index_dir"),
-            report_format=raw.get("report_format", "json"),
-            source_lang=raw.get("source_lang", "English"),
-            target_lang=raw.get("target_lang", "Cherokee"),
-        )
+        sections = {
+            "backend": BackendSettings.from_dict(backend_raw),
+            "retrieval": RetrievalConfig(**retrieval_raw),
+            "tokenize": TokenizationPolicy(raw.get("tokenize", "whitespace")),
+        }
+        return AppConfig(**{**raw, **sections})
     except TypeError as exc:
         raise ValueError(f"{config_path}: invalid config value: {exc}") from exc
 
@@ -215,11 +180,6 @@ def make_backends(settings: BackendSettings) -> tuple[Embedder, Generator]:
         return MockEmbedder(settings.embed_dim), MockGenerator()
     client = HttpBackend(settings.http)
     return client, client
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
@@ -274,7 +234,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     bundle = load_index(args.index or config.index_dir or _missing_index())
     embedder, generator = make_backends(config.backend)
-    template = config.template()
+    template = config.prompt_template()
     source_lang = args.source_lang or config.source_lang
     target_lang = args.target_lang or config.target_lang
     # Phrase extraction mirrors what the index actually holds.
@@ -314,7 +274,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if item_id is not None:
             payload = {"id": item_id, **payload}
         lines.append(json.dumps(payload, ensure_ascii=False))
-    _write_lines(lines, args.output)
+    _emit("\n".join(lines) + "\n", args.output)
     failures = sum(1 for record in records if record.error)
     if failures:
         print(f"{failures}/{len(records)} items failed", file=sys.stderr)
@@ -353,12 +313,29 @@ def _read_batch_input(path: Path) -> tuple[list[str | None], list[str]]:
     return ids, queries
 
 
-def _write_lines(lines: list[str], output: str | None) -> None:
-    body = "\n".join(lines) + "\n"
+def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to the ``--output`` file, or to stdout without one."""
     if output:
-        Path(output).write_text(body, encoding="utf-8")
+        Path(output).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(text)
+
+
+def _render(fmt: str, payload, header: list[str], rows) -> str:
+    """``payload`` as indented JSON, or ``rows`` under ``header`` as CSV
+    (cells as ``str`` gives them) or as a markdown table (floats to 3
+    decimals).  ``rows`` is consumed only for CSV and markdown."""
+    if fmt == "json":
+        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
+    else:
+        lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+        lines += [
+            "| " + " | ".join(_round3(c) if isinstance(c, float) else str(c) for c in row) + " |"
+            for row in rows
+        ]
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -381,24 +358,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         payload["model"] = args.model
     payload.update(report.to_dict())
     fmt = args.format or config.report_format
-    if fmt == "json":
-        out = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    elif fmt == "csv":
-        keys = list(payload)
-        out = ",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys) + "\n"
-    else:
-        keys = list(payload)
-        header = "| " + " | ".join(keys) + " |"
-        rule = "| " + " | ".join("---" for _ in keys) + " |"
-        cells = [
-            _round3(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-            for k in keys
-        ]
-        out = "\n".join([header, rule, "| " + " | ".join(cells) + " |"]) + "\n"
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _emit(_render(fmt, payload, list(payload), [list(payload.values())]), args.output)
     return EXIT_OK
 
 
@@ -411,34 +371,20 @@ def _read_sentence_lines(path: Path) -> list[str]:
 def cmd_humaneval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     sheet = load_human_scores(args.scores)
-    if args.per_model:
-        rows = [
-            {"model": model, "human_eval": human_eval_normalize(sheet, model)}
-            for model in sheet.model_ids()
-        ]
-    else:
-        pooled = fmean(
-            (row.fluency + row.grammaticality + row.faithfulness) / 15
-            for row in sheet.rows
-        )
-        rows = [{"model": "all", "human_eval": pooled}]
+    models = {model: model for model in sheet.model_ids()} if args.per_model else {"all": None}
+    rows = [
+        {"model": label, "human_eval": human_eval_normalize(sheet, model)}
+        for label, model in models.items()
+    ]
     if args.language:
         rows = [{"language": args.language, **row} for row in rows]
 
     fmt = args.format or config.report_format
-    if fmt == "json":
-        out = json.dumps(rows, ensure_ascii=False, indent=2) + "\n"
-    elif fmt == "csv":
-        keys = list(rows[0])
-        lines = [",".join(keys)]
-        lines += [",".join(str(row[k]) for k in keys) for row in rows]
-        out = "\n".join(lines) + "\n"
-    else:
+    if fmt == "markdown":
         out = "".join(f"{row['model']}\t{_round3(row['human_eval'])}\n" for row in rows)
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
     else:
-        sys.stdout.write(out)
+        out = _render(fmt, rows, list(rows[0]), [list(row.values()) for row in rows])
+    _emit(out, args.output)
     return EXIT_OK
 
 
@@ -450,14 +396,9 @@ REPORT_COLUMNS = (
     ("bert_f1", "BERTScore F1"),
     ("human_eval", "Human Evaluation"),
 )
+# What ``evaluate`` and ``humaneval`` write, in the key order merged rows keep.
 _REPORT_FIELDS = (
-    "bleu",
-    "rouge_l_p",
-    "rouge_l_r",
-    "rouge_l_f",
-    "bert_p",
-    "bert_r",
-    "bert_f1",
+    *(name for name in _field_names(MetricReport) if name != "n_sentences"),
     "human_eval",
     "n_sentences",
 )
@@ -492,42 +433,22 @@ def cmd_report(args: argparse.Namespace) -> int:
                     )
                 slot[name] = row[name]
 
-    fmt = args.format or config.report_format
+    payload = [
+        {"language": lang, "model": model, **values} for (lang, model), values in merged.items()
+    ]
     header = ["Language", "Model"] + [label for _, label in REPORT_COLUMNS]
-    if fmt == "json":
-        payload = [
-            {"language": lang, "model": model, **fields}
-            for (lang, model), fields in merged.items()
+    # Rounded to strings here, so CSV rounds too; a generator, so JSON output
+    # passes the values through unconverted.
+    rows = (
+        [lang, model]
+        + [
+            _round3(float(values[name])) if values.get(name) is not None else "-"
+            for name, _ in REPORT_COLUMNS
         ]
-        out = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    else:
-        table_rows = []
-        for (lang, model), fields in merged.items():
-            cells = [lang, model]
-            for name, _ in REPORT_COLUMNS:
-                value = fields.get(name)
-                cells.append(_round3(float(value)) if value is not None else "-")
-            table_rows.append(cells)
-        if fmt == "csv":
-            lines = [",".join(header)] + [",".join(row) for row in table_rows]
-            out = "\n".join(lines) + "\n"
-        else:
-            lines = [
-                "| " + " | ".join(header) + " |",
-                "| " + " | ".join("---" for _ in header) + " |",
-            ]
-            lines += ["| " + " | ".join(row) + " |" for row in table_rows]
-            out = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+        for (lang, model), values in merged.items()
+    )
+    _emit(_render(args.format or config.report_format, payload, header, rows), args.output)
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# parser / entry point
-# ---------------------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", help="dictionary JSONL file")
     p.add_argument("--parallel", help="parallel examples file (.jsonl or .tsv)")
     p.add_argument("--out", required=True, help="output index directory")
-    p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     p.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("translate", help="translate one sentence or a batch file")
@@ -557,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1, help="worker threads for batch mode")
     p.add_argument("--source-lang", help="source language name override")
     p.add_argument("--target-lang", help="target language name override")
-    p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="score hypothesis translations against references")
@@ -567,9 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenize", choices=["whitespace", "codepoint"], help="tokenization policy")
     p.add_argument("--language", help="language label for reports")
     p.add_argument("--model", help="model label for reports")
-    p.add_argument("--format", choices=["json", "csv", "markdown"], help="output format")
-    p.add_argument("--output", help="write to file instead of stdout")
-    p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("humaneval", help="normalize 0-5 expert score sheets to [0, 1]")
@@ -581,17 +497,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="one score per model (default); --no-per-model pools all rows",
     )
     p.add_argument("--language", help="language label for reports")
-    p.add_argument("--format", choices=["json", "csv", "markdown"], help="output format")
-    p.add_argument("--output", help="write to file instead of stdout")
-    p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     p.set_defaults(func=cmd_humaneval)
 
     p = sub.add_parser("report", help="merge metric JSON files into one table")
     p.add_argument("metrics_files", nargs="+", help="JSON files from evaluate/humaneval")
-    p.add_argument("--format", choices=["json", "csv", "markdown"], help="output format")
-    p.add_argument("--output", help="write to file instead of stdout")
-    p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     p.set_defaults(func=cmd_report)
+
+    for name, p in sub.choices.items():
+        if name in ("evaluate", "humaneval", "report"):
+            p.add_argument("--format", choices=["json", "csv", "markdown"], help="output format")
+            p.add_argument("--output", help="write to file instead of stdout")
+        p.add_argument("--config", help=f"config file (default {DEFAULT_CONFIG_PATH})")
     return parser
 
 
@@ -609,13 +525,14 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"lexrag: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except ConfigFileError as exc:
-        print(f"lexrag: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (IngestError, IndexFormatError, OSError, UnicodeDecodeError) as exc:
-        print(f"lexrag: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (
+        ConfigFileError,
+        IngestError,
+        IndexFormatError,
+        OSError,
+        UnicodeDecodeError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"lexrag: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, RetrievalError) as exc:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-# Hard cap on words per indexed keyword phrase; mirrors the keyword index.
+# Hard cap on words per headword, and on the phrases the keyword index records.
 MAX_PHRASE_LEN = 4
 
 DICTIONARY_KIND = "dictionary"
@@ -108,18 +108,12 @@ def _iter_lines(path: str | Path):
             yield lineno, line
 
 
-def load_dictionary(
-    path: str | Path,
-    fmt: str = "jsonl",
-    max_phrase_len: int = MAX_PHRASE_LEN,
-) -> list[DictionaryEntry]:
+def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
     """Read dictionary entries from a JSONL file, preserving line order.
 
     An empty file yields an empty list (with a warning) so keyword-only or
     example-only corpora remain possible.
     """
-    if fmt != "jsonl":
-        raise IngestError(f"unsupported dictionary format: {fmt!r}")
     entries: list[DictionaryEntry] = []
     for lineno, line in _iter_lines(path):
         where = f"{path}:{lineno}"
@@ -133,10 +127,8 @@ def load_dictionary(
         headword = _clean_headword(_require_str(obj, "headword", where))
         if not headword:
             raise IngestError(f"{where}: headword is empty after normalization")
-        if len(headword.split()) > max_phrase_len:
-            raise IngestError(
-                f"{where}: headword {headword!r} exceeds {max_phrase_len} words"
-            )
+        if len(headword.split()) > MAX_PHRASE_LEN:
+            raise IngestError(f"{where}: headword {headword!r} exceeds {MAX_PHRASE_LEN} words")
         target = nfc(_require_str(obj, "target", where)).strip()
         if not target:
             raise IngestError(f"{where}: target is empty")

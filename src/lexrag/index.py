@@ -37,11 +37,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .backends import Embedder
-from .corpus import DICTIONARY_KIND, Document, load_documents, save_documents
+from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, save_documents
 
 MAGIC = b"LRXV"
 FORMAT_VERSION = 1
-MAX_PHRASE_LEN = 4
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
 
@@ -73,6 +72,8 @@ def normalize_keyword(text: str) -> str:
     """NFC + casefold, strip leading/trailing punctuation per word, collapse
     whitespace.  May return an empty string; the caller decides what that means.
     """
+    # NFC before casefold composes marks in canonical order ("a\u0345\u0301" -> "áι",
+    # not "aί"); NFC after it, because casefold can decompose (U+0390 ΐ).
     text = unicodedata.normalize("NFC", text).casefold()
     text = unicodedata.normalize("NFC", text)
     words = [_strip_punctuation(w) for w in text.split()]

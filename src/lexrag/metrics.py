@@ -223,19 +223,22 @@ def load_human_scores(path: str | Path) -> HumanScoreSheet:
                         f"{path}:{lineno}: score {value} outside 0..{MAX_SUBSCORE}"
                     )
             rows.append(HumanScoreRow(record[0], record[1], *scores))
+    if not rows:
+        raise ValueError(f"{path}: no score rows")
     try:
         return HumanScoreSheet(rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def human_eval_normalize(sheet: HumanScoreSheet, model_id: str) -> float:
+def human_eval_normalize(sheet: HumanScoreSheet, model_id: str | None) -> float:
     """Mean over the model's sentences of (fluency + grammaticality +
-    faithfulness) / 15; 0 means unusable throughout, 1 means perfect scores."""
+    faithfulness) / 15; 0 means unusable throughout, 1 means perfect scores.
+    ``model_id=None`` pools every row of the sheet."""
     totals = [
         row.fluency + row.grammaticality + row.faithfulness
         for row in sheet.rows
-        if row.model_id == model_id
+        if model_id is None or row.model_id == model_id
     ]
     if not totals:
         raise ValueError(f"no rows for model {model_id!r}")

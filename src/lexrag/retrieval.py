@@ -49,6 +49,10 @@ class RetrievalConfig:
     max_phrase_len: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("k_vector", "k_total", "max_phrase_len"):
+            value = getattr(self, name)
+            if type(value) is not int:  # rejects bool and float too
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k_vector <= self.k_total:
             raise ValueError("need 1 <= k_vector <= k_total")
         if self.policy not in (POLICY_STRICT_FALLBACK, POLICY_FILL):
@@ -134,11 +138,12 @@ def _keyword_phase(
 
 
 def _embed_queries(
-    embedder: Embedder, texts: list[str]
+    embedder: Embedder, texts: list[str], dim: int
 ) -> dict[str, list[float] | Exception]:
     """Unit embeddings of ``texts`` from one request.  If the request fails
     with a ``BackendError``, each text is embedded on its own, so a failure
-    stays with the text that caused it."""
+    stays with the text that caused it.  A vector that is not ``dim`` long
+    or is zero becomes a ``RetrievalError`` on its text."""
     try:
         vectors = embedder.embed_texts(texts)
         if len(vectors) != len(texts):
@@ -146,12 +151,16 @@ def _embed_queries(
     except BackendError as exc:
         if len(texts) == 1:
             return {texts[0]: exc}
-        return {text: _embed_queries(embedder, [text])[text] for text in texts}
+        return {text: _embed_queries(embedder, [text], dim)[text] for text in texts}
     embedded: dict[str, list[float] | Exception] = {}
     for text, vector in zip(texts, vectors):
         query_vec = np.asarray(vector, dtype=np.float64)
         norm = float(np.linalg.norm(query_vec))
-        if norm == 0.0:
+        if query_vec.shape != (dim,):
+            embedded[text] = RetrievalError(
+                f"query dim {query_vec.shape} does not match index dim {dim}"
+            )
+        elif norm == 0.0:
             embedded[text] = RetrievalError("embedder returned a zero vector for the query")
         else:
             embedded[text] = (query_vec / norm).tolist()
@@ -195,7 +204,9 @@ def prepare_queries(
     pending = list(fallback)
     for start in range(0, len(pending), EMBED_BATCH_SIZE):
         started = time.perf_counter()
-        embedded = _embed_queries(embedder, pending[start : start + EMBED_BATCH_SIZE])
+        embedded = _embed_queries(
+            embedder, pending[start : start + EMBED_BATCH_SIZE], vec_index.dim
+        )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         for text, vector in embedded.items():
             for item in fallback[text]:

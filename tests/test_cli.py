@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from lexrag.backends import MockGenerator
-from lexrag.cli import main
+from lexrag.backends import BackendConfig, MockGenerator, RetryPolicy
+from lexrag.cli import AppConfig, load_config, main
+from lexrag.retrieval import RetrievalConfig
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
 
@@ -134,6 +136,22 @@ class TestIndexBuild:
         )
         assert code == 65
         assert "k_vectorr" in err
+
+    def test_max_phrase_len_is_not_a_config_key(self, tmp_path, data_dir, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"retrieval": {"max_phrase_len": 1}}', encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "index-build",
+            "--dict",
+            str(data_dir / "tiny_dict.jsonl"),
+            "--out",
+            str(tmp_path / "idx"),
+            "--config",
+            str(config),
+        )
+        assert code == 65
+        assert "max_phrase_len" in err
 
     def test_missing_explicit_config_is_io_error(self, tmp_path, data_dir, capsys):
         code, _, err = run(
@@ -370,6 +388,37 @@ class TestTranslate:
         assert err.startswith("lexrag: validation error:")
         assert "zero vector" in err
 
+    def test_non_integer_k_vector_is_exit_65(self, built_index, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", retrieval={"k_vector": 2.5})
+        code, _, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "qqzx",
+            "--config", str(config),
+        )
+        assert code == 65
+        assert err.startswith("lexrag: validation error:") and "k_vector" in err
+
+    def test_embedder_dim_mismatch(self, built_index, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"backend": {"embed_dim": 16}}), encoding="utf-8")
+        code, _, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "nothing here",
+            "--config", str(config),
+        )
+        assert code == 65
+        assert "does not match index dim 8" in err
+        batch = tmp_path / "in.txt"
+        batch.write_text("water\nnothing here\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "translate", "--index", str(built_index), "--input", str(batch),
+            "--config", str(config),
+        )
+        assert code == 0
+        records = [json.loads(line) for line in stdout.splitlines()]
+        assert [r["output"] for r in records] == ["ᎠᎹ", ""]
+        assert records[0]["error"] is None
+        assert "does not match index dim 8" in records[1]["error"]
+        assert err == "1/2 items failed\n"
+
 
 class TestEvaluate:
     def test_identical_files_bleu_one(self, tmp_path, capsys):
@@ -542,6 +591,18 @@ class TestHumanEval:
         assert code == 65
         assert ":3" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    @pytest.mark.parametrize("mode", ["--per-model", "--no-per-model"])
+    def test_header_only_sheet_exit_65_names_file(self, tmp_path, capsys, fmt, mode):
+        path = tmp_path / "empty.csv"
+        path.write_text(
+            "sentence_id,model_id,fluency,grammaticality,faithfulness\n", encoding="utf-8"
+        )
+        code, stdout, err = run(capsys, "humaneval", "--scores", str(path), mode, "--format", fmt)
+        assert code == 65
+        assert stdout == ""
+        assert err == f"lexrag: validation error: {path}: no score rows\n"
+
     def test_pooled_mode(self, data_dir, capsys):
         code, stdout, _ = run(
             capsys,
@@ -616,6 +677,27 @@ class TestReport:
         assert rows[0]["human_eval"] == pytest.approx(0.29333333333333333, abs=1e-15)
 
 
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+class TestReadmeConfig:
+    def test_sample_config_loads_and_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        sample = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "lexrag.json"
+        path.write_text(sample, encoding="utf-8")
+        config = load_config(str(path))
+        assert config.retrieval.k_total == 8 and config.backend.http.retry.max_attempts == 3
+
+        raw = json.loads(sample)
+        assert set(raw) == _names(AppConfig)
+        assert set(raw["backend"]) == {"provider", "embed_dim"} | _names(BackendConfig)
+        assert set(raw["backend"]["retry"]) == _names(RetryPolicy)
+        assert set(raw["retrieval"]) == _names(RetrievalConfig) - {"max_phrase_len"}
+
+
 class TestUsage:
     def test_unknown_subcommand_is_64(self, capsys):
         assert main(["frobnicate"]) == 64
@@ -625,3 +707,56 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden_cli"
+_EVALUATE = (
+    "evaluate",
+    "--hyp",
+    "{data}/metric_fixture_hyps.txt",
+    "--ref",
+    "{data}/metric_fixture_refs.txt",
+)
+_LABELS = ("--language", "Cherokee", "--model", "mock")
+_HUMANEVAL = ("humaneval", "--scores", "{data}/human_scores_tibetan.csv")
+_REPORT_ONE = ("report", "{data}/report_machine_alpha.json")
+_REPORT_THREE = _REPORT_ONE + ("{data}/report_machine_beta.json", "{data}/report_human.json")
+GOLDEN_COMMANDS = {
+    "evaluate": _EVALUATE,
+    "evaluate_labelled": _EVALUATE + _LABELS,
+    "evaluate_subset": _EVALUATE + _LABELS + ("--metrics", "bleu,rouge"),
+    "humaneval": _HUMANEVAL,
+    "humaneval_labelled": _HUMANEVAL + ("--language", "Tibetan"),
+    "humaneval_pooled": _HUMANEVAL + ("--no-per-model",),
+    "report_one": _REPORT_ONE,
+    "report_three": _REPORT_THREE,
+}
+GOLDEN_CASES = [
+    (name, fmt) for name in GOLDEN_COMMANDS for fmt in ("json", "csv", "markdown")
+]
+
+
+def _golden_argv(name: str, fmt: str, data_dir: Path) -> list[str]:
+    argv = [arg.format(data=data_dir) for arg in GOLDEN_COMMANDS[name]]
+    return argv + ["--format", fmt]
+
+
+class TestGoldenOutput:
+    """Byte-exact output of every report command in every format, on stdout
+    and through ``--output FILE``."""
+
+    @pytest.mark.parametrize("name,fmt", GOLDEN_CASES)
+    def test_stdout_matches_golden(self, name, fmt, data_dir, capsys):
+        code, stdout, err = run(capsys, *_golden_argv(name, fmt, data_dir))
+        assert code == 0, err
+        expected = (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+        assert stdout.encode("utf-8") == expected
+
+    @pytest.mark.parametrize("name,fmt", GOLDEN_CASES)
+    def test_output_file_matches_stdout(self, name, fmt, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = _golden_argv(name, fmt, data_dir) + ["--output", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        assert stdout == ""
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()

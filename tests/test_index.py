@@ -41,6 +41,11 @@ class TestNormalizeKeyword:
     def test_cases(self, raw, expected):
         assert normalize_keyword(raw) == expected
 
+    def test_nfc_before_and_after_casefold(self):
+        # without the first pass: "a\u03af"; without the second: "\u03b9\u0308\u0301"
+        assert normalize_keyword("a\u0345\u0301") == "\u00e1\u03b9"
+        assert normalize_keyword("\u0390") == "\u0390"
+
     @given(st.text(max_size=50))
     def test_idempotent(self, text):
         once = normalize_keyword(text)

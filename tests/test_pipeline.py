@@ -309,3 +309,11 @@ class TestBatchedFallback:
         )
         assert [bool(record.error) for record in records] == [False, True, False]
         assert "zero vector" in records[1].error
+
+    def test_embedder_dim_mismatch_fails_only_fallback_items(self, tiny_bundle):
+        records = batch_translate(
+            ["water", "nothing here"], tiny_bundle, MockEmbedder(dim=16), MockGenerator()
+        )
+        assert records[0].error is None and records[0].output == "ᎠᎹ"
+        assert "does not match index dim 8" in records[1].error
+        assert records[1].output == ""

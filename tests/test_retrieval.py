@@ -230,6 +230,14 @@ class TestRetrieve:
         with pytest.raises(ValueError):
             RetrievalConfig(policy="sometimes")
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"k_vector": 2.5}, {"k_total": 8.0}, {"k_vector": True}, {"max_phrase_len": "2"}],
+    )
+    def test_non_integer_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RetrievalConfig(**setting)
+
 
 _BUNDLE_CACHE = []
 
