@@ -404,6 +404,15 @@ _REPORT_FIELDS = (
 )
 
 
+def _metric_value(path: Path, name: str, value):
+    """``value`` if it is null or a number (bool excluded) that is a finite
+    float: NaN, infinities and ints beyond float range are rejected too."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if value is None or (number and abs(value) <= sys.float_info.max):
+        return value
+    raise ValueError(f"{path}: field {name!r} must be a finite number or null, got {value!r}")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     merged: dict[tuple[str, str], dict] = {}
@@ -431,7 +440,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                     raise ValueError(
                         f"duplicate metric {name!r} for (language={key[0]!r}, model={key[1]!r})"
                     )
-                slot[name] = row[name]
+                slot[name] = _metric_value(path, name, row[name])
 
     payload = [
         {"language": lang, "model": model, **values} for (lang, model), values in merged.items()

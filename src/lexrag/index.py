@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import struct
 import threading
 import unicodedata
@@ -38,6 +39,8 @@ import numpy as np
 
 from .backends import Embedder
 from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, save_documents
+
+logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
 FORMAT_VERSION = 1
@@ -185,7 +188,11 @@ class EmbeddingCache:
     of (embedder_id, text).  Backend calls are billable and slow; the cache
     makes rebuilds reproducible and free after the first run.
 
-    Reads are lock-free once loaded; appends are serialized.
+    Reads are lock-free once loaded; appends are serialized.  A crash during
+    an append can leave a final line without its newline: on load, such a
+    line is kept if it parses, and otherwise dropped (with a warning) and cut
+    from the file, so the next append starts on a line of its own.  A bad
+    line anywhere else is an ``IndexFormatError``.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -195,17 +202,38 @@ class EmbeddingCache:
         self.hits = 0
         self.misses = 0
         if self.path is not None and self.path.is_file():
-            for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    vector = [float(v) for v in obj["vector"]]
-                    if len(vector) != int(obj["dim"]):
-                        raise ValueError("dim field disagrees with vector length")
-                    self._entries[obj["key"]] = vector
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise IndexFormatError(f"{self.path}:{lineno}: bad cache entry: {exc}") from exc
+            self._load(self.path)
+
+    def _load(self, path: Path) -> None:
+        data = path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        lines = data[:complete].decode("utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            try:
+                self._add_line(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IndexFormatError(f"{path}:{lineno}: bad cache entry: {exc}") from exc
+        tail = data[complete:]
+        if not tail:
+            return
+        try:
+            self._add_line(tail.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning("%s:%d: dropping torn last cache line (%s)", path, len(lines) + 1, exc)
+            with path.open("r+b") as fh:
+                fh.truncate(complete)
+        else:
+            with path.open("ab") as fh:
+                fh.write(b"\n")
+
+    def _add_line(self, line: str) -> None:
+        if not line.strip():
+            return
+        obj = json.loads(line)
+        vector = [float(v) for v in obj["vector"]]
+        if len(vector) != int(obj["dim"]):
+            raise ValueError("dim field disagrees with vector length")
+        self._entries[obj["key"]] = vector
 
     def get(self, embedder_id: str, text: str) -> list[float] | None:
         vector = self._entries.get(cache_key(embedder_id, text))

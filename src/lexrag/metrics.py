@@ -4,9 +4,14 @@
   brevity penalty.  Orders with no candidate n-grams are skipped; orders with
   candidates but zero matches contribute an epsilon precision, which keeps
   the score defined for short sentences while preserving bleu(x, x) = 1.
-* ``rouge_l``: precision/recall/F over the longest common subsequence.
+* ``rouge_l``: precision/recall/F over the longest common subsequence,
+  whose length comes from the bit-parallel recurrence of Allison and Dix
+  (as revisited by Hyyrö, 2004): one big-int update per hypothesis token.
 * ``bertscore``: greedy max-cosine token matching over a pluggable token
-  embedder; no IDF weighting, no baseline rescaling.
+  embedder; no IDF weighting, no baseline rescaling.  ``evaluate_set``
+  embeds each distinct token of its scored pairs once, in requests of
+  ``EMBED_BATCH_SIZE`` tokens, since a token's vector does not depend on
+  its sentence.
 * ``human_eval_normalize``: mean over sentences of
   (fluency + grammaticality + faithfulness) / 15, mapping 0..5 expert scores
   to [0, 1].
@@ -30,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import Embedder
+from .index import EMBED_BATCH_SIZE
 
 BLEU_EPS = 1e-9
 MAX_SUBSCORE = 5
@@ -48,7 +54,7 @@ def tokenize(text: str, policy: TokenizationPolicy = TokenizationPolicy.WHITESPA
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu(
@@ -93,19 +99,23 @@ def bleu(
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence via the standard rolling-row DP."""
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    Bit j of ``v`` is 0 where the LCS of the prefix of ``a`` read so far
+    with ``b[: j + 1]`` grows by one at ``j``, so the LCS is the count of
+    zero bits.  Each token of ``a`` updates all of ``b`` in one addition.
+    """
     if not a or not b:
         return 0
-    previous = [0] * (len(b) + 1)
-    for item in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if item == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    matches: dict[str, int] = {}
+    for j, token in enumerate(b):
+        matches[token] = matches.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & matches.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(
@@ -126,29 +136,40 @@ def rouge_l(
     return (precision, recall, f_score)
 
 
-def _unit_token_matrix(tokens: Sequence[str], embedder: Embedder) -> np.ndarray:
+def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> dict[str, np.ndarray]:
+    """Each distinct token's unit-normalised embedding, in first-seen order,
+    embedded ``EMBED_BATCH_SIZE`` tokens per request."""
     unique = list(dict.fromkeys(tokens))
-    vectors = np.asarray(embedder.embed_tokens(unique), dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("token embedder returned a zero vector")
-    vectors = vectors / norms[:, None]
-    lookup = {tok: vectors[i] for i, tok in enumerate(unique)}
-    return np.stack([lookup[tok] for tok in tokens])
+    lookup: dict[str, np.ndarray] = {}
+    for start in range(0, len(unique), EMBED_BATCH_SIZE):
+        chunk = unique[start : start + EMBED_BATCH_SIZE]
+        vectors = np.asarray(embedder.embed_tokens(chunk), dtype=np.float64)
+        norms = np.linalg.norm(vectors, axis=1)
+        if np.any(norms == 0.0):
+            raise ValueError("token embedder returned a zero vector")
+        lookup.update(zip(chunk, vectors / norms[:, None]))
+    return lookup
 
 
 def bertscore(
     hyp_tokens: Sequence[str],
     ref_tokens: Sequence[str],
     token_embedder: Embedder,
+    *,
+    _vectors: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float, float]:
     """Greedy-matching similarity (precision, recall, F1): each hypothesis
     token takes its best cosine against any reference token, and vice versa.
+
+    ``_vectors`` (from ``_unit_token_vectors``) lets ``evaluate_set`` share
+    one embedding of its vocabulary across pairs.
     """
     if not hyp_tokens or not ref_tokens:
         raise ValueError("bertscore requires non-empty token lists on both sides")
-    hyp_matrix = _unit_token_matrix(hyp_tokens, token_embedder)
-    ref_matrix = _unit_token_matrix(ref_tokens, token_embedder)
+    if _vectors is None:
+        _vectors = _unit_token_vectors([*hyp_tokens, *ref_tokens], token_embedder)
+    hyp_matrix = np.stack([_vectors[tok] for tok in hyp_tokens])
+    ref_matrix = np.stack([_vectors[tok] for tok in ref_tokens])
     similarity = hyp_matrix @ ref_matrix.T
     precision = float(similarity.max(axis=1).mean())
     recall = float(similarity.max(axis=0).mean())
@@ -304,8 +325,10 @@ def evaluate_set(
         report["rouge_l_r"] = fmean(s[1] for s in rouge_scores)
         report["rouge_l_f"] = fmean(s[2] for s in rouge_scores)
     if "bertscore" in metrics:
+        vocabulary = [t for h, r in pairs if h and r for t in (*h, *r)]
+        vectors = _unit_token_vectors(vocabulary, token_embedder)
         bert_scores = [
-            bertscore(h, r, token_embedder) if h and r else (0.0, 0.0, 0.0)
+            bertscore(h, r, token_embedder, _vectors=vectors) if h and r else (0.0, 0.0, 0.0)
             for h, r in pairs
         ]
         report["bert_p"] = fmean(s[0] for s in bert_scores)

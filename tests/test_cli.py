@@ -760,3 +760,35 @@ class TestGoldenOutput:
         assert code == 0, err
         assert stdout == ""
         assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+
+
+class TestReportValues:
+    """Metric values must be numbers or null, in every output format."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    @pytest.mark.parametrize("value", [[1], "0.5", True, {"x": 1}, float("inf"), float("nan")])
+    def test_non_number_exit_65_naming_file_and_field(self, tmp_path, capsys, fmt, value):
+        path = tmp_path / "bad.json"
+        row = {"language": "x", "model": "m", "bleu": 0.5, "bert_f1": value}
+        path.write_text(json.dumps([row]), encoding="utf-8")
+        code, stdout, err = run(capsys, "report", str(path), "--format", fmt)
+        assert code == 65
+        assert stdout == ""
+        assert err.startswith(f"lexrag: validation error: {path}: field 'bert_f1' ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_int_float_and_null_accepted(self, tmp_path, capsys, fmt):
+        path = tmp_path / "ok.json"
+        row = {"language": "x", "model": "m", "n_sentences": 4, "bleu": 1, "bert_f1": None,
+               "rouge_l_f": 0.25}
+        path.write_text(json.dumps([row]), encoding="utf-8")
+        code, stdout, _ = run(capsys, "report", str(path), "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(stdout) == [row]
+        else:
+            last = {
+                "csv": "x,m,1.000,0.250,-,-,-,-",
+                "markdown": "| x | m | 1.000 | 0.250 | - | - | - | - |",
+            }
+            assert stdout.endswith(last[fmt] + "\n")

@@ -368,3 +368,55 @@ def test_headword_lookup_property(headwords):
     index = build_keyword_index(docs)
     for doc in docs:
         assert doc.id in keyword_lookup(index, doc.source_text)
+
+
+class TestEmbeddingCacheTornTail:
+    """A crash during an append may cut the cache's last line short."""
+
+    def _cache_file(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("e", "one", [1.0, 0.0])
+        cache.put("e", "two", [0.0, 1.0])
+        return path
+
+    def test_torn_last_line_dropped_and_cut_from_file(self, tmp_path, caplog):
+        path = self._cache_file(tmp_path)
+        complete = path.read_bytes()
+        path.write_bytes(complete + complete.splitlines(keepends=True)[0][:17])
+        with caplog.at_level("WARNING", logger="lexrag.index"):
+            cache = EmbeddingCache(path)
+        assert cache.get("e", "one") == [1.0, 0.0]
+        assert cache.get("e", "two") == [0.0, 1.0]
+        assert f"{path}:3: dropping torn last cache line" in caplog.text
+        assert path.read_bytes() == complete
+
+    def test_put_after_torn_tail_reloads(self, tmp_path):
+        path = self._cache_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b'{"key": "abc", "dim": 2, "vec')
+        EmbeddingCache(path).put("e", "three", [0.6, 0.8])
+        reloaded = EmbeddingCache(path)
+        assert reloaded.get("e", "one") == [1.0, 0.0]
+        assert reloaded.get("e", "three") == [0.6, 0.8]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_whole_last_line_without_newline_kept(self, tmp_path):
+        path = self._cache_file(tmp_path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        EmbeddingCache(path).put("e", "three", [0.6, 0.8])
+        reloaded = EmbeddingCache(path)
+        assert reloaded.get("e", "two") == [0.0, 1.0]
+        assert reloaded.get("e", "three") == [0.6, 0.8]
+
+    def test_bad_middle_line_still_rejected(self, tmp_path):
+        path = self._cache_file(tmp_path)
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first[:17] + b"\n" + second)
+        with pytest.raises(IndexFormatError, match=":1: bad cache entry"):
+            EmbeddingCache(path)
+
+    def test_bad_last_line_with_newline_still_rejected(self, tmp_path):
+        path = self._cache_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b'{"key": "abc"}\n')
+        with pytest.raises(IndexFormatError, match=":3: bad cache entry"):
+            EmbeddingCache(path)

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexrag.backends import MockEmbedder
+from lexrag.index import EMBED_BATCH_SIZE
 from lexrag.metrics import (
     HumanScoreRow,
     HumanScoreSheet,
@@ -21,7 +24,9 @@ from lexrag.metrics import (
     rouge_l,
     tokenize,
 )
-from oracles import oracle_bleu, oracle_lcs, oracle_rouge_l
+from oracles import oracle_bertscore, oracle_bleu, oracle_lcs, oracle_rouge_l
+
+DATA_DIR = Path(__file__).parent / "data"
 
 tokens_st = st.lists(st.sampled_from("a b c d e f g h the cat sat".split()), max_size=12)
 nonempty_tokens_st = st.lists(
@@ -285,3 +290,141 @@ def test_outputs_within_declared_ranges(hyp, ref):
     assert all(0.0 <= v <= 1.0 for v in (p, r, f))
     bp, br, bf = bertscore(hyp, ref, MockEmbedder(dim=8))
     assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in (bp, br, bf))
+
+
+# ---------------------------------------------------------------------------
+# Each metric's work done once per evaluate_set: shared BERTScore vocabulary,
+# bit-parallel LCS.  Reports must keep their exact bits.
+# ---------------------------------------------------------------------------
+
+CHEROKEE = [chr(cp) for cp in range(0x13A0, 0x13F5)]  # the 85 letters
+
+
+def syllabary_pairs(seed: int, count: int = 100) -> tuple[list[str], list[str]]:
+    """Seeded (hypotheses, references) of Cherokee-syllabary words.  Each
+    hypothesis keeps, drops or alters the reference's words, or adds one;
+    every tenth hypothesis is blank."""
+    rng = random.Random(seed)
+    hyps, refs = [], []
+    for i in range(count):
+        ref_words = [
+            "".join(rng.choices(CHEROKEE, k=rng.randint(2, 6)))
+            for _ in range(rng.randint(6, 14))
+        ]
+        hyp_words = []
+        for word in ref_words:
+            roll = rng.random()
+            if roll < 0.6:
+                hyp_words.append(word)
+            elif roll < 0.75:
+                continue
+            elif roll < 0.9:
+                at = rng.randrange(len(word))
+                hyp_words.append(word[:at] + rng.choice(CHEROKEE) + word[at + 1 :])
+            else:
+                hyp_words += [word, "".join(rng.choices(CHEROKEE, k=3))]
+        refs.append(" ".join(ref_words))
+        hyps.append("  " if i % 10 == 7 else " ".join(hyp_words))
+    return hyps, refs
+
+
+GOLDEN_EVALUATE_SET = DATA_DIR / "golden_evaluate_set.json"
+GOLDEN_SEED = 20240
+GOLDEN_DIM = 64
+
+
+def golden_reports() -> dict:
+    """``evaluate_set(...).to_dict()`` on the golden set under each policy.
+    The golden file was written by the implementation that embedded each
+    sentence's tokens separately, so equality shows every bit is kept."""
+    hyps, refs = syllabary_pairs(GOLDEN_SEED)
+    return {
+        policy.value: evaluate_set(hyps, refs, policy, MockEmbedder(GOLDEN_DIM)).to_dict()
+        for policy in TokenizationPolicy
+    }
+
+
+class _CountingEmbedder:
+    """MockEmbedder vectors, recording every embed_tokens request; a token in
+    ``zero`` gets the zero vector."""
+
+    embedder_id = "counting"
+
+    def __init__(self, dim: int = 8, zero: frozenset[str] = frozenset()) -> None:
+        self.inner = MockEmbedder(dim)
+        self.zero = zero
+        self.requests: list[list[str]] = []
+
+    def embed_tokens(self, tokens):
+        self.requests.append(list(tokens))
+        vectors = self.inner.embed_tokens(tokens)
+        return [[0.0] * self.inner.dim if t in self.zero else v for t, v in zip(tokens, vectors)]
+
+
+class TestEvaluateOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=150),
+        st.lists(st.sampled_from("abc"), max_size=150),
+    )
+    def test_long_lcs_matches_oracle(self, a, b):
+        assert lcs_length(a, b) == oracle_lcs(a, b)
+
+    def test_lcs_carry_across_word_boundaries(self):
+        # 100-200 tokens span several machine words; every carry must propagate.
+        assert lcs_length(list("ab" * 100), list("ba" * 100)) == 199
+        rng = random.Random(7)
+        for _ in range(20):
+            a = rng.choices("abc", k=rng.randint(100, 150))
+            b = rng.choices("abc", k=rng.randint(100, 150))
+            assert lcs_length(a, b) == oracle_lcs(a, b)
+
+    def test_each_distinct_token_embedded_once(self):
+        hyps, refs = syllabary_pairs(5)
+        embedder = _CountingEmbedder()
+        evaluate_set(hyps, refs, TokenizationPolicy.CODEPOINT, embedder)
+        scored = [
+            (tokenize(h, TokenizationPolicy.CODEPOINT), tokenize(r, TokenizationPolicy.CODEPOINT))
+            for h, r in zip(hyps, refs)
+        ]
+        vocabulary = list(dict.fromkeys(t for h, r in scored if h and r for t in h + r))
+        assert len(vocabulary) > 64
+        assert len(embedder.requests) == math.ceil(len(vocabulary) / EMBED_BATCH_SIZE)
+        assert [t for request in embedder.requests for t in request] == vocabulary
+        assert all(len(request) <= EMBED_BATCH_SIZE for request in embedder.requests)
+
+    def test_no_request_without_scored_pairs(self):
+        embedder = _CountingEmbedder()
+        report = evaluate_set(["", " "], ["a b", "c"], token_embedder=embedder)
+        assert embedder.requests == []
+        assert (report.bert_p, report.bert_r, report.bert_f1) == (0.0, 0.0, 0.0)
+
+    def test_zero_vector_only_beside_blank_hypothesis_is_never_embedded(self):
+        # U+13F5 lies outside the generator's letters, so it occurs only in
+        # the reference of pair 3, whose hypothesis is blank.
+        hyps, refs = syllabary_pairs(11, count=20)
+        hyps[3], refs[3] = "", "Ᏽ" + refs[3]
+        plain = evaluate_set(hyps, refs, TokenizationPolicy.CODEPOINT, MockEmbedder(8))
+        poisoned = _CountingEmbedder(zero=frozenset("Ᏽ"))
+        report = evaluate_set(hyps, refs, TokenizationPolicy.CODEPOINT, poisoned)
+        assert report == plain
+        assert poisoned.requests
+        assert all("Ᏽ" not in request for request in poisoned.requests)
+
+    def test_zero_vector_in_scored_pair_still_rejected(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            evaluate_set(["a b"], ["b c"], token_embedder=_CountingEmbedder(zero=frozenset("c")))
+
+    def test_direct_bertscore_matches_oracle(self):
+        embedder = MockEmbedder(8)
+        embed = lambda token: embedder.embed_texts([token])[0]  # noqa: E731
+        hyps, refs = syllabary_pairs(3, count=10)
+        for h, r in zip(hyps, refs):
+            hyp, ref = tokenize(h), tokenize(r)
+            if hyp:
+                expected = oracle_bertscore(hyp, ref, embed)
+                assert bertscore(hyp, ref, embedder) == pytest.approx(expected, abs=1e-12)
+
+    def test_reports_equal_golden(self):
+        golden = json.loads(GOLDEN_EVALUATE_SET.read_text(encoding="utf-8"))
+        assert golden_reports() == golden
