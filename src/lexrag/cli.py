@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -32,10 +31,6 @@ from .backends import (
 from .corpus import IngestError, load_dictionary, load_parallel, to_documents
 from .index import (
     CACHE_FILE,
-    DOCS_FILE,
-    KEYWORD_FILE,
-    MANIFEST_FILE,
-    VECTORS_FILE,
     EmbeddingCache,
     IndexFormatError,
     IndexManifest,
@@ -187,7 +182,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         raise UsageError("at least one of --dict or --parallel is required")
     config = load_config(args.config)
     out = Path(args.out)
-    existed_before = out.exists()
 
     entries = load_dictionary(args.dict) if args.dict else []
     examples = (
@@ -197,14 +191,10 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
     embedder, _ = make_backends(config.backend)
     cache = EmbeddingCache(out / CACHE_FILE)
-    try:
-        keyword = build_keyword_index(docs)
-        vector = build_vector_index(docs, embedder, cache=cache)
-        manifest = IndexManifest.create(keyword, vector)
-        save_index(keyword, vector, manifest, docs, out)
-    except Exception:
-        _cleanup_partial_output(out, existed_before)
-        raise
+    keyword = build_keyword_index(docs)
+    vector = build_vector_index(docs, embedder, cache=cache)
+    manifest = IndexManifest.create(keyword, vector)
+    save_index(keyword, vector, manifest, docs, out)
     print(
         f"indexed {len(docs)} documents -> {out} "
         f"(dim={vector.dim}, cache_hits={cache.hits}, cache_misses={cache.misses})"
@@ -214,18 +204,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 def _parallel_format(path: str) -> str:
     return "tsv" if Path(path).suffix.lower() == ".tsv" else "jsonl"
-
-
-def _cleanup_partial_output(out: Path, existed_before: bool) -> None:
-    # A directory we created is removed outright; a pre-existing one keeps its
-    # embedding cache and loses only the index files written this run.
-    if not out.exists():
-        return
-    if not existed_before:
-        shutil.rmtree(out, ignore_errors=True)
-        return
-    for name in (MANIFEST_FILE, KEYWORD_FILE, DOCS_FILE, VECTORS_FILE):
-        (out / name).unlink(missing_ok=True)
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -241,33 +219,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
     retrieval_config = replace(
         config.retrieval, max_phrase_len=bundle.manifest.max_phrase_len
     )
+    setup = (bundle, embedder, generator, retrieval_config, template, source_lang, target_lang)
 
     if args.text is not None:
-        record = translate(
-            args.text,
-            bundle,
-            embedder,
-            generator,
-            retrieval_config,
-            template,
-            source_lang,
-            target_lang,
-        )
-        print(record.output)
+        print(translate(args.text, *setup).output)
         return EXIT_OK
 
     ids, queries = _read_batch_input(Path(args.input))
-    records = batch_translate(
-        queries,
-        bundle,
-        embedder,
-        generator,
-        retrieval_config,
-        template,
-        source_lang,
-        target_lang,
-        parallelism=args.parallel,
-    )
+    records = batch_translate(queries, *setup, parallelism=args.parallel)
     lines = []
     for item_id, record in zip(ids, records):
         payload = record.to_dict(include_prompt=args.trace)

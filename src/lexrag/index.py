@@ -17,9 +17,13 @@ Index directory layout::
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=1), dim u32,
-count u64, then ``count`` records of (id_len u16, id UTF-8 bytes,
-dim × float32).
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=2), dim u32,
+count u64, then ``count × dim`` float32 values, one row per document in
+``docs.jsonl`` order; a row's document id is its position there.
+
+``save_index`` deletes ``manifest.json`` first and writes it last, so the
+manifest commits the other files: a save that raises or is killed part-way
+leaves a directory that ``load_index`` rejects, never one that loads.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, s
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # of both manifest.json and the vectors.bin header
+VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
 
@@ -375,39 +380,28 @@ class IndexBundle:
 
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
     with path.open("wb") as fh:
-        fh.write(struct.pack("<4sIIQ", MAGIC, FORMAT_VERSION, vector.dim, vector.count))
-        for doc_id, row in zip(vector.ids, vector.vectors):
-            encoded = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(np.ascontiguousarray(row, dtype="<f4").tobytes())
+        fh.write(VECTORS_HEADER.pack(MAGIC, FORMAT_VERSION, vector.dim, vector.count))
+        fh.write(np.ascontiguousarray(vector.vectors, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise IndexFormatError(f"vectors.bin truncated while reading {what}")
-    return data
-
-
-def _read_vectors(path: Path, embedder_id: str) -> VectorIndex:
-    with path.open("rb") as fh:
-        header = _read_exact(fh, struct.calcsize("<4sIIQ"), "header")
-        magic, version, dim, count = struct.unpack("<4sIIQ", header)
-        if magic != MAGIC:
-            raise IndexFormatError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(f"unsupported vectors.bin version {version}")
-        ids: list[str] = []
-        rows = []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "id length"))
-            ids.append(_read_exact(fh, id_len, "document id").decode("utf-8"))
-            payload = _read_exact(fh, 4 * dim, "vector row")
-            rows.append(np.frombuffer(payload, dtype="<f4"))
-        if fh.read(1):
-            raise IndexFormatError("vectors.bin has trailing bytes beyond declared count")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+def _read_vectors(path: Path, embedder_id: str, ids: list[str]) -> VectorIndex:
+    """The rows of ``vectors.bin``, one per id of ``ids`` (the documents)."""
+    data = path.read_bytes()
+    if len(data) < VECTORS_HEADER.size:
+        raise IndexFormatError("vectors.bin truncated while reading header")
+    magic, version, dim, count = VECTORS_HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise IndexFormatError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(f"unsupported vectors.bin version {version}")
+    expected = VECTORS_HEADER.size + 4 * dim * count
+    if len(data) < expected:
+        raise IndexFormatError(f"vectors.bin truncated: {len(data)} bytes, expected {expected}")
+    if len(data) > expected:
+        raise IndexFormatError("vectors.bin has trailing bytes beyond declared count")
+    if count != len(ids):
+        raise IndexFormatError(f"vectors.bin has {count} rows for {len(ids)} documents")
+    matrix = np.frombuffer(data, dtype="<f4", offset=VECTORS_HEADER.size).reshape(count, dim)
     try:
         return VectorIndex(dim=dim, embedder_id=embedder_id, ids=ids, vectors=matrix)
     except IndexBuildError as exc:
@@ -421,7 +415,8 @@ def save_index(
     docs: Sequence[Document],
     out_dir: str | Path,
 ) -> None:
-    """Persist one index directory (manifest, keyword map, docs, vectors)."""
+    """Persist one index directory: keyword map, docs and vectors, then the
+    manifest, which is removed first so that only a finished save loads."""
     if manifest.count != vector.count:
         raise IndexFormatError(
             f"manifest count {manifest.count} does not match vector rows {vector.count}"
@@ -430,8 +425,17 @@ def save_index(
         raise IndexFormatError(
             f"manifest dim {manifest.dim} does not match vector dim {vector.dim}"
         )
+    if vector.ids != [doc.id for doc in docs]:
+        raise IndexFormatError("vector index ids do not follow the documents in order")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / MANIFEST_FILE).unlink(missing_ok=True)
+    (out / KEYWORD_FILE).write_text(
+        json.dumps(keyword.entries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    save_documents(list(docs), out / DOCS_FILE)
+    _write_vectors(out / VECTORS_FILE, vector)
     (out / MANIFEST_FILE).write_text(
         json.dumps(
             {
@@ -447,12 +451,6 @@ def save_index(
         + "\n",
         encoding="utf-8",
     )
-    (out / KEYWORD_FILE).write_text(
-        json.dumps(keyword.entries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    save_documents(list(docs), out / DOCS_FILE)
-    _write_vectors(out / VECTORS_FILE, vector)
 
 
 def load_index(index_dir: str | Path) -> IndexBundle:
@@ -474,11 +472,14 @@ def load_index(index_dir: str | Path) -> IndexBundle:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if manifest.version != FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported index version {manifest.version}")
+        raise IndexFormatError(
+            f"{root}: unsupported index version {manifest.version} (expected "
+            f"{FORMAT_VERSION}); rebuild it with `lexrag index-build`"
+        )
 
     try:
         entries = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
     if not isinstance(entries, dict) or not all(
         isinstance(ids, list) and all(isinstance(i, str) for i in ids)
@@ -491,7 +492,7 @@ def load_index(index_dir: str | Path) -> IndexBundle:
     )
 
     docs = load_documents(root / DOCS_FILE)
-    vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id)
+    vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, [doc.id for doc in docs])
 
     if vector.count != manifest.count:
         raise IndexFormatError(
@@ -502,9 +503,7 @@ def load_index(index_dir: str | Path) -> IndexBundle:
             f"manifest dim {manifest.dim} does not match vectors.bin dim {vector.dim}"
         )
     known = {doc.id for doc in docs}
-    missing = [doc_id for doc_id in vector.ids if doc_id not in known]
-    for ids in keyword.entries.values():
-        missing.extend(doc_id for doc_id in ids if doc_id not in known)
+    missing = [doc_id for ids in keyword.entries.values() for doc_id in ids if doc_id not in known]
     if missing:
         raise IndexFormatError(f"index refers to unknown document ids: {sorted(set(missing))[:5]}")
     return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=docs)

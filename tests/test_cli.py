@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from lexrag.backends import BackendConfig, MockGenerator, RetryPolicy
+from lexrag.backends import BackendConfig, BackendError, MockEmbedder, MockGenerator, RetryPolicy
 from lexrag.cli import AppConfig, load_config, main
+from lexrag.index import load_index
 from lexrag.retrieval import RetrievalConfig
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
@@ -166,6 +167,78 @@ class TestIndexBuild:
         )
         assert code == 1
         assert "config file not found" in err
+
+
+class _FailingEmbedder(MockEmbedder):
+    """The mock embedder, until ``ok_calls`` requests have been served."""
+
+    def __init__(self, ok_calls: int = 0) -> None:
+        super().__init__(dim=8)
+        self.ok_calls = ok_calls
+
+    def embed_texts(self, texts):
+        if self.ok_calls == 0:
+            raise BackendError("embedding service unavailable")
+        self.ok_calls -= 1
+        return super().embed_texts(texts)
+
+
+INDEX_FILES = ("manifest.json", "keyword_index.json", "docs.jsonl", "vectors.bin")
+
+
+class TestFailedIndexBuild:
+    def test_backend_error_keeps_previous_index(self, built_index, tmp_path, capsys, monkeypatch):
+        before = {name: (built_index / name).read_bytes() for name in INDEX_FILES}
+        source = tmp_path / "new.jsonl"
+        source.write_text('{"headword":"moon","target":"ᏅᏙ"}\n', encoding="utf-8")
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (_FailingEmbedder(), MockGenerator())
+        )
+        code, _, err = run(capsys, "index-build", "--dict", str(source), "--out", str(built_index))
+        assert code == 2
+        assert "embedding service unavailable" in err
+        assert {name: (built_index / name).read_bytes() for name in INDEX_FILES} == before
+        assert load_index(built_index).manifest.count == 10
+
+    def test_new_dir_keeps_paid_embeddings(self, tmp_path, capsys, monkeypatch):
+        source = tmp_path / "d.jsonl"
+        source.write_text(
+            "".join(f'{{"headword":"w{i}","target":"t{i}"}}\n' for i in range(40)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "idx"
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (_FailingEmbedder(1), MockGenerator())
+        )
+        code, _, _ = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+
+        monkeypatch.undo()
+        code, stdout, _ = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 0
+        assert "cache_hits=32, cache_misses=8" in stdout
+
+    def test_v1_index_rejected_then_rebuilt_from_cache(self, built_index, data_dir, capsys):
+        path = built_index / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert code == 1 and out == ""
+        assert "unsupported index version 1" in err
+        assert "lexrag index-build" in err
+
+        code, stdout, _ = run(
+            capsys,
+            "index-build",
+            "--dict",
+            str(data_dir / "tiny_dict.jsonl"),
+            "--out",
+            str(built_index),
+        )
+        assert code == 0
+        assert "cache_misses=0" in stdout
+        code, _, _ = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert code == 0
 
 
 class TestTranslate:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexrag.backends import MockEmbedder
-from lexrag.corpus import DictionaryEntry, ParallelExample, to_documents
+from lexrag.corpus import DictionaryEntry, IngestError, ParallelExample, to_documents
 from lexrag.index import (
     EmbeddingCache,
     IndexBuildError,
@@ -420,3 +423,103 @@ class TestEmbeddingCacheTornTail:
         path.write_bytes(path.read_bytes() + b'{"key": "abc"}\n')
         with pytest.raises(IndexFormatError, match=":3: bad cache entry"):
             EmbeddingCache(path)
+
+
+def _saved_tiny_index(docs, out_dir):
+    keyword = build_keyword_index(docs)
+    vector = build_vector_index(docs, MockEmbedder(dim=8))
+    manifest = IndexManifest.create(keyword, vector)
+    save_index(keyword, vector, manifest, docs, out_dir)
+    return load_index(out_dir)
+
+
+def _assert_same_bundle(got, expected):
+    assert got.keyword == expected.keyword
+    assert got.manifest == expected.manifest
+    assert got.docs == expected.docs
+    assert got.vector.ids == expected.vector.ids
+    assert got.vector.dim == expected.vector.dim
+    assert got.vector.embedder_id == expected.vector.embedder_id
+    assert np.array_equal(got.vector.vectors, expected.vector.vectors)
+
+
+class TestFormatV2:
+    """vectors.bin v2 holds only the float rows; the manifest commits a save."""
+
+    def test_v1_manifest_rejected_with_rebuild_hint(self, tiny_docs, tmp_path):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**manifest, "version": 1}), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="unsupported index version 1.*index-build"):
+            load_index(tmp_path)
+
+    def test_vector_ids_out_of_document_order_rejected(self, tiny_docs, tmp_path):
+        keyword = build_keyword_index(tiny_docs)
+        vector = build_vector_index(tiny_docs[::-1], MockEmbedder(dim=8))
+        manifest = IndexManifest.create(keyword, vector)
+        with pytest.raises(IndexFormatError, match="order"):
+            save_index(keyword, vector, manifest, tiny_docs, tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_row_count_must_match_docs(self, tiny_docs, tmp_path):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        docs_path = tmp_path / "docs.jsonl"
+        docs_path.write_text(
+            "".join(docs_path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]),
+            encoding="utf-8",
+        )
+        with pytest.raises(IndexFormatError, match="rows for"):
+            load_index(tmp_path)
+
+    def test_trailing_bytes_rejected(self, tiny_docs, tmp_path):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        path = tmp_path / "vectors.bin"
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(IndexFormatError, match="trailing bytes"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("step", ["save_documents", "_write_vectors"])
+    def test_failed_save_over_index_does_not_load(self, step, tmp_path, monkeypatch):
+        old = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])
+        new = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("fire", "ᎠᏥᎳ")], [])
+        _saved_tiny_index(old, tmp_path)
+
+        def crash(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(f"lexrag.index.{step}", crash)
+        with pytest.raises(OSError, match="disk full"):
+            _saved_tiny_index(new, tmp_path)
+        with pytest.raises(IndexFormatError, match="missing manifest.json"):
+            load_index(tmp_path)
+
+    def test_non_utf8_keyword_map_names_file(self, tiny_docs, tmp_path):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        (tmp_path / "keyword_index.json").write_bytes(b"\xff")
+        with pytest.raises(IndexFormatError, match="keyword_index.json"):
+            load_index(tmp_path)
+
+
+INDEX_FILES = ("manifest.json", "keyword_index.json", "docs.jsonl", "vectors.bin")
+
+
+def test_truncated_index_file_rejected_or_unchanged(tiny_docs, tmp_path):
+    saved = tmp_path / "saved"
+    expected = _saved_tiny_index(tiny_docs, saved)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(INDEX_FILES), data=st.data())
+    def check(name, data):
+        original = (saved / name).read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(original)), label="cut")
+        target = tmp_path / "cut"
+        shutil.copytree(saved, target, dirs_exist_ok=True)
+        (target / name).write_bytes(original[:cut])
+        try:
+            bundle = load_index(target)
+        except (IndexFormatError, IngestError):
+            return
+        _assert_same_bundle(bundle, expected)
+
+    check()
