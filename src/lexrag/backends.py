@@ -16,15 +16,19 @@ never stored in configuration files.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
 import os
 import random
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
-
-import requests
 
 
 class BackendError(Exception):
@@ -152,14 +156,34 @@ def _is_retryable_status(status: int) -> bool:
     return status == 429 or status >= 500
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect: a 3xx reaches the caller as an ``HTTPError``, so
+    the ``Authorization`` header is never re-sent to the ``Location`` host."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
+
+
 class HttpBackend:
     """Chat-completion / embeddings client with bounded concurrency and
     exponential-backoff retries.
 
-    Retries cover transport errors and HTTP 429/5xx only; any other 4xx is a
-    caller error and fails immediately.  At most ``max_in_flight`` requests
-    are on the wire at any moment, enforced with a semaphore, so the client
-    is safe to call from multiple threads.
+    Retries cover transport errors and HTTP 429/5xx only; any other status,
+    2xx other than 200 and every 3xx included, fails immediately: redirects
+    are not followed.  Before a retry the client sleeps a "full jitter"
+    delay, uniform in ``[0, backoff]``, where ``backoff`` starts at
+    ``initial_backoff_ms`` and grows by ``multiplier``; a 429 or 503 carrying
+    ``Retry-After`` in seconds sleeps that long instead, capped at
+    ``timeout_s``.  At most ``max_in_flight`` requests are on the
+    wire at any moment, enforced with a semaphore, so the client is safe to
+    call from multiple threads.
+
+    Counters: ``calls`` (logical requests), ``attempts`` (requests sent),
+    ``retry_statuses`` (attempts that failed in a retryable way, by HTTP
+    status or ``"transport"``) and ``backoff_s`` (total seconds slept).
     """
 
     def __init__(self, config: BackendConfig) -> None:
@@ -167,6 +191,10 @@ class HttpBackend:
         self.embedder_id = config.embed_model_id
         self.model_id = config.chat_model_id
         self.calls = 0
+        self.attempts = 0
+        self.retry_statuses: Counter[int | str] = Counter()
+        self.backoff_s = 0.0
+        self._rng = random.Random()
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(config.max_in_flight)
 
@@ -177,40 +205,61 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _send(self, url: str, data: bytes) -> tuple[int, bytes, str | None]:
+        """One POST: the status, the body and the ``Retry-After`` header of
+        whatever reply came back; transport failures raise."""
+        request = urllib.request.Request(url, data=data, headers=self._headers(), method="POST")
+        try:
+            with _OPENER.open(request, timeout=self.config.timeout_s) as response:
+                return response.status, response.read(), response.headers.get("Retry-After")
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read(), exc.headers.get("Retry-After")
+
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise BackendError(f"{url}: base_url must be an http:// or https:// URL")
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
         retry = self.config.retry
-        backoff_s = retry.initial_backoff_ms / 1000.0
+        ceiling_s = retry.initial_backoff_ms / 1000.0
         last_error: Exception | None = None
         with self._lock:
             self.calls += 1
         for attempt in range(1, retry.max_attempts + 1):
+            with self._lock:
+                self.attempts += 1
             try:
                 with self._slots:
-                    response = requests.post(
-                        url,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.config.timeout_s,
-                    )
-            except requests.RequestException as exc:
+                    status, body, retry_after = self._send(url, data)
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                outcome: int | str = "transport"
                 last_error = exc
             else:
-                if response.status_code == 200:
+                if status == 200:
                     try:
-                        return response.json()
+                        return json.loads(body)
                     except ValueError as exc:
                         raise BackendError(f"{url}: response is not JSON") from exc
-                if not _is_retryable_status(response.status_code):
-                    raise BackendError(
-                        f"{url}: HTTP {response.status_code}: {response.text[:200]}"
-                    )
-                last_error = BackendError(
-                    f"{url}: HTTP {response.status_code}: {response.text[:200]}"
-                )
+                text = body.decode("utf-8", errors="replace")[:200]
+                last_error = BackendError(f"{url}: HTTP {status}: {text}")
+                if not _is_retryable_status(status):
+                    raise last_error
+                outcome = status
+            delay_s = 0.0
             if attempt < retry.max_attempts:
-                time.sleep(backoff_s)
-                backoff_s *= retry.multiplier
+                # Only the seconds form counts; an HTTP-date gets the backoff.
+                seconds = (retry_after or "").strip() if outcome in (429, 503) else ""
+                if seconds.isascii() and seconds.isdigit():
+                    delay_s = min(float(seconds), self.config.timeout_s)
+                else:
+                    delay_s = self._rng.uniform(0.0, ceiling_s)
+                ceiling_s *= retry.multiplier
+            with self._lock:
+                self.retry_statuses[outcome] += 1
+                self.backoff_s += delay_s
+            if delay_s:
+                time.sleep(delay_s)
         raise BackendError(
             f"{url}: failed after {retry.max_attempts} attempts: {last_error}"
         ) from last_error

@@ -32,6 +32,7 @@ from .corpus import IngestError, load_dictionary, load_parallel, to_documents
 from .index import (
     CACHE_FILE,
     EmbeddingCache,
+    IndexBuildError,
     IndexFormatError,
     IndexManifest,
     build_keyword_index,
@@ -503,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"lexrag: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RetrievalError) as exc:
+    except (ValueError, IndexBuildError, RetrievalError) as exc:
         print(f"lexrag: validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

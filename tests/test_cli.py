@@ -241,6 +241,45 @@ class TestFailedIndexBuild:
         assert code == 0
 
 
+class _BadVectorEmbedder(MockEmbedder):
+    """The mock embedder, but with every vector zeroed, or with the vectors of
+    the second request onwards one element longer."""
+
+    def __init__(self, fault: str) -> None:
+        super().__init__(dim=8)
+        self.fault = fault
+
+    def embed_texts(self, texts):
+        vectors = super().embed_texts(texts)
+        if self.fault == "zero":
+            return [[0.0] * len(v) for v in vectors]
+        return vectors if self.calls == 1 else [v + [0.0] for v in vectors]
+
+
+class TestIndexBuildValidation:
+    @pytest.mark.parametrize(
+        "fault, message", [("zero", "zero vector"), ("drift", "dimension drifted from 8 to 9")]
+    )
+    def test_bad_embedding_is_exit_65(self, tmp_path, capsys, monkeypatch, fault, message):
+        source = tmp_path / "d.jsonl"
+        source.write_text(
+            "".join(f'{{"headword":"w{i}","target":"t{i}"}}\n' for i in range(40)),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends",
+            lambda settings: (_BadVectorEmbedder(fault), MockGenerator()),
+        )
+        out = tmp_path / "idx"
+        code, stdout, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 65
+        assert stdout == ""
+        assert err.startswith("lexrag: validation error:")
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "manifest.json").exists()
+
+
 class TestTranslate:
     def test_single_text(self, built_index, capsys):
         code, stdout, _ = run(
