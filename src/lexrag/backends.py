@@ -67,7 +67,6 @@ class GenerationResult:
     model_id: str
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
-    latency_ms: float = 0.0
 
 
 class Embedder(Protocol):
@@ -294,9 +293,7 @@ class HttpBackend:
             "model": self.config.chat_model_id,
             "messages": [{"role": "user", "content": prompt}],
         }
-        started = time.perf_counter()
         body = self._post("/chat/completions", payload)
-        latency_ms = (time.perf_counter() - started) * 1000.0
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -309,5 +306,4 @@ class HttpBackend:
             model_id=self.config.chat_model_id,
             prompt_tokens=usage.get("prompt_tokens"),
             completion_tokens=usage.get("completion_tokens"),
-            latency_ms=latency_ms,
         )

@@ -13,6 +13,9 @@ All ingested text is NFC-normalized, since syllabary codepoints come in
 composed and decomposed variants.  Both inputs are flattened into
 :class:`Document` records, the unit that both indexes and the prompt
 assembler operate on.
+
+Saved documents are JSONL lines with exactly the keys ``kind``,
+``source_text``, ``target_text`` and ``metadata``; ids are positional.
 """
 
 from __future__ import annotations
@@ -64,15 +67,27 @@ class ParallelExample:
 
 @dataclass(frozen=True)
 class Document:
-    """Unified retrievable unit; ``render_text`` is what gets embedded and
-    inserted into prompts, and is always re-derivable from the other fields."""
+    """Unified retrievable unit.  ``id`` follows from position and kind
+    (``d:<seq>``, ``x:<seq>``), and ``render_text``, the text that gets
+    embedded, from the other fields."""
 
     id: str
     kind: str
     source_text: str
     target_text: str
-    render_text: str
     metadata: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def render_text(self) -> str:
+        # docs.jsonl does not store this text, yet vectors.bin holds its
+        # embedding: changing render_dictionary_text or render_example_text
+        # requires bumping index.FORMAT_VERSION, so that an index embedded
+        # from the old text is rebuilt rather than loaded.
+        if self.kind == DICTIONARY_KIND:
+            return render_dictionary_text(
+                self.source_text, self.target_text, self.metadata.get("definition")
+            )
+        return render_example_text(self.source_text, self.target_text)
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -108,6 +123,16 @@ def _iter_lines(path: str | Path):
             yield lineno, line
 
 
+def _json_object(line: str, where: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{where}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise IngestError(f"{where}: expected a JSON object")
+    return obj
+
+
 def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
     """Read dictionary entries from a JSONL file, preserving line order.
 
@@ -117,13 +142,7 @@ def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
     entries: list[DictionaryEntry] = []
     for lineno, line in _iter_lines(path):
         where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{where}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise IngestError(f"{where}: expected a JSON object")
-
+        obj = _json_object(line, where)
         headword = _clean_headword(_require_str(obj, "headword", where))
         if not headword:
             raise IngestError(f"{where}: headword is empty after normalization")
@@ -201,12 +220,7 @@ def load_parallel(path: str | Path, fmt: str = "jsonl") -> list[ParallelExample]
                 raise IngestError(f"{where}: expected 5 tab-separated columns, got {len(columns)}")
             examples.append(_parallel_from_fields(*columns, where=where))
         else:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise IngestError(f"{where}: expected a JSON object")
+            obj = _json_object(line, where)
             fields = [_require_str(obj, name, where) for name in _PARALLEL_FIELDS]
             provenance = obj.get("provenance", "")
             if not isinstance(provenance, str):
@@ -228,16 +242,42 @@ def render_example_text(source_text: str, target_text: str) -> str:
     return f"{source_text} ⇒ {target_text}"
 
 
+_ID_PREFIX = {DICTIONARY_KIND: "d", EXAMPLE_KIND: "x"}
+
+# The keys of one docs.jsonl line, in the order save_documents writes them,
+# and a Document's fields after its id, as one row.
+_DOC_KEYS = ("kind", "source_text", "target_text", "metadata")
+_Row = tuple[str, str, str, dict[str, str]]
+
+
+def _positional_ids(kinds: list[str]) -> list[str]:
+    """``d:<seq>`` for dictionary entries and ``x:<seq>`` for examples, with
+    ``seq`` counted per kind in document order."""
+    seen = dict.fromkeys(_ID_PREFIX, 0)
+    ids = []
+    for kind in kinds:
+        if kind not in seen:
+            raise IngestError(f"unknown document kind {kind!r}")
+        ids.append(f"{_ID_PREFIX[kind]}:{seen[kind]}")
+        seen[kind] += 1
+    return ids
+
+
+def _documents(rows: list[_Row]) -> list[Document]:
+    ids = _positional_ids([kind for kind, *_ in rows])
+    return [Document(doc_id, *row) for doc_id, row in zip(ids, rows)]
+
+
 def to_documents(
     entries: list[DictionaryEntry],
     examples: list[ParallelExample],
 ) -> list[Document]:
-    """Flatten entries and examples into Documents with deterministic ids
-    (``d:<seq>`` for dictionary entries, ``x:<seq>`` for examples)."""
+    """Flatten entries and examples into Documents, dictionary entries first,
+    with positional ids."""
     if not entries and not examples:
         raise IngestError("no input: need at least one dictionary entry or parallel example")
-    docs: list[Document] = []
-    for seq, entry in enumerate(entries):
+    rows: list[_Row] = []
+    for entry in entries:
         metadata: dict[str, str] = {}
         if entry.definition:
             metadata["definition"] = entry.definition
@@ -247,95 +287,46 @@ def to_documents(
             metadata["examples"] = json.dumps(
                 [list(pair) for pair in entry.examples], ensure_ascii=False
             )
-        docs.append(
-            Document(
-                id=f"d:{seq}",
-                kind=DICTIONARY_KIND,
-                source_text=entry.headword,
-                target_text=entry.target,
-                render_text=render_dictionary_text(
-                    entry.headword, entry.target, entry.definition
-                ),
-                metadata=metadata,
-            )
-        )
-    for seq, example in enumerate(examples):
-        docs.append(
-            Document(
-                id=f"x:{seq}",
-                kind=EXAMPLE_KIND,
-                source_text=example.source_text,
-                target_text=example.target_text,
-                render_text=render_example_text(example.source_text, example.target_text),
-                metadata={
-                    "source_lang": example.source_lang,
-                    "target_lang": example.target_lang,
-                    "provenance": example.provenance,
-                },
-            )
-        )
-    assert len({doc.id for doc in docs}) == len(docs), "document ids must be unique"
-    return docs
-
-
-def _rederive_render_text(doc: Document) -> str:
-    if doc.kind == DICTIONARY_KIND:
-        return render_dictionary_text(
-            doc.source_text, doc.target_text, doc.metadata.get("definition")
-        )
-    return render_example_text(doc.source_text, doc.target_text)
+        rows.append((DICTIONARY_KIND, entry.headword, entry.target, metadata))
+    for example in examples:
+        metadata = {
+            "source_lang": example.source_lang,
+            "target_lang": example.target_lang,
+            "provenance": example.provenance,
+        }
+        rows.append((EXAMPLE_KIND, example.source_text, example.target_text, metadata))
+    return _documents(rows)
 
 
 def save_documents(docs: list[Document], path: str | Path) -> None:
-    """Write Documents as JSONL (one object per line, UTF-8)."""
-    lines = []
-    for doc in docs:
-        lines.append(
-            json.dumps(
-                {
-                    "id": doc.id,
-                    "kind": doc.kind,
-                    "source_text": doc.source_text,
-                    "target_text": doc.target_text,
-                    "render_text": doc.render_text,
-                    "metadata": doc.metadata,
-                },
-                ensure_ascii=False,
+    """Write Documents as JSONL (one object per line, UTF-8).  Ids are not
+    written, so a document whose id is not the one its position gives is
+    rejected rather than renumbered."""
+    for seq, (doc, expected) in enumerate(zip(docs, _positional_ids([d.kind for d in docs]))):
+        if doc.id != expected:
+            raise IngestError(
+                f"document {seq} has id {doc.id!r}, but its position gives {expected!r}"
             )
-        )
+    rows = ((doc.kind, doc.source_text, doc.target_text, doc.metadata) for doc in docs)
+    lines = [json.dumps(dict(zip(_DOC_KEYS, row)), ensure_ascii=False) for row in rows]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def load_documents(path: str | Path) -> list[Document]:
-    """Reload Documents written by :func:`save_documents`, re-checking that
-    each render_text still derives from the other fields."""
-    docs: list[Document] = []
-    seen: set[str] = set()
+    """Reload Documents written by :func:`save_documents`, checking each line's
+    keys and value types; ids follow from position and kind."""
+    rows: list[_Row] = []
     for lineno, line in _iter_lines(path):
         where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{where}: invalid JSON: {exc.msg}") from exc
-        try:
-            doc = Document(
-                id=obj["id"],
-                kind=obj["kind"],
-                source_text=obj["source_text"],
-                target_text=obj["target_text"],
-                render_text=obj["render_text"],
-                metadata=dict(obj.get("metadata", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise IngestError(f"{where}: malformed document record: {exc}") from exc
-        if doc.kind not in (DICTIONARY_KIND, EXAMPLE_KIND):
-            raise IngestError(f"{where}: unknown document kind {doc.kind!r}")
-        if doc.id in seen:
-            raise IngestError(f"{where}: duplicate document id {doc.id!r}")
-        if not doc.render_text:
-            raise IngestError(f"{where}: render_text is empty")
-        if doc.render_text != _rederive_render_text(doc):
-            raise IngestError(f"{where}: render_text does not match its fields")
-        seen.add(doc.id)
-        docs.append(doc)
-    return docs
+        obj = _json_object(line, where)
+        if obj.keys() != set(_DOC_KEYS):
+            raise IngestError(f"{where}: expected an object with exactly the keys {_DOC_KEYS}")
+        kind, source_text, target_text, metadata = (obj[key] for key in _DOC_KEYS)
+        if kind not in (DICTIONARY_KIND, EXAMPLE_KIND):
+            raise IngestError(f"{where}: unknown document kind {kind!r}")
+        if not isinstance(source_text, str) or not isinstance(target_text, str):
+            raise IngestError(f"{where}: source_text and target_text must be strings")
+        if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):
+            raise IngestError(f"{where}: metadata must be an object of strings")
+        rows.append((kind, source_text, target_text, metadata))
+    return _documents(rows)

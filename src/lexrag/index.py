@@ -13,13 +13,13 @@ Index directory layout::
     manifest.json       version / dim / count / embedder_id / created_at /
                         max_phrase_len
     keyword_index.json  normalized phrase -> array of document ids
-    docs.jsonl          Documents, one per line
+    docs.jsonl          Documents, one per line, without ids or render texts
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=2), dim u32,
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=3), dim u32,
 count u64, then ``count × dim`` float32 values, one row per document in
-``docs.jsonl`` order; a row's document id is its position there.
+``docs.jsonl`` order.
 
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
@@ -47,7 +47,7 @@ from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, s
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 2  # of both manifest.json and the vectors.bin header
+FORMAT_VERSION = 3  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
@@ -149,7 +149,7 @@ class VectorIndex:
             raise IndexBuildError("vector index ids must be unique")
         if len(self.ids):
             norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
-            bad = np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN too
             if bad.size:
                 raise IndexBuildError(
                     f"row {bad[0]} (id {self.ids[bad[0]]!r}) has norm {norms[bad[0]]:.6f}, "
@@ -263,17 +263,19 @@ class EmbeddingCache:
                     fh.write(record + "\n")
 
 
-def _unit_rows(raw: list[list[float]], ids: Sequence[str], dim: int) -> np.ndarray:
+def _unit_rows(raw: Sequence[Sequence[float]], ids: Sequence[str], dim: int) -> np.ndarray:
+    """``raw`` scaled to unit rows; a zero or non-finite row is an IndexBuildError."""
     matrix = np.asarray(raw, dtype=np.float64)
     if matrix.shape != (len(ids), dim):
         raise IndexBuildError(
             f"embedder returned shape {matrix.shape}, expected ({len(ids)}, {dim})"
         )
     norms = np.linalg.norm(matrix, axis=1)
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if bad.size:
+        fault = "zero" if norms[bad[0]] == 0.0 else "non-finite"
         raise IndexBuildError(
-            f"embedder returned a zero vector for document {ids[zero[0]]!r}; cannot normalize"
+            f"embedder returned a {fault} vector for document {ids[bad[0]]!r}; cannot normalize"
         )
     return (matrix / norms[:, None]).astype(np.float32)
 
@@ -293,34 +295,36 @@ def build_vector_index(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
+    texts = [doc.render_text for doc in docs]
     raw: dict[str, list[float]] = {}
-    pending: list[str] = []
-    for doc in docs:
-        text = doc.render_text
-        if text in raw:
+    pending: dict[str, str] = {}  # text to embed -> id of its first document
+    for doc, text in zip(docs, texts):
+        if text in raw or text in pending:
             continue
         cached = cache.get(embedder.embedder_id, text) if cache is not None else None
         if cached is not None:
             raw[text] = cached
         else:
-            raw[text] = []  # placeholder keeps first-seen order
-            pending.append(text)
+            pending[text] = doc.id
 
     dim: int | None = None
-    for start in range(0, len(pending), batch_size):
-        batch = pending[start : start + batch_size]
+    queue = list(pending)
+    for start in range(0, len(queue), batch_size):
+        batch = queue[start : start + batch_size]
         vectors = embedder.embed_texts(batch)
         if len(vectors) != len(batch):
             raise IndexBuildError(
                 f"embedder returned {len(vectors)} vectors for {len(batch)} texts"
             )
-        for text, vector in zip(batch, vectors):
-            if dim is None:
-                dim = len(vector)
-            elif len(vector) != dim:
+        dim = len(vectors[0]) if dim is None else dim
+        for vector in vectors:
+            if len(vector) != dim:
                 raise IndexBuildError(
                     f"embedding dimension drifted from {dim} to {len(vector)} within one build"
                 )
+        # Check the batch before caching it, so that a bad vector is never cached.
+        _unit_rows(vectors, [pending[text] for text in batch], dim)
+        for text, vector in zip(batch, vectors):
             raw[text] = list(map(float, vector))
             if cache is not None:
                 cache.put(embedder.embedder_id, text, vector)
@@ -331,7 +335,7 @@ def build_vector_index(
     dim = dims.pop()
 
     ids = [doc.id for doc in docs]
-    matrix = _unit_rows([raw[doc.render_text] for doc in docs], ids, dim)
+    matrix = _unit_rows([raw[text] for text in texts], ids, dim)
     return VectorIndex(dim=dim, embedder_id=embedder.embedder_id, ids=ids, vectors=matrix)
 
 

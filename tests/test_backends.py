@@ -168,6 +168,7 @@ def stub_server():
         yield server
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

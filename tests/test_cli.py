@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -221,29 +223,34 @@ class TestFailedIndexBuild:
 
     def test_v1_index_rejected_then_rebuilt_from_cache(self, built_index, data_dir, capsys):
         path = built_index / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
-        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
-        assert code == 1 and out == ""
-        assert "unsupported index version 1" in err
-        assert "lexrag index-build" in err
+        for version in (1, 2):
+            path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
+            code, out, err = run(
+                capsys, "translate", "--index", str(built_index), "--text", "water"
+            )
+            assert code == 1 and out == ""
+            assert f"unsupported index version {version}" in err
+            assert "lexrag index-build" in err
 
-        code, stdout, _ = run(
-            capsys,
-            "index-build",
-            "--dict",
-            str(data_dir / "tiny_dict.jsonl"),
-            "--out",
-            str(built_index),
-        )
-        assert code == 0
-        assert "cache_misses=0" in stdout
-        code, _, _ = run(capsys, "translate", "--index", str(built_index), "--text", "water")
-        assert code == 0
+            code, stdout, _ = run(
+                capsys,
+                "index-build",
+                "--dict",
+                str(data_dir / "tiny_dict.jsonl"),
+                "--out",
+                str(built_index),
+            )
+            assert code == 0
+            assert "cache_misses=0" in stdout
+            code, _, _ = run(
+                capsys, "translate", "--index", str(built_index), "--text", "water"
+            )
+            assert code == 0
 
 
 class _BadVectorEmbedder(MockEmbedder):
-    """The mock embedder, but with every vector zeroed, or with the vectors of
-    the second request onwards one element longer."""
+    """The mock embedder, but with every vector zeroed or NaN, or with the
+    vectors of the second request onwards one element longer."""
 
     def __init__(self, fault: str) -> None:
         super().__init__(dim=8)
@@ -253,12 +260,19 @@ class _BadVectorEmbedder(MockEmbedder):
         vectors = super().embed_texts(texts)
         if self.fault == "zero":
             return [[0.0] * len(v) for v in vectors]
+        if self.fault == "nan":
+            return [[float("nan")] * len(v) for v in vectors]
         return vectors if self.calls == 1 else [v + [0.0] for v in vectors]
 
 
 class TestIndexBuildValidation:
     @pytest.mark.parametrize(
-        "fault, message", [("zero", "zero vector"), ("drift", "dimension drifted from 8 to 9")]
+        "fault, message",
+        [
+            ("zero", "zero vector"),
+            ("drift", "dimension drifted from 8 to 9"),
+            ("nan", "non-finite vector for document 'd:0'"),
+        ],
     )
     def test_bad_embedding_is_exit_65(self, tmp_path, capsys, monkeypatch, fault, message):
         source = tmp_path / "d.jsonl"
@@ -278,6 +292,53 @@ class TestIndexBuildValidation:
         assert message in err
         assert len(err.splitlines()) == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("fault", ["zero", "nan"])
+    def test_rebuild_after_bad_embedding_succeeds(self, tmp_path, capsys, monkeypatch, fault):
+        source = tmp_path / "d.jsonl"
+        source.write_text(
+            '{"headword":"water","target":"ᎠᎹ"}\n{"headword":"sun","target":"ᏅᏓ"}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "idx"
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends",
+            lambda settings: (_BadVectorEmbedder(fault), MockGenerator()),
+        )
+        code, _, _ = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 65
+
+        monkeypatch.undo()  # the working mock embedder, with the same embedder_id
+        code, stdout, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 0, err
+        assert "cache_misses=2" in stdout
+        lines = (out / "cache" / "embeddings.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            vector = json.loads(line)["vector"]
+            assert all(math.isfinite(v) for v in vector) and any(vector)
+
+
+class TestDamagedIndex:
+    def test_nan_vector_is_exit_1(self, built_index, capsys):
+        path = built_index / "vectors.bin"
+        payload = bytearray(path.read_bytes())
+        payload[-4:] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(payload))
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert code == 1 and out == ""
+        assert err.startswith("lexrag:") and "norm nan" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_string_text_is_exit_1(self, built_index, capsys):
+        path = built_index / "docs.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "source_text": 5})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert code == 1 and out == ""
+        assert err.startswith("lexrag:") and "docs.jsonl:1:" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestTranslate:

@@ -161,18 +161,85 @@ class TestDocumentRoundTrip:
         assert load_documents(path) == tiny_docs
 
     def test_tampered_render_text_rejected(self, tiny_docs, tmp_path):
+        """A v2-shaped line, still carrying ``id`` and ``render_text``."""
         path = tmp_path / "docs.jsonl"
         save_documents(tiny_docs, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[0])
-        record["render_text"] = "something else"
-        lines[0] = json.dumps(record, ensure_ascii=False)
+        doc = tiny_docs[1]
+        record = {"id": doc.id, **json.loads(lines[1]), "render_text": doc.render_text}
+        lines[1] = json.dumps(record, ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(IngestError, match="render_text"):
+        with pytest.raises(IngestError, match=r"docs\.jsonl:2: expected an object with exactly"):
             load_documents(path)
 
     def test_duplicate_id_rejected(self, tiny_docs, tmp_path):
         path = tmp_path / "docs.jsonl"
-        save_documents([tiny_docs[0], tiny_docs[0]], path)
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(IngestError, match="document 1 has id 'd:0'.*gives 'd:1'"):
+            save_documents([tiny_docs[0], tiny_docs[0]], path)
+        assert not path.exists()
+
+    def test_saved_line_has_exactly_four_keys(self, tiny_docs, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        save_documents(tiny_docs, path)
+        keys = [list(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert keys == [["kind", "source_text", "target_text", "metadata"]] * len(tiny_docs)
+        loaded = load_documents(path)
+        assert [d.id for d in loaded] == [d.id for d in tiny_docs]
+        assert [d.render_text for d in loaded] == [d.render_text for d in tiny_docs]
+
+    def test_ids_follow_position_per_kind(self, tmp_path):
+        lines = [
+            {"kind": kind, "source_text": "a", "target_text": "b", "metadata": {}}
+            for kind in ("example", "dictionary", "example", "dictionary")
+        ]
+        path = write(tmp_path, "docs.jsonl", "".join(json.dumps(o) + "\n" for o in lines))
+        assert [d.id for d in load_documents(path)] == ["x:0", "d:0", "x:1", "d:1"]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ({"source_text": 5}, "source_text and target_text must be strings"),
+            ({"target_text": None}, "source_text and target_text must be strings"),
+            ({"metadata": {"definition": 1}}, "metadata must be an object of strings"),
+            ({"metadata": ["a"]}, "metadata must be an object of strings"),
+            ({"kind": ["dictionary"]}, "unknown document kind"),
+            ({"kind": "gloss"}, "unknown document kind"),
+            ({"id": "d:0"}, "expected an object with exactly the keys"),
+            ({"metadata": None}, "metadata must be an object of strings"),
+        ],
+        ids=[
+            "source-int",
+            "target-null",
+            "metadata-int-value",
+            "metadata-list",
+            "kind-list",
+            "kind-unknown",
+            "extra-id",
+            "metadata-null",
+        ],
+    )
+    def test_malformed_field_names_line(self, tiny_docs, tmp_path, damage, message):
+        path = tmp_path / "docs.jsonl"
+        save_documents(tiny_docs, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **damage}, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=rf"docs\.jsonl:3: {message}"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("key", ["kind", "source_text", "target_text", "metadata"])
+    def test_missing_key_names_line(self, tiny_docs, tmp_path, key):
+        path = tmp_path / "docs.jsonl"
+        save_documents(tiny_docs, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        del record[key]
+        lines[0] = json.dumps(record, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"docs\.jsonl:1: expected an object with exactly"):
+            load_documents(path)
+
+    def test_non_object_line_names_line(self, tmp_path):
+        path = write(tmp_path, "docs.jsonl", "[1, 2]\n")
+        with pytest.raises(IngestError, match=r"docs\.jsonl:1: expected a JSON object"):
             load_documents(path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ class _DriftingEmbedder:
         return [[1.0] + [0.0] * (dim - 1) for _ in texts]
 
 
+class _PoisonEmbedder(MockEmbedder):
+    """The mock embedder, but from request ``good_batches + 1`` onwards the
+    first vector of each request is filled with ``value``."""
+
+    def __init__(self, value, good_batches):
+        super().__init__(dim=8)
+        self.value = value
+        self.good_batches = good_batches
+
+    def embed_texts(self, texts):
+        vectors = super().embed_texts(texts)
+        if self.calls > self.good_batches:
+            vectors[0] = [self.value] * 8
+        return vectors
+
+
 class _ZeroEmbedder:
     embedder_id = "zero"
 
@@ -149,6 +166,28 @@ class TestBuildVectorIndex:
     def test_zero_vector_is_an_error(self, tiny_docs):
         with pytest.raises(IndexBuildError, match="zero vector"):
             build_vector_index(tiny_docs, _ZeroEmbedder())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vector_is_an_error(self, tiny_docs, value):
+        embedder = _PoisonEmbedder(value, good_batches=0)
+        with pytest.raises(IndexBuildError, match="non-finite vector for document 'd:0'"):
+            build_vector_index(tiny_docs, embedder)
+
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_bad_vector_is_not_cached(self, tiny_docs, tmp_path, value):
+        path = tmp_path / "cache" / "embeddings.jsonl"
+        with pytest.raises(IndexBuildError, match="vector for document 'd:2'"):
+            build_vector_index(
+                tiny_docs,
+                _PoisonEmbedder(value, good_batches=1),
+                batch_size=2,
+                cache=EmbeddingCache(path),
+            )
+        assert len(path.read_text().splitlines()) == 2  # the first request's, paid for and good
+        cache = EmbeddingCache(path)
+        index = build_vector_index(tiny_docs, MockEmbedder(dim=8), cache=cache)
+        assert cache.hits == 2
+        assert index.count == len(tiny_docs)
 
     def test_row_order_follows_doc_order(self, tiny_docs):
         index = build_vector_index(tiny_docs, MockEmbedder(dim=8))
@@ -450,9 +489,12 @@ class TestFormatV2:
         _saved_tiny_index(tiny_docs, tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**manifest, "version": 1}), encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="unsupported index version 1.*index-build"):
-            load_index(tmp_path)
+        for version in (1, 2):
+            path.write_text(json.dumps({**manifest, "version": version}), encoding="utf-8")
+            with pytest.raises(
+                IndexFormatError, match=f"unsupported index version {version}.*index-build"
+            ):
+                load_index(tmp_path)
 
     def test_vector_ids_out_of_document_order_rejected(self, tiny_docs, tmp_path):
         keyword = build_keyword_index(tiny_docs)
@@ -499,6 +541,35 @@ class TestFormatV2:
         (tmp_path / "keyword_index.json").write_bytes(b"\xff")
         with pytest.raises(IndexFormatError, match="keyword_index.json"):
             load_index(tmp_path)
+
+
+class TestFormatV3:
+    """docs.jsonl v3 stores neither ids nor render texts; vectors must be finite."""
+
+    def test_docs_lines_hold_four_keys_and_round_trip(self, tiny_docs, tmp_path):
+        bundle = _saved_tiny_index(tiny_docs, tmp_path)
+        lines = (tmp_path / "docs.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [sorted(json.loads(line)) for line in lines] == [
+            ["kind", "metadata", "source_text", "target_text"]
+        ] * len(tiny_docs)
+        assert bundle.docs == tiny_docs
+        assert [d.render_text for d in bundle.docs] == [d.render_text for d in tiny_docs]
+        assert json.loads((tmp_path / "manifest.json").read_text())["version"] == 3
+
+    def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
+        docs = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])
+        _saved_tiny_index(docs, tmp_path)
+        path = tmp_path / "vectors.bin"
+        payload = bytearray(path.read_bytes())
+        payload[-4:] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(payload))
+        with pytest.raises(IndexFormatError, match="row 1 .*norm nan"):
+            load_index(tmp_path)
+
+    def test_nan_row_rejected_in_memory(self):
+        vectors = np.array([[1.0, 0.0], [float("nan"), 0.0]])
+        with pytest.raises(IndexBuildError, match="row 1"):
+            VectorIndex(dim=2, embedder_id="e", ids=["d:0", "d:1"], vectors=vectors)
 
 
 INDEX_FILES = ("manifest.json", "keyword_index.json", "docs.jsonl", "vectors.bin")

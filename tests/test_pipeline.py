@@ -25,7 +25,6 @@ def _dict_result(doc_id, headword, target, phrase=None):
         kind="dictionary",
         source_text=headword,
         target_text=target,
-        render_text=f"{headword} — {target}",
     )
     return RetrievalResult(doc=doc, score=1.0, provenance="keyword", matched_phrase=phrase or headword)
 
@@ -36,7 +35,6 @@ def _example_result(doc_id, source, target, score=0.9):
         kind="example",
         source_text=source,
         target_text=target,
-        render_text=f"{source} ⇒ {target}",
     )
     return RetrievalResult(doc=doc, score=score, provenance="vector")
 

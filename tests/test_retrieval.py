@@ -68,7 +68,6 @@ def _dict_doc(doc_id, headword, target="t"):
         kind="dictionary",
         source_text=headword,
         target_text=target,
-        render_text=f"{headword} — {target}",
     )
 
 
