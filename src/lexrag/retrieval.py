@@ -142,8 +142,8 @@ def _embed_queries(
 ) -> dict[str, list[float] | Exception]:
     """Unit embeddings of ``texts`` from one request.  If the request fails
     with a ``BackendError``, each text is embedded on its own, so a failure
-    stays with the text that caused it.  A vector that is not ``dim`` long
-    or is zero becomes a ``RetrievalError`` on its text."""
+    stays with the text that caused it.  A vector that is not ``dim`` long,
+    is zero or is not finite becomes a ``RetrievalError`` on its text."""
     try:
         vectors = embedder.embed_texts(texts)
         if len(vectors) != len(texts):
@@ -160,8 +160,9 @@ def _embed_queries(
             embedded[text] = RetrievalError(
                 f"query dim {query_vec.shape} does not match index dim {dim}"
             )
-        elif norm == 0.0:
-            embedded[text] = RetrievalError("embedder returned a zero vector for the query")
+        elif not 0.0 < norm < np.inf:  # NaN too
+            fault = "zero" if norm == 0.0 else "non-finite"
+            embedded[text] = RetrievalError(f"embedder returned a {fault} vector for the query")
         else:
             embedded[text] = (query_vec / norm).tolist()
     return embedded

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import struct
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from lexrag.backends import MockEmbedder
 from lexrag.corpus import DictionaryEntry, IngestError, ParallelExample, to_documents
 from lexrag.index import (
+    SCORE_BLOCK_ROWS,
     EmbeddingCache,
     IndexBuildError,
     IndexFormatError,
@@ -291,6 +293,44 @@ def _tied_index_and_query(draw):
     return index, query, k
 
 
+# OpenBLAS splits a product of more than about 460,000 elements across
+# threads, at rows that need not be a multiple of 8, which changes the low
+# bits of some rows of the full product that _full_sort_topk computes.  At
+# dims 2 and 64 the products here stay far below that; dim 1536 runs when
+# BLAS is pinned to one thread, as in the benchmark and in a CI step.
+_ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+@st.composite
+def _near_tie_index_and_query(draw):
+    """Three or more score blocks plus a partial tail (a count that is not a
+    multiple of 8).  Every background row scores at most 0.5; planted across
+    the blocks are rows scoring 0.9 in real numbers, whose float32 rounding
+    leaves float64 scores closer together than float32 resolution, so the
+    float32 screen orders them differently from the float64 scores, and
+    exact copies of one of them, which tie."""
+    dim = draw(st.sampled_from([2, 64, 1536] if _ONE_BLAS_THREAD else [2, 64]))
+    count = draw(
+        st.integers(3 * SCORE_BLOCK_ROWS + 1, 4 * SCORE_BLOCK_ROWS - 1).filter(lambda n: n % 8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = _unit(rng.standard_normal(dim))
+    matrix = rng.standard_normal((count, dim))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    matrix[matrix @ query > 0.5] *= -1
+    near_ties, copies = draw(st.integers(2, 12)), draw(st.integers(0, 3))
+    across = rng.standard_normal((near_ties, dim))
+    across -= np.outer(across @ query, query)
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    planted = rng.choice(count, size=near_ties + copies, replace=False)
+    matrix[planted[:near_ties]] = 0.9 * query + np.sqrt(1 - 0.9**2) * across
+    matrix[planted[near_ties:]] = matrix[planted[0]]
+    ids = [f"r{i:04d}" for i in rng.permutation(count)]
+    index = VectorIndex(dim=dim, embedder_id="test", ids=ids, vectors=matrix.astype(np.float32))
+    k = draw(st.sampled_from([1, 5, count - 1, count, count + 3]))
+    return index, query.tolist(), k
+
+
 class TestPartitionTopK:
     @settings(max_examples=300, deadline=None)
     @given(_tied_index_and_query())
@@ -306,6 +346,26 @@ class TestPartitionTopK:
         for _ in range(5):
             query = _unit(rng.standard_normal(16)).tolist()
             assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_near_tie_index_and_query())
+    def test_equals_full_sort_across_blocks(self, case):
+        index, query, k = case
+        assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
+
+    def test_tied_run_straddling_a_block_boundary(self):
+        # the two best rows are in the last block; rows 252..259 tie for third
+        # place, and their four lowest ids lie on both sides of the block
+        # boundary at row 256
+        count, tied = 2 * SCORE_BLOCK_ROWS + 3, range(SCORE_BLOCK_ROWS - 4, SCORE_BLOCK_ROWS + 4)
+        rows = [(f"x{i:04d}", [-1.0, 1.0 + i % 7]) for i in range(count)]
+        rows[-3:-1] = [("a", [1.0, 0.0]), ("b", [1.0, 0.1])]
+        for row, tie_id in zip(tied, ["t7", "t5", "t3", "t1", "t0", "t2", "t4", "t6"]):
+            rows[row] = (tie_id, [1.0, 1.0])
+        index = _index_from_rows(rows)
+        got = vector_topk(index, [1.0, 0.0], 6)
+        assert [doc_id for doc_id, _ in got] == ["a", "b", "t0", "t1", "t2", "t3"]
+        assert got == _full_sort_topk(index, [1.0, 0.0], 6)
 
     def test_boundary_ties_all_considered(self):
         # five identical rows tie for second place; only the lowest ids survive

@@ -308,6 +308,18 @@ class TestBatchedFallback:
         assert [bool(record.error) for record in records] == [False, True, False]
         assert "zero vector" in records[1].error
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_embedder_fails_only_fallback_items(self, tiny_bundle, value):
+        class _NonFiniteEmbedder(_CountingEmbedder):
+            def embed_texts(self, texts):
+                return [[value] * 8 for _ in super().embed_texts(texts)]
+
+        records = batch_translate(
+            ["nothing qqzx", "water"], tiny_bundle, _NonFiniteEmbedder(), MockGenerator()
+        )
+        assert "non-finite vector" in records[0].error and records[0].output == ""
+        assert records[1].error is None and records[1].output == "ᎠᎹ"
+
     def test_embedder_dim_mismatch_fails_only_fallback_items(self, tiny_bundle):
         records = batch_translate(
             ["water", "nothing here"], tiny_bundle, MockEmbedder(dim=16), MockGenerator()
