@@ -65,8 +65,6 @@ class BackendConfig:
 class GenerationResult:
     text: str
     model_id: str
-    prompt_tokens: int | None = None
-    completion_tokens: int | None = None
 
 
 class Embedder(Protocol):
@@ -300,10 +298,4 @@ class HttpBackend:
             raise BackendError(f"malformed chat response: {exc}") from exc
         if not isinstance(text, str):
             raise BackendError("malformed chat response: content is not a string")
-        usage = body.get("usage") or {}
-        return GenerationResult(
-            text=text.rstrip(),
-            model_id=self.config.chat_model_id,
-            prompt_tokens=usage.get("prompt_tokens"),
-            completion_tokens=usage.get("completion_tokens"),
-        )
+        return GenerationResult(text=text.rstrip(), model_id=self.config.chat_model_id)

@@ -28,7 +28,7 @@ from .backends import (
     MockGenerator,
     RetryPolicy,
 )
-from .corpus import IngestError, load_dictionary, load_parallel, to_documents
+from .corpus import IngestError, iter_lines, load_dictionary, load_parallel, to_documents
 from .index import (
     CACHE_FILE,
     EmbeddingCache,
@@ -185,9 +185,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     entries = load_dictionary(args.dict) if args.dict else []
-    examples = (
-        load_parallel(args.parallel, _parallel_format(args.parallel)) if args.parallel else []
-    )
+    examples = load_parallel(args.parallel) if args.parallel else []
     docs = to_documents(entries, examples)
 
     embedder, _ = make_backends(config.backend)
@@ -201,10 +199,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         f"(dim={vector.dim}, cache_hits={cache.hits}, cache_misses={cache.misses})"
     )
     return EXIT_OK
-
-
-def _parallel_format(path: str) -> str:
-    return "tsv" if Path(path).suffix.lower() == ".tsv" else "jsonl"
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -248,26 +242,20 @@ def _missing_index() -> str:
 
 
 def _read_batch_input(path: Path) -> tuple[list[str | None], list[str]]:
-    if not path.is_file():
-        raise IngestError(f"input file not found: {path}")
-    text = path.read_text(encoding="utf-8")
     ids: list[str | None] = []
     queries: list[str] = []
-    if path.suffix.lower() == ".jsonl":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                ids.append(str(obj["id"]))
-                queries.append(str(obj["source"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IngestError(f"{path}:{lineno}: expected JSONL with id and source: {exc}") from exc
-    else:
-        for line in text.splitlines():
-            if line.strip():
-                ids.append(None)
-                queries.append(line.strip())
+    jsonl = path.suffix.lower() == ".jsonl"
+    for lineno, line in iter_lines(path):
+        if not jsonl:
+            ids.append(None)
+            queries.append(line.strip())
+            continue
+        try:
+            obj = json.loads(line)
+            ids.append(str(obj["id"]))
+            queries.append(str(obj["source"]))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise IngestError(f"{path}:{lineno}: expected JSONL with id and source: {exc}") from exc
     if not queries:
         raise IngestError(f"{path}: no input sentences")
     return ids, queries

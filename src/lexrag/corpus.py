@@ -7,7 +7,7 @@ Two input shapes are supported:
   (a list of ``[source, target]`` pairs).
 * Parallel JSONL or TSV: fields ``source_text``, ``target_text``,
   ``source_lang``, ``target_lang``, ``provenance`` (TSV columns in that
-  order, no header row).
+  order, no header row), told apart by the file's suffix.
 
 All ingested text is NFC-normalized, since syllabary codepoints come in
 composed and decomposed variants.  Both inputs are flattened into
@@ -110,7 +110,8 @@ def _clean_headword(raw: str) -> str:
     return " ".join(nfc(raw).split())
 
 
-def _iter_lines(path: str | Path):
+def iter_lines(path: str | Path):
+    """``(lineno, line)`` for each non-blank line of a UTF-8 text file."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
@@ -140,7 +141,7 @@ def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
     example-only corpora remain possible.
     """
     entries: list[DictionaryEntry] = []
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
         obj = _json_object(line, where)
         headword = _clean_headword(_require_str(obj, "headword", where))
@@ -207,14 +208,14 @@ def _parallel_from_fields(
     )
 
 
-def load_parallel(path: str | Path, fmt: str = "jsonl") -> list[ParallelExample]:
-    """Read aligned sentence pairs from JSONL or headerless 5-column TSV."""
-    if fmt not in ("jsonl", "tsv"):
-        raise IngestError(f"unsupported parallel format: {fmt!r}")
+def load_parallel(path: str | Path) -> list[ParallelExample]:
+    """Read aligned sentence pairs from headerless 5-column TSV if the file
+    name ends in ``.tsv`` (any case), and from JSONL otherwise."""
+    tsv = Path(path).suffix.lower() == ".tsv"
     examples: list[ParallelExample] = []
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
-        if fmt == "tsv":
+        if tsv:
             columns = line.split("\t")
             if len(columns) != 5:
                 raise IngestError(f"{where}: expected 5 tab-separated columns, got {len(columns)}")
@@ -316,7 +317,7 @@ def load_documents(path: str | Path) -> list[Document]:
     """Reload Documents written by :func:`save_documents`, checking each line's
     keys and value types; ids follow from position and kind."""
     rows: list[_Row] = []
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
         obj = _json_object(line, where)
         if obj.keys() != set(_DOC_KEYS):

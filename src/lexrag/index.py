@@ -15,8 +15,8 @@ sort of every row, which is what the tests compare it with.
 
 Index directory layout::
 
-    manifest.json       version / dim / count / embedder_id / created_at /
-                        max_phrase_len
+    manifest.json       the fields of IndexManifest: dim / count / embedder_id /
+                        created_at / max_phrase_len / version
     keyword_index.json  normalized phrase -> array of document ids
     docs.jsonl          Documents, one per line, without ids or render texts
     vectors.bin         binary vector payload (see below)
@@ -39,7 +39,7 @@ import logging
 import struct
 import threading
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -206,13 +206,13 @@ class EmbeddingCache:
     line anywhere else is an ``IndexFormatError``.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._entries: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        if self.path is not None and self.path.is_file():
+        if self.path.is_file():
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
@@ -263,10 +263,9 @@ class EmbeddingCache:
             if key in self._entries:
                 return
             self._entries[key] = list(map(float, vector))
-            if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(record + "\n")
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(record + "\n")
 
 
 def _unit_rows(raw: Sequence[Sequence[float]], ids: Sequence[str], dim: int) -> np.ndarray:
@@ -289,17 +288,14 @@ def _unit_rows(raw: Sequence[Sequence[float]], ids: Sequence[str], dim: int) -> 
 def build_vector_index(
     docs: Sequence[Document],
     embedder: Embedder,
-    batch_size: int = EMBED_BATCH_SIZE,
     cache: EmbeddingCache | None = None,
 ) -> VectorIndex:
     """Embed each document's render_text (in document order), unit-normalize,
-    and assemble the vector index.  Texts already in the cache are served
-    from it and never reach the backend.
+    and assemble the vector index, ``EMBED_BATCH_SIZE`` texts per request.
+    Texts already in the cache are served from it and never reach the backend.
     """
     if not docs:
         raise ValueError("cannot build a vector index from zero documents")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
 
     texts = [doc.render_text for doc in docs]
     raw: dict[str, list[float]] = {}
@@ -315,8 +311,8 @@ def build_vector_index(
 
     dim: int | None = None
     queue = list(pending)
-    for start in range(0, len(queue), batch_size):
-        batch = queue[start : start + batch_size]
+    for start in range(0, len(queue), EMBED_BATCH_SIZE):
+        batch = queue[start : start + EMBED_BATCH_SIZE]
         vectors = embedder.embed_texts(batch)
         if len(vectors) != len(batch):
             raise IndexBuildError(
@@ -474,21 +470,8 @@ def save_index(
     )
     save_documents(list(docs), out / DOCS_FILE)
     _write_vectors(out / VECTORS_FILE, vector)
-    (out / MANIFEST_FILE).write_text(
-        json.dumps(
-            {
-                "version": manifest.version,
-                "dim": manifest.dim,
-                "count": manifest.count,
-                "embedder_id": manifest.embedder_id,
-                "created_at": manifest.created_at,
-                "max_phrase_len": manifest.max_phrase_len,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    manifest_text = json.dumps(asdict(manifest), indent=2) + "\n"
+    (out / MANIFEST_FILE).write_text(manifest_text, encoding="utf-8")
 
 
 def load_index(index_dir: str | Path) -> IndexBundle:
@@ -499,13 +482,9 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         raise IndexFormatError(f"{root} is not an index directory (missing {MANIFEST_FILE})")
     try:
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+        casts = {"int": int, "str": str}  # by annotation, a string in this module
         manifest = IndexManifest(
-            version=int(raw["version"]),
-            dim=int(raw["dim"]),
-            count=int(raw["count"]),
-            embedder_id=str(raw["embedder_id"]),
-            created_at=str(raw["created_at"]),
-            max_phrase_len=int(raw["max_phrase_len"]),
+            **{f.name: casts[f.type](raw[f.name]) for f in fields(IndexManifest)}
         )
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc

@@ -4,7 +4,7 @@
   brevity penalty.  Orders with no candidate n-grams are skipped; orders with
   candidates but zero matches contribute an epsilon precision, which keeps
   the score defined for short sentences while preserving bleu(x, x) = 1.
-* ``rouge_l``: precision/recall/F over the longest common subsequence,
+* ``rouge_l``: precision/recall/F1 over the longest common subsequence,
   whose length comes from the bit-parallel recurrence of Allison and Dix
   (as revisited by Hyyrö, 2004): one big-int update per hypothesis token.
 * ``bertscore``: greedy max-cosine token matching over a pluggable token
@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from statistics import fmean
@@ -38,6 +38,7 @@ from .backends import Embedder
 from .index import EMBED_BATCH_SIZE
 
 BLEU_EPS = 1e-9
+BLEU_MAX_ORDER = 4
 MAX_SUBSCORE = 5
 DIMENSIONS_PER_SENTENCE = 3
 
@@ -57,13 +58,9 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-    max_order: int = 4,
-) -> float:
-    """Corpus BLEU over (hypothesis tokens, reference tokens) pairs."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+def bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
+    """Corpus BLEU over (hypothesis tokens, reference tokens) pairs, with
+    n-grams up to ``BLEU_MAX_ORDER``."""
     for i, (_, ref) in enumerate(pairs):
         if not ref:
             raise ValueError(f"pair {i}: reference must be non-empty")
@@ -73,10 +70,10 @@ def bleu(
     if hyp_len == 0:
         return 0.0
 
-    clipped = [0] * (max_order + 1)
-    candidates = [0] * (max_order + 1)
+    clipped = [0] * (BLEU_MAX_ORDER + 1)
+    candidates = [0] * (BLEU_MAX_ORDER + 1)
     for hyp, ref in pairs:
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_MAX_ORDER + 1):
             hyp_counts = _ngram_counts(hyp, n)
             if not hyp_counts:
                 continue
@@ -86,7 +83,7 @@ def bleu(
 
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_order + 1):
+    for n in range(1, BLEU_MAX_ORDER + 1):
         if candidates[n] == 0:
             continue
         precision = clipped[n] / candidates[n] if clipped[n] else BLEU_EPS
@@ -118,12 +115,8 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(
-    hyp: Sequence[str],
-    ref: Sequence[str],
-    beta: float = 1.0,
-) -> tuple[float, float, float]:
-    """Sentence-level ROUGE-L (precision, recall, F-beta)."""
+def rouge_l(hyp: Sequence[str], ref: Sequence[str]) -> tuple[float, float, float]:
+    """Sentence-level ROUGE-L (precision, recall, F1)."""
     if not hyp or not ref:
         return (0.0, 0.0, 0.0)
     lcs = lcs_length(hyp, ref)
@@ -131,9 +124,7 @@ def rouge_l(
     recall = lcs / len(ref)
     if precision == 0.0 and recall == 0.0:
         return (0.0, 0.0, 0.0)
-    beta_sq = beta * beta
-    f_score = (1.0 + beta_sq) * precision * recall / (recall + beta_sq * precision)
-    return (precision, recall, f_score)
+    return (precision, recall, 2.0 * precision * recall / (recall + precision))
 
 
 def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> dict[str, np.ndarray]:
@@ -145,8 +136,10 @@ def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> dict[str, 
         chunk = unique[start : start + EMBED_BATCH_SIZE]
         vectors = np.asarray(embedder.embed_tokens(chunk), dtype=np.float64)
         norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("token embedder returned a zero vector")
+        bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+        if bad.size:
+            fault = "zero" if norms[bad[0]] == 0.0 else "non-finite"
+            raise ValueError(f"token embedder returned a {fault} vector")
         lookup.update(zip(chunk, vectors / norms[:, None]))
     return lookup
 
@@ -190,6 +183,15 @@ class HumanScoreRow:
     grammaticality: int
     faithfulness: int
 
+    def __post_init__(self) -> None:
+        for name in ("fluency", "grammaticality", "faithfulness"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or not 0 <= value <= MAX_SUBSCORE:
+                raise ValueError(
+                    f"({self.sentence_id}, {self.model_id}): {name} must be an "
+                    f"integer in 0..{MAX_SUBSCORE}, got {value!r}"
+                )
+
 
 @dataclass
 class HumanScoreSheet:
@@ -201,13 +203,6 @@ class HumanScoreSheet:
     def __post_init__(self) -> None:
         seen: set[tuple[str, str]] = set()
         for row in self.rows:
-            for name in ("fluency", "grammaticality", "faithfulness"):
-                value = getattr(row, name)
-                if not isinstance(value, int) or not 0 <= value <= MAX_SUBSCORE:
-                    raise ValueError(
-                        f"({row.sentence_id}, {row.model_id}): {name} must be an "
-                        f"integer in 0..{MAX_SUBSCORE}, got {value!r}"
-                    )
             key = (row.sentence_id, row.model_id)
             if key in seen:
                 raise ValueError(f"duplicate (sentence_id, model_id) row: {key}")
@@ -217,7 +212,7 @@ class HumanScoreSheet:
         return list(dict.fromkeys(row.model_id for row in self.rows))
 
 
-CSV_HEADER = ["sentence_id", "model_id", "fluency", "grammaticality", "faithfulness"]
+CSV_HEADER = [f.name for f in fields(HumanScoreRow)]
 
 
 def load_human_scores(path: str | Path) -> HumanScoreSheet:
@@ -232,18 +227,16 @@ def load_human_scores(path: str | Path) -> HumanScoreSheet:
         for lineno, record in enumerate(reader, start=2):
             if not record or record == [""]:
                 continue
-            if len(record) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
+            if len(record) != len(CSV_HEADER):
+                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
             try:
                 scores = [int(value) for value in record[2:]]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: scores must be integers") from None
-            for value in scores:
-                if not 0 <= value <= MAX_SUBSCORE:
-                    raise ValueError(
-                        f"{path}:{lineno}: score {value} outside 0..{MAX_SUBSCORE}"
-                    )
-            rows.append(HumanScoreRow(record[0], record[1], *scores))
+            try:
+                rows.append(HumanScoreRow(record[0], record[1], *scores))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no score rows")
     try:
@@ -282,12 +275,8 @@ class MetricReport:
     bert_f1: float | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"n_sentences": self.n_sentences}
-        for name in ("bleu", "rouge_l_p", "rouge_l_r", "rouge_l_f", "bert_p", "bert_r", "bert_f1"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in values if value is not None}
 
 
 def evaluate_set(

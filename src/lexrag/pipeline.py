@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,15 +25,6 @@ from .retrieval import (
     RetrievalResult,
     prepare_queries,
     retrieve,
-)
-
-TEMPLATE_FIELDS = (
-    "preamble",
-    "glossary_header",
-    "example_header",
-    "glossary_line_format",
-    "example_line_format",
-    "directive",
 )
 
 
@@ -57,7 +48,7 @@ class PromptTemplate:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "PromptTemplate":
-        unknown = set(raw) - set(TEMPLATE_FIELDS)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown template fields: {sorted(unknown)}")
         if not all(isinstance(v, str) for v in raw.values()):

@@ -34,7 +34,7 @@ def mock_generator() -> MockGenerator:
 @pytest.fixture
 def tiny_docs():
     entries = load_dictionary(DATA_DIR / "tiny_dict.jsonl")
-    examples = load_parallel(DATA_DIR / "tiny_parallel.tsv", "tsv")
+    examples = load_parallel(DATA_DIR / "tiny_parallel.tsv")
     return to_documents(entries, examples)
 
 

@@ -153,7 +153,7 @@ def test_criterion_4_topk_equals_brute_force():
 def _seeded_bundle(data_dir) -> IndexBundle:
     docs = to_documents(
         load_dictionary(data_dir / "tiny_dict.jsonl"),
-        load_parallel(data_dir / "tiny_parallel.tsv", "tsv"),
+        load_parallel(data_dir / "tiny_parallel.tsv"),
     )
     keyword = build_keyword_index(docs)
     vector = build_vector_index(docs, MockEmbedder(dim=8))

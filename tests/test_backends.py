@@ -198,7 +198,6 @@ class TestHttpBackend:
         result = backend.generate("translate this")
         assert result.text == "ᎠᎹ ᎤᏓᏅᏘ"
         assert result.model_id == backend.config.chat_model_id
-        assert result.prompt_tokens == 7 and result.completion_tokens == 3
         payload = stub_server.requests[0]["payload"]
         assert payload["messages"] == [{"role": "user", "content": "translate this"}]
 
@@ -261,6 +260,13 @@ class TestHttpBackend:
         backend = HttpBackend(_config(stub_server))
         with pytest.raises(BackendError, match="malformed"):
             backend.embed_texts(["q"])
+
+    def test_chat_reply_usage_is_not_read(self, stub_server):
+        stub_server.respond = lambda path, payload: {
+            "choices": [{"message": {"content": "ᎠᎹ"}}],
+            "usage": [7, 3],
+        }
+        assert HttpBackend(_config(stub_server)).generate("x").text == "ᎠᎹ"
 
 
 def _reply(status: int, body: bytes = b"", *headers: str) -> bytes:

@@ -424,6 +424,17 @@ class TestTranslate:
         assert code == 1
         assert "magic" in err
 
+    def test_non_utf8_input_names_the_file(self, built_index, tmp_path, capsys):
+        batch = tmp_path / "in.txt"
+        batch.write_bytes(b"water\n\xff\n")
+        code, stdout, err = run(
+            capsys, "translate", "--index", str(built_index), "--input", str(batch)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("lexrag: error:") and err.count("\n") == 1
+        assert f"{batch} is not valid UTF-8" in err
+
     def test_text_and_input_mutually_exclusive(self, built_index, tmp_path, capsys):
         code, _, _ = run(capsys, "translate", "--index", str(built_index))
         assert code == 64
@@ -690,6 +701,27 @@ class TestEvaluate:
             "json",
         )
         assert json.loads(stdout)["bleu"] < 1.0
+
+    def test_nan_token_embedding_is_exit_65_without_report(self, tmp_path, capsys, monkeypatch):
+        class _NanEmbedder:
+            embedder_id = "nan"
+
+            def embed_tokens(self, tokens):
+                return [[float("nan")] * 8 for _ in tokens]
+
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (_NanEmbedder(), MockGenerator())
+        )
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        code, stdout, err = run(
+            capsys, "evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--output", str(report)
+        )
+        assert code == 65
+        assert stdout == "" and not report.exists()
+        assert err.startswith("lexrag: validation error:") and err.count("\n") == 1
+        assert "non-finite vector" in err
 
     def test_labels_embedded_in_json(self, tmp_path, capsys):
         hyp = tmp_path / "h.txt"

@@ -80,7 +80,7 @@ class TestLoadDictionary:
 
 class TestLoadParallel:
     def test_tsv_row(self, data_dir):
-        examples = load_parallel(data_dir / "tiny_parallel.tsv", "tsv")
+        examples = load_parallel(data_dir / "tiny_parallel.tsv")
         assert examples[0] == ParallelExample(
             source_text="For God so loved the world",
             target_text="ᎾᏍᎩᏰᏃ ᏂᎦᎥᎩ ᎤᏁᎳᏅᎯ ᎤᎨᏳᏒᎩ ᎡᎶᎯ",
@@ -90,12 +90,12 @@ class TestLoadParallel:
         )
 
     def test_jsonl_matches_tsv(self, data_dir):
-        tsv = load_parallel(data_dir / "tiny_parallel.tsv", "tsv")
-        jsonl = load_parallel(data_dir / "tiny_parallel.jsonl", "jsonl")
+        tsv = load_parallel(data_dir / "tiny_parallel.tsv")
+        jsonl = load_parallel(data_dir / "tiny_parallel.jsonl")
         assert tsv[:2] == jsonl[:2]
 
     def test_three_line_file_in_order(self, data_dir):
-        examples = load_parallel(data_dir / "tiny_parallel.tsv", "tsv")
+        examples = load_parallel(data_dir / "tiny_parallel.tsv")
         assert len(examples) == 3
         assert examples[2].source_text == "water is good"
 
@@ -106,17 +106,32 @@ class TestLoadParallel:
             '{"source_text":"hi","source_lang":"en","target_lang":"chr"}\n',
         )
         with pytest.raises(IngestError, match="target_text"):
-            load_parallel(path, "jsonl")
+            load_parallel(path)
 
     def test_tsv_wrong_column_count(self, tmp_path):
         path = write(tmp_path, "p.tsv", "only\ttwo\n")
         with pytest.raises(IngestError, match="5 tab-separated columns"):
-            load_parallel(path, "tsv")
+            load_parallel(path)
 
     def test_empty_language_code_rejected(self, tmp_path):
         path = write(tmp_path, "p.tsv", "a\tb\t\tchr\tsrc\n")
         with pytest.raises(IngestError, match="language codes"):
-            load_parallel(path, "tsv")
+            load_parallel(path)
+
+    def test_tsv_suffix_in_any_case(self, tmp_path):
+        path = write(tmp_path, "p.TSV", "a\tb\ten\tchr\tsrc\n")
+        assert load_parallel(path) == [ParallelExample("a", "b", "en", "chr", "src")]
+
+    def test_other_suffix_is_jsonl(self, tmp_path):
+        record = {
+            "source_text": "a",
+            "target_text": "b",
+            "source_lang": "en",
+            "target_lang": "chr",
+            "provenance": "src",
+        }
+        path = write(tmp_path, "p.txt", json.dumps(record) + "\n")
+        assert load_parallel(path) == [ParallelExample("a", "b", "en", "chr", "src")]
 
 
 class TestToDocuments:

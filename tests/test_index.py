@@ -161,9 +161,10 @@ class TestBuildVectorIndex:
         assert reloaded.hits == len(tiny_docs)
         assert np.array_equal(a.vectors, b.vectors)
 
-    def test_dimension_drift_is_an_error(self, tiny_docs):
+    def test_dimension_drift_is_an_error(self, tiny_docs, monkeypatch):
+        monkeypatch.setattr("lexrag.index.EMBED_BATCH_SIZE", 2)
         with pytest.raises(IndexBuildError, match="dimension drifted"):
-            build_vector_index(tiny_docs, _DriftingEmbedder(), batch_size=2)
+            build_vector_index(tiny_docs, _DriftingEmbedder())
 
     def test_zero_vector_is_an_error(self, tiny_docs):
         with pytest.raises(IndexBuildError, match="zero vector"):
@@ -176,13 +177,13 @@ class TestBuildVectorIndex:
             build_vector_index(tiny_docs, embedder)
 
     @pytest.mark.parametrize("value", [0.0, float("nan")])
-    def test_bad_vector_is_not_cached(self, tiny_docs, tmp_path, value):
+    def test_bad_vector_is_not_cached(self, tiny_docs, tmp_path, value, monkeypatch):
+        monkeypatch.setattr("lexrag.index.EMBED_BATCH_SIZE", 2)
         path = tmp_path / "cache" / "embeddings.jsonl"
         with pytest.raises(IndexBuildError, match="vector for document 'd:2'"):
             build_vector_index(
                 tiny_docs,
                 _PoisonEmbedder(value, good_batches=1),
-                batch_size=2,
                 cache=EmbeddingCache(path),
             )
         assert len(path.read_text().splitlines()) == 2  # the first request's, paid for and good

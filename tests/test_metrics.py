@@ -361,6 +361,18 @@ class _CountingEmbedder:
         return [[0.0] * self.inner.dim if t in self.zero else v for t, v in zip(tokens, vectors)]
 
 
+class _ConstantEmbedder:
+    """Every token gets the vector ``[value] * 8``."""
+
+    embedder_id = "constant"
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def embed_tokens(self, tokens):
+        return [[self.value] * 8 for _ in tokens]
+
+
 class TestEvaluateOnce:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -414,6 +426,12 @@ class TestEvaluateOnce:
     def test_zero_vector_in_scored_pair_still_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             evaluate_set(["a b"], ["b c"], token_embedder=_CountingEmbedder(zero=frozenset("c")))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vector_rejected(self, value):
+        embedder = _ConstantEmbedder(value)
+        with pytest.raises(ValueError, match="token embedder returned a non-finite vector"):
+            evaluate_set(["a b"], ["b c"], token_embedder=embedder)
 
     def test_direct_bertscore_matches_oracle(self):
         embedder = MockEmbedder(8)

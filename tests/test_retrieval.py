@@ -251,7 +251,7 @@ def _shared_bundle():
         data = Path(__file__).parent / "data"
         docs = to_documents(
             load_dictionary(data / "tiny_dict.jsonl"),
-            load_parallel(data / "tiny_parallel.tsv", "tsv"),
+            load_parallel(data / "tiny_parallel.tsv"),
         )
         kw = build_keyword_index(docs)
         vec = build_vector_index(docs, MockEmbedder(dim=8))
