@@ -28,7 +28,14 @@ from .backends import (
     MockGenerator,
     RetryPolicy,
 )
-from .corpus import IngestError, iter_lines, load_dictionary, load_parallel, to_documents
+from .corpus import (
+    IngestError,
+    iter_lines,
+    load_dictionary,
+    load_parallel,
+    read_utf8,
+    to_documents,
+)
 from .index import (
     CACHE_FILE,
     EmbeddingCache,
@@ -313,7 +320,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _read_sentence_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise IngestError(f"file not found: {path}")
-    return path.read_text(encoding="utf-8").splitlines()
+    return read_utf8(path).splitlines()
 
 
 def cmd_humaneval(args: argparse.Namespace) -> int:
@@ -369,7 +376,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not path.is_file():
             raise IngestError(f"metrics file not found: {path}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(read_utf8(path))
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}: invalid JSON: {exc}") from exc
         rows = data if isinstance(data, list) else [data]

@@ -110,16 +110,21 @@ def _clean_headword(raw: str) -> str:
     return " ".join(nfc(raw).split())
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file, line ends as they are; a decode error names
+    the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
 def iter_lines(path: str | Path):
     """``(lineno, line)`` for each non-blank line of a UTF-8 text file."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if line.strip():
             yield lineno, line
 

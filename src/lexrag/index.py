@@ -131,8 +131,11 @@ def build_keyword_index(docs: Sequence[Document]) -> KeywordIndex:
 
 
 def keyword_lookup(index: KeywordIndex, phrase: str) -> list[str]:
-    """Exact lookup of the normalized phrase; misses yield an empty list."""
-    return list(index.entries.get(normalize_keyword(phrase), []))
+    """Exact lookup of an already normalized phrase; misses yield an empty
+    list.  The index keys and the phrases of ``extract_query_terms`` are both
+    ``normalize_keyword`` outputs, so a query is normalized once and each of
+    its n-grams is looked up as it is."""
+    return list(index.entries.get(phrase, ()))
 
 
 @dataclass(eq=False)

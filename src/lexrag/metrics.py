@@ -24,6 +24,7 @@ sparse.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -35,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import Embedder
+from .corpus import read_utf8
 from .index import EMBED_BATCH_SIZE
 
 BLEU_EPS = 1e-9
@@ -79,7 +81,7 @@ def bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
                 continue
             ref_counts = _ngram_counts(ref, n)
             candidates[n] += sum(hyp_counts.values())
-            clipped[n] += sum((hyp_counts & ref_counts).values())
+            clipped[n] += sum(map(min, hyp_counts.values(), map(ref_counts.__getitem__, hyp_counts)))
 
     log_sum = 0.0
     orders = 0
@@ -219,24 +221,23 @@ def load_human_scores(path: str | Path) -> HumanScoreSheet:
     """Read a score sheet CSV with header sentence_id,model_id,fluency,
     grammaticality,faithfulness.  Errors name the offending row."""
     rows: list[HumanScoreRow] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for lineno, record in enumerate(reader, start=2):
-            if not record or record == [""]:
-                continue
-            if len(record) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
-            try:
-                scores = [int(value) for value in record[2:]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: scores must be integers") from None
-            try:
-                rows.append(HumanScoreRow(record[0], record[1], *scores))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_utf8(Path(path)), newline=""))
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    for lineno, record in enumerate(reader, start=2):
+        if not record or record == [""]:
+            continue
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
+        try:
+            scores = [int(value) for value in record[2:]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: scores must be integers") from None
+        try:
+            rows.append(HumanScoreRow(record[0], record[1], *scores))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no score rows")
     try:

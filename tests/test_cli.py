@@ -997,3 +997,27 @@ class TestReportValues:
                 "markdown": "| x | m | 1.000 | 0.250 | - | - | - | - |",
             }
             assert stdout.endswith(last[fmt] + "\n")
+
+
+class TestNonUtf8Files:
+    """A file that is not valid UTF-8 is exit 1 with one line naming it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "--hyp", "{good}", "--ref", "{bad}"),
+            ("humaneval", "--scores", "{bad}"),
+            ("report", "{bad}"),
+        ],
+        ids=["evaluate", "humaneval", "report"],
+    )
+    def test_names_the_file(self, argv, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        good.write_text("a\n\nb\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a\n\xff\nb\n")
+        code, stdout, err = run(capsys, *(arg.format(good=good, bad=bad) for arg in argv))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("lexrag: error:") and err.count("\n") == 1
+        assert f"{bad} is not valid UTF-8" in err

@@ -28,6 +28,7 @@ from lexrag.index import (
     save_index,
     vector_topk,
 )
+from lexrag.retrieval import extract_query_terms
 from oracles import oracle_topk
 
 
@@ -86,8 +87,9 @@ class TestKeywordIndex:
         assert index.max_phrase_len == 2  # "mountain lion"
 
     def test_lookup_normalizes(self):
+        # the query is normalized once, into phrases that match the keys as they are
         index = KeywordIndex(entries={"water": ["d:0"]})
-        assert keyword_lookup(index, "Water") == ["d:0"]
+        assert [keyword_lookup(index, p) for p in extract_query_terms("Water", 4)] == [["d:0"]]
 
     def test_lookup_miss(self):
         index = KeywordIndex(entries={"water": ["d:0"]})
@@ -95,7 +97,9 @@ class TestKeywordIndex:
 
     def test_lookup_multiword(self, tiny_docs):
         index = build_keyword_index(tiny_docs)
-        assert keyword_lookup(index, "Mountain Lion") == ["d:8"]
+        phrases = extract_query_terms("Mountain Lion", index.max_phrase_len)
+        assert phrases[0] == "mountain lion"
+        assert keyword_lookup(index, phrases[0]) == ["d:8"]
 
     def test_every_headword_reachable(self, tiny_docs):
         index = build_keyword_index(tiny_docs)

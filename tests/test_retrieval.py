@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from lexrag.backends import BackendError, MockEmbedder
 from lexrag.corpus import Document
-from lexrag.index import KeywordIndex, VectorIndex, vector_topk
+from lexrag.index import KeywordIndex, VectorIndex, normalize_keyword, vector_topk
 from lexrag.retrieval import (
     RetrievalConfig,
     RetrievalError,
@@ -38,6 +41,29 @@ class TestExtractQueryTerms:
 
     def test_phrase_len_longer_than_query(self):
         assert extract_query_terms("one two", 4) == ["one two", "one", "two"]
+
+    # Letters, punctuation, whitespace other than a space, combining marks
+    # (NFD forms), characters whose case fold decomposes or lengthens, and
+    # both Cherokee cases (lowercase folds to uppercase).
+    @settings(max_examples=300)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(
+                    list("aAeEiIzZ .,;!?'\"-()\u00ab\u00bb\u2019")
+                    + ["\t", "\n", "\r", "\u00a0", "\u2003", "\u3000"]
+                    + ["\u0301", "\u0308", "\u0345", "\u0390", "\u00df", "\u0130"]
+                ),
+                st.characters(min_codepoint=0x13A0, max_codepoint=0x13F5),
+                st.characters(min_codepoint=0xAB70, max_codepoint=0xABBF),
+            ),
+            max_size=40,
+        )
+    )
+    def test_phrases_are_normalized(self, query):
+        # keyword_lookup relies on this: it looks each phrase up as it is
+        for phrase in extract_query_terms(query, 4):
+            assert normalize_keyword(phrase) == phrase
 
 
 class _FixedQueryEmbedder:
@@ -279,3 +305,55 @@ def test_no_duplicates_and_cap_property(query, fill):
     ids = [r.doc.id for r in results]
     assert len(ids) == len(set(ids))
     assert len(ids) <= config.k_total
+
+
+GOLDEN_KEYWORD_PHASE = Path(__file__).parent / "data" / "golden_keyword_phase.json"
+# Each query turns on one part of keyword normalization: case, punctuation,
+# whitespace other than a space, compatibility and special case folds (ﬁ, ſ,
+# ß, İ), the canonical order of combining marks, NFD input and Cherokee case.
+NORMALIZATION_QUERIES = [
+    "WATER",
+    "\u00abWater\u00bb,",
+    "  Mountain \t LION  ",
+    "mountain\u00a0lion\u2003hunts",
+    "\u3000the\nman\r\nsaw",
+    "\ufb01re and \u017fun",
+    "Stra\u00dfe is good",
+    "\u0130 saw the dog",
+    "a\u0345\u0301 water",
+    "\u0390 dog",
+    "wa\u0301ter wa\u0301ter",
+    "bre\u0301ad Bread",
+    "\u13a0\u13b9 \uab70\uab89 water",
+    "Mountain-Lion?",
+    "...",
+    "'dog' 'DOG' dog.",
+]
+
+
+def keyword_phase_golden() -> list:
+    """``retrieve`` on the tiny bundle for the batch input and the
+    normalization queries, as (doc_id, provenance, matched_phrase, score).
+    The golden file was written by the implementation that normalized every
+    phrase again inside ``keyword_lookup``."""
+    bundle = _shared_bundle()
+    batch = (Path(__file__).parent / "data" / "batch_input.txt").read_text(encoding="utf-8")
+    golden = []
+    for query in batch.splitlines() + NORMALIZATION_QUERIES:
+        results = retrieve(
+            query, bundle.keyword, bundle.vector, bundle.doc_map, MockEmbedder(dim=8)
+        )
+        golden.append(
+            {
+                "query": query,
+                "results": [
+                    [r.doc.id, r.provenance, r.matched_phrase, r.score] for r in results
+                ],
+            }
+        )
+    return golden
+
+
+def test_keyword_phase_equals_golden():
+    golden = json.loads(GOLDEN_KEYWORD_PHASE.read_text(encoding="utf-8"))
+    assert keyword_phase_golden() == golden
