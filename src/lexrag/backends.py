@@ -142,7 +142,7 @@ class MockGenerator:
             self.calls += 1
         targets = [
             line.split(GLOSSARY_SEPARATOR, 1)[1]
-            for line in prompt.splitlines()
+            for line in prompt.split("\n")
             if GLOSSARY_SEPARATOR in line
         ]
         text = " ".join(targets) if targets else EMPTY_GLOSSARY_OUTPUT

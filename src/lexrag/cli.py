@@ -34,6 +34,7 @@ from .corpus import (
     load_dictionary,
     load_parallel,
     read_utf8,
+    split_lines,
     to_documents,
 )
 from .index import (
@@ -211,6 +212,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     if (args.text is None) == (args.input is None):
         raise UsageError("exactly one of --text or --input is required")
+    if args.parallel < 1:
+        raise UsageError("--parallel must be >= 1")
     config = load_config(args.config)
     bundle = load_index(args.index or config.index_dir or _missing_index())
     embedder, generator = make_backends(config.backend)
@@ -320,7 +323,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _read_sentence_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise IngestError(f"file not found: {path}")
-    return read_utf8(path).splitlines()
+    return split_lines(read_utf8(path))
 
 
 def cmd_humaneval(args: argparse.Namespace) -> int:

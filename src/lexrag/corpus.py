@@ -14,8 +14,9 @@ composed and decomposed variants.  Both inputs are flattened into
 :class:`Document` records, the unit that both indexes and the prompt
 assembler operate on.
 
-Saved documents are JSONL lines with exactly the keys ``kind``,
-``source_text``, ``target_text`` and ``metadata``; ids are positional.
+A Document keeps only the fields retrieval and the prompt read; the loaders
+validate the other input fields but do not keep them.  Saved documents are
+one JSON object of per-field arrays; ids are positional.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -75,18 +76,16 @@ class Document:
     kind: str
     source_text: str
     target_text: str
-    metadata: dict[str, str] = field(default_factory=dict)
+    definition: str | None = None
 
     @property
     def render_text(self) -> str:
-        # docs.jsonl does not store this text, yet vectors.bin holds its
+        # docs.json does not store this text, yet vectors.bin holds its
         # embedding: changing render_dictionary_text or render_example_text
         # requires bumping index.FORMAT_VERSION, so that an index embedded
         # from the old text is rebuilt rather than loaded.
         if self.kind == DICTIONARY_KIND:
-            return render_dictionary_text(
-                self.source_text, self.target_text, self.metadata.get("definition")
-            )
+            return render_dictionary_text(self.source_text, self.target_text, self.definition)
         return render_example_text(self.source_text, self.target_text)
 
 
@@ -119,12 +118,19 @@ def read_utf8(path: Path) -> str:
         raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r`` only, as text-mode ``open()``
+    splits it (``str.splitlines`` also splits at U+2028, U+0085 and others)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def iter_lines(path: str | Path):
     """``(lineno, line)`` for each non-blank line of a UTF-8 text file."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"input file not found: {path}")
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         if line.strip():
             yield lineno, line
 
@@ -250,10 +256,14 @@ def render_example_text(source_text: str, target_text: str) -> str:
 
 _ID_PREFIX = {DICTIONARY_KIND: "d", EXAMPLE_KIND: "x"}
 
-# The keys of one docs.jsonl line, in the order save_documents writes them,
-# and a Document's fields after its id, as one row.
-_DOC_KEYS = ("kind", "source_text", "target_text", "metadata")
-_Row = tuple[str, str, str, dict[str, str]]
+# The arrays of docs.json, a Document's fields after its id, and what each
+# of their values must be.
+_DOC_COLUMNS = {
+    "kind": ("a document kind", lambda value: value in (DICTIONARY_KIND, EXAMPLE_KIND)),
+    "source_text": ("a string", lambda value: isinstance(value, str)),
+    "target_text": ("a string", lambda value: isinstance(value, str)),
+    "definition": ("a string or null", lambda value: value is None or isinstance(value, str)),
+}
 
 
 def _positional_ids(kinds: list[str]) -> list[str]:
@@ -269,7 +279,7 @@ def _positional_ids(kinds: list[str]) -> list[str]:
     return ids
 
 
-def _documents(rows: list[_Row]) -> list[Document]:
+def _documents(rows: list[tuple]) -> list[Document]:
     ids = _positional_ids([kind for kind, *_ in rows])
     return [Document(doc_id, *row) for doc_id, row in zip(ids, rows)]
 
@@ -282,57 +292,42 @@ def to_documents(
     with positional ids."""
     if not entries and not examples:
         raise IngestError("no input: need at least one dictionary entry or parallel example")
-    rows: list[_Row] = []
-    for entry in entries:
-        metadata: dict[str, str] = {}
-        if entry.definition:
-            metadata["definition"] = entry.definition
-        if entry.part_of_speech:
-            metadata["part_of_speech"] = entry.part_of_speech
-        if entry.examples:
-            metadata["examples"] = json.dumps(
-                [list(pair) for pair in entry.examples], ensure_ascii=False
-            )
-        rows.append((DICTIONARY_KIND, entry.headword, entry.target, metadata))
-    for example in examples:
-        metadata = {
-            "source_lang": example.source_lang,
-            "target_lang": example.target_lang,
-            "provenance": example.provenance,
-        }
-        rows.append((EXAMPLE_KIND, example.source_text, example.target_text, metadata))
+    rows = [
+        (DICTIONARY_KIND, entry.headword, entry.target, entry.definition or None)
+        for entry in entries
+    ]
+    rows += [(EXAMPLE_KIND, ex.source_text, ex.target_text, None) for ex in examples]
     return _documents(rows)
 
 
 def save_documents(docs: list[Document], path: str | Path) -> None:
-    """Write Documents as JSONL (one object per line, UTF-8).  Ids are not
-    written, so a document whose id is not the one its position gives is
-    rejected rather than renumbered."""
+    """Write Documents as one JSON object of per-field arrays (UTF-8).  Ids
+    are not written, so a document whose id is not the one its position
+    gives is rejected rather than renumbered."""
     for seq, (doc, expected) in enumerate(zip(docs, _positional_ids([d.kind for d in docs]))):
         if doc.id != expected:
             raise IngestError(
                 f"document {seq} has id {doc.id!r}, but its position gives {expected!r}"
             )
-    rows = ((doc.kind, doc.source_text, doc.target_text, doc.metadata) for doc in docs)
-    lines = [json.dumps(dict(zip(_DOC_KEYS, row)), ensure_ascii=False) for row in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    columns = {name: [getattr(doc, name) for doc in docs] for name in _DOC_COLUMNS}
+    text = json.dumps(columns, ensure_ascii=False, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_documents(path: str | Path) -> list[Document]:
-    """Reload Documents written by :func:`save_documents`, checking each line's
-    keys and value types; ids follow from position and kind."""
-    rows: list[_Row] = []
-    for lineno, line in iter_lines(path):
-        where = f"{path}:{lineno}"
-        obj = _json_object(line, where)
-        if obj.keys() != set(_DOC_KEYS):
-            raise IngestError(f"{where}: expected an object with exactly the keys {_DOC_KEYS}")
-        kind, source_text, target_text, metadata = (obj[key] for key in _DOC_KEYS)
-        if kind not in (DICTIONARY_KIND, EXAMPLE_KIND):
-            raise IngestError(f"{where}: unknown document kind {kind!r}")
-        if not isinstance(source_text, str) or not isinstance(target_text, str):
-            raise IngestError(f"{where}: source_text and target_text must be strings")
-        if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):
-            raise IngestError(f"{where}: metadata must be an object of strings")
-        rows.append((kind, source_text, target_text, metadata))
-    return _documents(rows)
+    """Reload Documents written by :func:`save_documents`, checking the keys,
+    the array lengths and each value; ids follow from position and kind."""
+    try:
+        columns = json.loads(read_utf8(Path(path)))
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(columns, dict) or columns.keys() != _DOC_COLUMNS.keys():
+        raise IngestError(f"{path}: expected an object with exactly the keys {tuple(_DOC_COLUMNS)}")
+    for name, (expected, is_valid) in _DOC_COLUMNS.items():
+        column = columns[name]
+        if not isinstance(column, list) or len(column) != len(columns["kind"]):
+            raise IngestError(f"{path}: {name} is not an array as long as kind")
+        for position, value in enumerate(column):
+            if not is_valid(value):
+                raise IngestError(f"{path}: {name}[{position}] is not {expected}")
+    return _documents(list(zip(*(columns[name] for name in _DOC_COLUMNS))))

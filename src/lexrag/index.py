@@ -17,14 +17,15 @@ Index directory layout::
 
     manifest.json       the fields of IndexManifest: dim / count / embedder_id /
                         created_at / max_phrase_len / version
-    keyword_index.json  normalized phrase -> array of document ids
-    docs.jsonl          Documents, one per line, without ids or render texts
+    keyword_index.json  normalized phrase -> array of document ids, compact
+    docs.json           arrays kind / source_text / target_text / definition,
+                        one value per document; no ids or render texts
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=3), dim u32,
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=4), dim u32,
 count u64, then ``count × dim`` float32 values, one row per document in
-``docs.jsonl`` order.
+``docs.json`` order.
 
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
@@ -52,7 +53,7 @@ from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, s
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 3  # of both manifest.json and the vectors.bin header
+FORMAT_VERSION = 4  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
@@ -60,7 +61,7 @@ SCORE_BLOCK_ROWS = 256  # rows scored in float64 at a time; a multiple of 8
 
 MANIFEST_FILE = "manifest.json"
 KEYWORD_FILE = "keyword_index.json"
-DOCS_FILE = "docs.jsonl"
+DOCS_FILE = "docs.json"
 VECTORS_FILE = "vectors.bin"
 CACHE_FILE = "cache/embeddings.jsonl"
 
@@ -454,13 +455,10 @@ def save_index(
 ) -> None:
     """Persist one index directory: keyword map, docs and vectors, then the
     manifest, which is removed first so that only a finished save loads."""
-    if manifest.count != vector.count:
+    if (manifest.count, manifest.dim) != (vector.count, vector.dim):
         raise IndexFormatError(
-            f"manifest count {manifest.count} does not match vector rows {vector.count}"
-        )
-    if manifest.dim != vector.dim:
-        raise IndexFormatError(
-            f"manifest dim {manifest.dim} does not match vector dim {vector.dim}"
+            f"manifest count x dim {manifest.count} x {manifest.dim} does not match "
+            f"vector rows x dim {vector.count} x {vector.dim}"
         )
     if vector.ids != [doc.id for doc in docs]:
         raise IndexFormatError("vector index ids do not follow the documents in order")
@@ -468,7 +466,8 @@ def save_index(
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
     (out / KEYWORD_FILE).write_text(
-        json.dumps(keyword.entries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        json.dumps(keyword.entries, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        + "\n",
         encoding="utf-8",
     )
     save_documents(list(docs), out / DOCS_FILE)
@@ -506,21 +505,15 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         for ids in entries.values()
     ):
         raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [ids] object")
-    keyword = KeywordIndex(
-        entries={phrase: list(ids) for phrase, ids in entries.items()},
-        max_phrase_len=manifest.max_phrase_len,
-    )
+    keyword = KeywordIndex(entries, manifest.max_phrase_len)
 
     docs = load_documents(root / DOCS_FILE)
     vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, [doc.id for doc in docs])
 
-    if vector.count != manifest.count:
+    if (vector.count, vector.dim) != (manifest.count, manifest.dim):
         raise IndexFormatError(
-            f"manifest count {manifest.count} does not match vectors.bin rows {vector.count}"
-        )
-    if vector.dim != manifest.dim:
-        raise IndexFormatError(
-            f"manifest dim {manifest.dim} does not match vectors.bin dim {vector.dim}"
+            f"manifest count x dim {manifest.count} x {manifest.dim} does not match "
+            f"vectors.bin {vector.count} x {vector.dim}"
         )
     known = {doc.id for doc in docs}
     missing = [doc_id for ids in keyword.entries.values() for doc_id in ids if doc_id not in known]

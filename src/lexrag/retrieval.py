@@ -181,7 +181,8 @@ def prepare_queries(
 
     A query needs the vector phase when it has no keyword hits under
     ``strict_fallback``, or fewer than ``k_total`` under ``fill``, and the
-    vector index is not empty.  Errors are kept on the query they belong to.
+    vector index is not empty; on an index embedded by another embedder it
+    gets a ``RetrievalError`` instead.  Errors stay on their query.
     """
     prepared: list[PreparedQuery] = []
     fallback: dict[str, list[PreparedQuery]] = {}  # query -> its items needing phase 2
@@ -198,7 +199,13 @@ def prepare_queries(
                 else len(item.results) < config.k_total
             )
             if run_vector and vec_index.count:
-                fallback.setdefault(query, []).append(item)
+                if embedder.embedder_id != vec_index.embedder_id:
+                    item.error = RetrievalError(
+                        f"the index was embedded by {vec_index.embedder_id!r}, not by "
+                        f"{embedder.embedder_id!r}; use that embedder or rebuild the index"
+                    )
+                else:
+                    fallback.setdefault(query, []).append(item)
         item.prepare_ms = (time.perf_counter() - started) * 1000.0
         prepared.append(item)
 

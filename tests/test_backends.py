@@ -93,6 +93,10 @@ class TestMockGenerator:
         result = MockGenerator().generate("Translate.\nhello")
         assert result.text == "⟨no-entries⟩"
 
+    def test_only_newline_ends_a_prompt_line(self):
+        prompt = "Glossary:\nwater → ᎠᎹ\u2028ᎠᎹ\x85\nsun → ᏅᏓ\n\nTranslate.\nwater sun"
+        assert MockGenerator().generate(prompt).text == "ᎠᎹ\u2028ᎠᎹ\x85 ᏅᏓ"
+
     def test_deterministic(self):
         prompt = "Glossary:\na → b\n\nTranslate.\na"
         assert MockGenerator().generate(prompt) == MockGenerator().generate(prompt)

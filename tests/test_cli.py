@@ -10,7 +10,7 @@ import pytest
 
 from lexrag.backends import BackendConfig, BackendError, MockEmbedder, MockGenerator, RetryPolicy
 from lexrag.cli import AppConfig, load_config, main
-from lexrag.index import load_index
+from lexrag.index import DOCS_FILE, KEYWORD_FILE, MANIFEST_FILE, VECTORS_FILE, load_index
 from lexrag.retrieval import RetrievalConfig
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
@@ -185,7 +185,13 @@ class _FailingEmbedder(MockEmbedder):
         return super().embed_texts(texts)
 
 
-INDEX_FILES = ("manifest.json", "keyword_index.json", "docs.jsonl", "vectors.bin")
+def _embedder_named(embedder_id: str, dim: int = 8) -> MockEmbedder:
+    embedder = MockEmbedder(dim)
+    embedder.embedder_id = embedder_id
+    return embedder
+
+
+INDEX_FILES = (MANIFEST_FILE, KEYWORD_FILE, DOCS_FILE, VECTORS_FILE)
 
 
 class TestFailedIndexBuild:
@@ -223,7 +229,7 @@ class TestFailedIndexBuild:
 
     def test_v1_index_rejected_then_rebuilt_from_cache(self, built_index, data_dir, capsys):
         path = built_index / "manifest.json"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
             code, out, err = run(
                 capsys, "translate", "--index", str(built_index), "--text", "water"
@@ -331,13 +337,13 @@ class TestDamagedIndex:
         assert len(err.splitlines()) == 1
 
     def test_non_string_text_is_exit_1(self, built_index, capsys):
-        path = built_index / "docs.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = json.dumps({**json.loads(lines[0]), "source_text": 5})
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = built_index / DOCS_FILE
+        columns = json.loads(path.read_text(encoding="utf-8"))
+        columns["source_text"][0] = 5
+        path.write_text(json.dumps(columns), encoding="utf-8")
         code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
         assert code == 1 and out == ""
-        assert err.startswith("lexrag:") and "docs.jsonl:1:" in err
+        assert err.startswith("lexrag:") and f"{DOCS_FILE}: source_text[0] is not a string" in err
         assert len(err.splitlines()) == 1
 
 
@@ -581,20 +587,21 @@ class TestTranslate:
         assert code == 65
         assert err.startswith("lexrag: validation error:") and "k_vector" in err
 
-    def test_embedder_dim_mismatch(self, built_index, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"backend": {"embed_dim": 16}}), encoding="utf-8")
+    def test_embedder_dim_mismatch(self, built_index, tmp_path, capsys, monkeypatch):
+        # The index's embedder id with another dimension: a wrong dim, not a wrong id.
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends",
+            lambda settings: (_embedder_named("mock-embed-8", dim=16), MockGenerator()),
+        )
         code, _, err = run(
-            capsys, "translate", "--index", str(built_index), "--text", "nothing here",
-            "--config", str(config),
+            capsys, "translate", "--index", str(built_index), "--text", "nothing here"
         )
         assert code == 65
         assert "does not match index dim 8" in err
         batch = tmp_path / "in.txt"
         batch.write_text("water\nnothing here\n", encoding="utf-8")
         code, stdout, err = run(
-            capsys, "translate", "--index", str(built_index), "--input", str(batch),
-            "--config", str(config),
+            capsys, "translate", "--index", str(built_index), "--input", str(batch)
         )
         assert code == 0
         records = [json.loads(line) for line in stdout.splitlines()]
@@ -602,6 +609,74 @@ class TestTranslate:
         assert records[0]["error"] is None
         assert "does not match index dim 8" in records[1]["error"]
         assert err == "1/2 items failed\n"
+
+
+    def test_index_of_another_embedder_is_exit_65(self, built_index, capsys, monkeypatch):
+        embedder = _embedder_named("some-other-model")
+        monkeypatch.setattr("lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator()))
+        code, out, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "nothing here"
+        )
+        assert code == 65 and out == ""
+        assert err.startswith("lexrag: validation error:") and len(err.splitlines()) == 1
+        assert "'mock-embed-8'" in err and "'some-other-model'" in err
+        assert embedder.calls == 0
+        code, out, _ = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert code == 0 and out == "ᎠᎹ\n"
+
+
+class TestLineEnds:
+    """Text files end lines at \\n, \\r\\n and \\r only; U+2028, U+0085 and the
+    other ends that ``str.splitlines`` knows stay inside their line."""
+
+    def test_raw_line_separator_in_dictionary_json_string(self, tmp_path, capsys):
+        source = tmp_path / "raw.jsonl"
+        source.write_text(
+            '{"headword":"water","target":"ᎠᎹ","definition":"a\u2028b"}\r\n'
+            '{"headword":"sun","target":"ᏅᏓ"}\r',
+            encoding="utf-8",
+        )
+        out = tmp_path / "idx"
+        code, stdout, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 0, err
+        assert stdout.startswith("indexed 2 documents")
+        assert load_index(out).docs[0].definition == "a\u2028b"
+
+    def test_escaped_next_line_in_definition_loads(self, tmp_path, capsys):
+        source = tmp_path / "d.jsonl"
+        source.write_text(
+            '{"headword":"water","target":"ᎠᎹ"}\n'
+            '{"headword":"sun","target":"ᏅᏓ","definition":"x\\u0085y"}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "i"
+        code, _, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 0, err
+        code, stdout, err = run(capsys, "translate", "--index", str(out), "--text", "sun")
+        assert code == 0, err
+        assert stdout == "ᏅᏓ\n"
+        assert load_index(out).docs[1].render_text == "sun — ᏅᏓ — x\x85y"
+
+    def test_batch_input_line_keeps_line_separator(self, built_index, tmp_path, capsys):
+        batch = tmp_path / "in.txt"
+        batch.write_text("water\u2028sun\r\nfire\x0c\x1cbread\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "translate", "--index", str(built_index), "--input", str(batch)
+        )
+        assert code == 0, err
+        queries = [json.loads(line)["query"] for line in stdout.rstrip("\n").split("\n")]
+        assert queries == ["water\u2028sun", "fire\x0c\x1cbread"]
+
+    def test_hyp_and_ref_lines_keep_line_separator(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text("a\u2028b\rc\x85d\r\n", encoding="utf-8")
+        ref.write_text("a b\nc d\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "evaluate", "--hyp", str(hyp), "--ref", str(ref), "--metrics", "bleu"
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["n_sentences"] == 2
 
 
 class TestEvaluate:
@@ -912,6 +987,17 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_translate_parallel_below_one_is_64(self, tmp_path, capsys, parallel):
+        batch = tmp_path / "in.txt"
+        batch.write_text("water\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "translate", "--index", str(tmp_path / "no-index"), "--input", str(batch),
+            "--parallel", parallel,
+        )
+        assert code == 64 and out == ""
+        assert err == "lexrag: error: --parallel must be >= 1\n"
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_cli"

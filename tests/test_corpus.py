@@ -6,17 +6,22 @@ import re
 import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lexrag.corpus import (
     DictionaryEntry,
+    Document,
     IngestError,
     ParallelExample,
     load_dictionary,
     load_documents,
     load_parallel,
     save_documents,
+    split_lines,
     to_documents,
 )
+from lexrag.index import DOCS_FILE
 
 
 def write(tmp_path, name, text):
@@ -134,7 +139,28 @@ class TestLoadParallel:
         assert load_parallel(path) == [ParallelExample("a", "b", "en", "chr", "src")]
 
 
+class TestSplitLines:
+    @given(st.text(alphabet="ab \t\n\r\u00e9\u13a0", max_size=30))
+    def test_equals_splitlines_on_other_text(self, text):
+        assert split_lines(text) == text.splitlines()
+
+    def test_only_newline_and_carriage_return_end_a_line(self):
+        text = "a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\x1dh\x1ei\r\nj\rk\n"
+        assert split_lines(text) == ["a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\x1dh\x1ei", "j", "k"]
+
+
 class TestToDocuments:
+    def test_only_read_fields_are_kept(self):
+        entry = DictionaryEntry("sun", "ᏅᏓ", "day star", "noun", (("the sun", "ᏅᏓ"),))
+        example = ParallelExample("water is good", "ᎠᎹ ᎣᏍᏓ", "en", "chr", "NT")
+        assert to_documents([entry], [example]) == [
+            Document("d:0", "dictionary", "sun", "ᏅᏓ", "day star"),
+            Document("x:0", "example", "water is good", "ᎠᎹ ᎣᏍᏓ", None),
+        ]
+        assert list(Document.__dataclass_fields__) == [
+            "id", "kind", "source_text", "target_text", "definition"
+        ]
+
     def test_ids_and_kinds(self):
         entries = [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")]
         examples = [ParallelExample("a b", "c", "en", "chr", "p")]
@@ -170,91 +196,118 @@ class TestToDocuments:
 
 
 class TestDocumentRoundTrip:
+    """docs.json is one object of four equal-length columns.  Errors name the
+    column and the document's position in it, which is what the ``line`` of
+    the older test names now stands for."""
+
+    COLUMNS = ["kind", "source_text", "target_text", "definition"]
+
+    @staticmethod
+    def _damaged(tiny_docs, tmp_path, damage):
+        path = tmp_path / DOCS_FILE
+        save_documents(tiny_docs, path)
+        columns = json.loads(path.read_text(encoding="utf-8"))
+        damage(columns)
+        path.write_text(json.dumps(columns, ensure_ascii=False), encoding="utf-8")
+        return path
+
     def test_save_load_field_equal(self, tiny_docs, tmp_path):
-        path = tmp_path / "docs.jsonl"
+        path = tmp_path / DOCS_FILE
         save_documents(tiny_docs, path)
         assert load_documents(path) == tiny_docs
 
     def test_tampered_render_text_rejected(self, tiny_docs, tmp_path):
-        """A v2-shaped line, still carrying ``id`` and ``render_text``."""
-        path = tmp_path / "docs.jsonl"
-        save_documents(tiny_docs, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        doc = tiny_docs[1]
-        record = {"id": doc.id, **json.loads(lines[1]), "render_text": doc.render_text}
-        lines[1] = json.dumps(record, ensure_ascii=False)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(IngestError, match=r"docs\.jsonl:2: expected an object with exactly"):
+        """A file that also carries ``id`` and ``render_text`` columns."""
+        path = self._damaged(
+            tiny_docs,
+            tmp_path,
+            lambda columns: columns.update(
+                id=[d.id for d in tiny_docs], render_text=[d.render_text for d in tiny_docs]
+            ),
+        )
+        with pytest.raises(IngestError, match=r"docs\.json: expected an object with exactly"):
             load_documents(path)
 
     def test_duplicate_id_rejected(self, tiny_docs, tmp_path):
-        path = tmp_path / "docs.jsonl"
+        path = tmp_path / DOCS_FILE
         with pytest.raises(IngestError, match="document 1 has id 'd:0'.*gives 'd:1'"):
             save_documents([tiny_docs[0], tiny_docs[0]], path)
         assert not path.exists()
 
     def test_saved_line_has_exactly_four_keys(self, tiny_docs, tmp_path):
-        path = tmp_path / "docs.jsonl"
+        path = tmp_path / DOCS_FILE
         save_documents(tiny_docs, path)
-        keys = [list(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert keys == [["kind", "source_text", "target_text", "metadata"]] * len(tiny_docs)
+        columns = json.loads(path.read_text(encoding="utf-8"))
+        assert list(columns) == self.COLUMNS
+        assert all(len(column) == len(tiny_docs) for column in columns.values())
+        assert columns["definition"][1] == "the star that lights the day"
+        kinds_and_definitions = set(zip(columns["kind"], columns["definition"]))
+        assert {d for k, d in kinds_and_definitions if k == "example"} == {None}
         loaded = load_documents(path)
         assert [d.id for d in loaded] == [d.id for d in tiny_docs]
         assert [d.render_text for d in loaded] == [d.render_text for d in tiny_docs]
 
     def test_ids_follow_position_per_kind(self, tmp_path):
-        lines = [
-            {"kind": kind, "source_text": "a", "target_text": "b", "metadata": {}}
-            for kind in ("example", "dictionary", "example", "dictionary")
-        ]
-        path = write(tmp_path, "docs.jsonl", "".join(json.dumps(o) + "\n" for o in lines))
+        kinds = ["example", "dictionary", "example", "dictionary"]
+        columns = {"kind": kinds, "source_text": ["a"] * 4, "target_text": ["b"] * 4}
+        path = write(tmp_path, DOCS_FILE, json.dumps({**columns, "definition": [None] * 4}))
         assert [d.id for d in load_documents(path)] == ["x:0", "d:0", "x:1", "d:1"]
 
     @pytest.mark.parametrize(
-        "damage, message",
+        "column, value, message",
         [
-            ({"source_text": 5}, "source_text and target_text must be strings"),
-            ({"target_text": None}, "source_text and target_text must be strings"),
-            ({"metadata": {"definition": 1}}, "metadata must be an object of strings"),
-            ({"metadata": ["a"]}, "metadata must be an object of strings"),
-            ({"kind": ["dictionary"]}, "unknown document kind"),
-            ({"kind": "gloss"}, "unknown document kind"),
-            ({"id": "d:0"}, "expected an object with exactly the keys"),
-            ({"metadata": None}, "metadata must be an object of strings"),
+            ("source_text", 5, r"source_text\[2\] is not a string"),
+            ("target_text", None, r"target_text\[2\] is not a string"),
+            ("definition", 1, r"definition\[2\] is not a string or null"),
+            ("definition", ["a"], r"definition\[2\] is not a string or null"),
+            ("kind", ["dictionary"], r"kind\[2\] is not a document kind"),
+            ("kind", "gloss", r"kind\[2\] is not a document kind"),
+            ("id", "d:0", "expected an object with exactly the keys"),
         ],
         ids=[
             "source-int",
             "target-null",
-            "metadata-int-value",
-            "metadata-list",
+            "definition-int",
+            "definition-list",
             "kind-list",
             "kind-unknown",
             "extra-id",
-            "metadata-null",
         ],
     )
-    def test_malformed_field_names_line(self, tiny_docs, tmp_path, damage, message):
-        path = tmp_path / "docs.jsonl"
-        save_documents(tiny_docs, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = json.dumps({**json.loads(lines[2]), **damage}, ensure_ascii=False)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(IngestError, match=rf"docs\.jsonl:3: {message}"):
+    def test_malformed_field_names_line(self, tiny_docs, tmp_path, column, value, message):
+        def damage(columns):
+            columns.setdefault(column, [None] * len(tiny_docs))[2] = value
+
+        path = self._damaged(tiny_docs, tmp_path, damage)
+        with pytest.raises(IngestError, match=rf"docs\.json: {message}"):
             load_documents(path)
 
-    @pytest.mark.parametrize("key", ["kind", "source_text", "target_text", "metadata"])
+    def test_null_definition_accepted(self, tmp_path):
+        docs = to_documents([DictionaryEntry("water", "ᎠᎹ", definition="")], [])
+        assert docs[0].definition is None
+        path = tmp_path / DOCS_FILE
+        save_documents(docs, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["definition"] == [None]
+        assert load_documents(path) == docs
+
+    @pytest.mark.parametrize("key", COLUMNS)
     def test_missing_key_names_line(self, tiny_docs, tmp_path, key):
-        path = tmp_path / "docs.jsonl"
-        save_documents(tiny_docs, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        record = json.loads(lines[0])
-        del record[key]
-        lines[0] = json.dumps(record, ensure_ascii=False)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(IngestError, match=r"docs\.jsonl:1: expected an object with exactly"):
+        path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.pop(key))
+        with pytest.raises(IngestError, match=r"docs\.json: expected an object with exactly"):
+            load_documents(path)
+
+    @pytest.mark.parametrize("column, named", [("kind", "source_text"), ("definition", "definition")])
+    def test_columns_of_unequal_length_rejected(self, tiny_docs, tmp_path, column, named):
+        path = self._damaged(tiny_docs, tmp_path, lambda columns: columns[column].pop())
+        with pytest.raises(IngestError, match=rf"docs\.json: {named} is not an array as long"):
             load_documents(path)
 
     def test_non_object_line_names_line(self, tmp_path):
-        path = write(tmp_path, "docs.jsonl", "[1, 2]\n")
-        with pytest.raises(IngestError, match=r"docs\.jsonl:1: expected a JSON object"):
+        path = write(tmp_path, DOCS_FILE, "[1, 2]\n")
+        with pytest.raises(IngestError, match=r"docs\.json: expected an object with exactly"):
+            load_documents(path)
+
+    def test_column_that_is_not_an_array_rejected(self, tiny_docs, tmp_path):
+        path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.update(kind="example"))
+        with pytest.raises(IngestError, match=r"docs\.json: kind is not an array as long"):
             load_documents(path)

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from lexrag.backends import MockEmbedder
 from lexrag.corpus import DictionaryEntry, IngestError, ParallelExample, to_documents
 from lexrag.index import (
+    DOCS_FILE,
+    FORMAT_VERSION,
+    KEYWORD_FILE,
+    MANIFEST_FILE,
     SCORE_BLOCK_ROWS,
+    VECTORS_FILE,
+    VECTORS_HEADER,
     EmbeddingCache,
     IndexBuildError,
     IndexFormatError,
@@ -554,7 +560,7 @@ class TestFormatV2:
         _saved_tiny_index(tiny_docs, tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path.write_text(json.dumps({**manifest, "version": version}), encoding="utf-8")
             with pytest.raises(
                 IndexFormatError, match=f"unsupported index version {version}.*index-build"
@@ -571,10 +577,10 @@ class TestFormatV2:
 
     def test_row_count_must_match_docs(self, tiny_docs, tmp_path):
         _saved_tiny_index(tiny_docs, tmp_path)
-        docs_path = tmp_path / "docs.jsonl"
+        docs_path = tmp_path / DOCS_FILE
+        columns = json.loads(docs_path.read_text(encoding="utf-8"))
         docs_path.write_text(
-            "".join(docs_path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]),
-            encoding="utf-8",
+            json.dumps({name: column[:-1] for name, column in columns.items()}), encoding="utf-8"
         )
         with pytest.raises(IndexFormatError, match="rows for"):
             load_index(tmp_path)
@@ -609,17 +615,20 @@ class TestFormatV2:
 
 
 class TestFormatV3:
-    """docs.jsonl v3 stores neither ids nor render texts; vectors must be finite."""
+    """The docs file stores neither ids nor render texts (since v3; in v4 it is
+    one object of four columns); vectors must be finite."""
 
     def test_docs_lines_hold_four_keys_and_round_trip(self, tiny_docs, tmp_path):
         bundle = _saved_tiny_index(tiny_docs, tmp_path)
-        lines = (tmp_path / "docs.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [sorted(json.loads(line)) for line in lines] == [
-            ["kind", "metadata", "source_text", "target_text"]
-        ] * len(tiny_docs)
+        columns = json.loads((tmp_path / DOCS_FILE).read_text(encoding="utf-8"))
+        assert sorted(columns) == ["definition", "kind", "source_text", "target_text"]
+        assert {len(column) for column in columns.values()} == {len(tiny_docs)}
         assert bundle.docs == tiny_docs
         assert [d.render_text for d in bundle.docs] == [d.render_text for d in tiny_docs]
-        assert json.loads((tmp_path / "manifest.json").read_text())["version"] == 3
+        manifest = json.loads((tmp_path / MANIFEST_FILE).read_text())
+        assert manifest["version"] == FORMAT_VERSION == 4
+        header = (tmp_path / VECTORS_FILE).read_bytes()[: VECTORS_HEADER.size]
+        assert VECTORS_HEADER.unpack(header)[1] == 4
 
     def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
         docs = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])
@@ -637,7 +646,7 @@ class TestFormatV3:
             VectorIndex(dim=2, embedder_id="e", ids=["d:0", "d:1"], vectors=vectors)
 
 
-INDEX_FILES = ("manifest.json", "keyword_index.json", "docs.jsonl", "vectors.bin")
+INDEX_FILES = (MANIFEST_FILE, KEYWORD_FILE, DOCS_FILE, VECTORS_FILE)
 
 
 def test_truncated_index_file_rejected_or_unchanged(tiny_docs, tmp_path):

@@ -321,9 +321,21 @@ class TestBatchedFallback:
         assert records[1].error is None and records[1].output == "ᎠᎹ"
 
     def test_embedder_dim_mismatch_fails_only_fallback_items(self, tiny_bundle):
-        records = batch_translate(
-            ["water", "nothing here"], tiny_bundle, MockEmbedder(dim=16), MockGenerator()
-        )
+        embedder = MockEmbedder(dim=16)
+        embedder.embedder_id = tiny_bundle.vector.embedder_id  # a wrong dim, not a wrong id
+        records = batch_translate(["water", "nothing here"], tiny_bundle, embedder, MockGenerator())
         assert records[0].error is None and records[0].output == "ᎠᎹ"
         assert "does not match index dim 8" in records[1].error
         assert records[1].output == ""
+
+    def test_other_embedder_fails_only_fallback_items_without_embedding(self, tiny_bundle):
+        embedder = _CountingEmbedder()
+        embedder.embedder_id = "some-other-model"
+        records = batch_translate(
+            ["water", "nothing here", "qqzx"], tiny_bundle, embedder, MockGenerator()
+        )
+        assert records[0].error is None and records[0].output == "ᎠᎹ"
+        for record in records[1:]:
+            assert "'mock-embed-8'" in record.error and "'some-other-model'" in record.error
+            assert record.output == "" and record.results == []
+        assert embedder.requests == []

@@ -81,7 +81,7 @@ class _FixedQueryEmbedder:
 
 
 class _FailingEmbedder:
-    embedder_id = "failing"
+    embedder_id = "mock-embed-8"  # the tiny index's, so only the failure differs
     calls = 0
 
     def embed_texts(self, texts):
