@@ -56,7 +56,7 @@ from .metrics import (
     human_eval_normalize,
     load_human_scores,
 )
-from .pipeline import DEFAULT_TEMPLATE, PromptTemplate, batch_translate, translate
+from .pipeline import DEFAULT_TEMPLATE, MAX_PARALLELISM, PromptTemplate, batch_translate, translate
 from .retrieval import RetrievalConfig, RetrievalError
 
 EXIT_OK = 0
@@ -212,8 +212,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     if (args.text is None) == (args.input is None):
         raise UsageError("exactly one of --text or --input is required")
-    if args.parallel < 1:
-        raise UsageError("--parallel must be >= 1")
+    if not 1 <= args.parallel <= MAX_PARALLELISM:
+        raise UsageError(f"--parallel must be between 1 and {MAX_PARALLELISM}")
     config = load_config(args.config)
     bundle = load_index(args.index or config.index_dir or _missing_index())
     embedder, generator = make_backends(config.backend)
@@ -262,10 +262,15 @@ def _read_batch_input(path: Path) -> tuple[list[str | None], list[str]]:
             continue
         try:
             obj = json.loads(line)
-            ids.append(str(obj["id"]))
-            queries.append(str(obj["source"]))
+            item_id, source = obj["id"], obj["source"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise IngestError(f"{path}:{lineno}: expected JSONL with id and source: {exc}") from exc
+        if type(item_id) not in (str, int):  # rejects bool too
+            raise IngestError(f"{path}:{lineno}: field 'id' must be a string or an integer")
+        if not isinstance(source, str):
+            raise IngestError(f"{path}:{lineno}: field 'source' must be a string")
+        ids.append(str(item_id))
+        queries.append(source)
     if not queries:
         raise IngestError(f"{path}: no input sentences")
     return ids, queries
@@ -386,10 +391,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         for row in rows:
             if not isinstance(row, dict) or "language" not in row or "model" not in row:
                 raise ValueError(f"{path}: every row needs 'language' and 'model' fields")
+            for label in ("language", "model"):
+                if not isinstance(row[label], str):
+                    raise ValueError(f"{path}: field {label!r} must be a string")
             unknown = set(row) - set(_REPORT_FIELDS) - {"language", "model"}
             if unknown:
                 raise ValueError(f"{path}: unknown metric fields {sorted(unknown)}")
-            key = (str(row["language"]), str(row["model"]))
+            key = (row["language"], row["model"])
             slot = merged.setdefault(key, {})
             for name in _REPORT_FIELDS:
                 if name not in row:
@@ -441,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="batch output JSONL path (default stdout)")
     p.add_argument("--trace", action="store_true", help="include the prompt in batch records")
     p.add_argument("--strict", action="store_true", help="exit 2 if any batch item failed")
-    p.add_argument("--parallel", type=int, default=1, help="worker threads for batch mode")
+    p.add_argument(
+        "--parallel", type=int, default=1, help=f"worker threads, 1 to {MAX_PARALLELISM}"
+    )
     p.add_argument("--source-lang", help="source language name override")
     p.add_argument("--target-lang", help="target language name override")
     p.set_defaults(func=cmd_translate)

@@ -66,7 +66,7 @@ class ParallelExample:
     provenance: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """Unified retrievable unit.  ``id`` follows from position and kind
     (``d:<seq>``, ``x:<seq>``), and ``render_text``, the text that gets

@@ -30,6 +30,8 @@ count u64, then ``count × dim`` float32 values, one row per document in
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
 leaves a directory that ``load_index`` rejects, never one that loads.
+Each file is checked by ``load_index``; how they fit together only by
+:class:`IndexBundle`, which ``save_index`` builds before writing anything.
 """
 
 from __future__ import annotations
@@ -404,7 +406,9 @@ def vector_topk(
 
 @dataclass
 class IndexBundle:
-    """Everything loaded from one index directory."""
+    """One index, as saved and loaded.  Construction checks its parts against
+    each other, here only: the manifest describes the vectors, whose rows
+    follow the documents, and every keyword id has a document."""
 
     keyword: KeywordIndex
     vector: VectorIndex
@@ -413,7 +417,18 @@ class IndexBundle:
     doc_map: dict[str, Document] = field(init=False)
 
     def __post_init__(self) -> None:
+        described = (self.manifest.count, self.manifest.dim, self.manifest.embedder_id)
+        stored = (self.vector.count, self.vector.dim, self.vector.embedder_id)
+        if described != stored:
+            raise IndexFormatError(
+                f"manifest count, dim, embedder_id {described} does not match vectors {stored}"
+            )
+        if self.vector.ids != [doc.id for doc in self.docs]:
+            raise IndexFormatError("vector index ids do not follow the documents in order")
         self.doc_map = {doc.id: doc for doc in self.docs}
+        missing = {i for ids in self.keyword.entries.values() for i in ids} - self.doc_map.keys()
+        if missing:
+            raise IndexFormatError(f"index refers to unknown document ids: {sorted(missing)[:5]}")
 
 
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
@@ -455,13 +470,7 @@ def save_index(
 ) -> None:
     """Persist one index directory: keyword map, docs and vectors, then the
     manifest, which is removed first so that only a finished save loads."""
-    if (manifest.count, manifest.dim) != (vector.count, vector.dim):
-        raise IndexFormatError(
-            f"manifest count x dim {manifest.count} x {manifest.dim} does not match "
-            f"vector rows x dim {vector.count} x {vector.dim}"
-        )
-    if vector.ids != [doc.id for doc in docs]:
-        raise IndexFormatError("vector index ids do not follow the documents in order")
+    IndexBundle(keyword, vector, manifest, list(docs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
@@ -477,7 +486,7 @@ def save_index(
 
 
 def load_index(index_dir: str | Path) -> IndexBundle:
-    """Load and cross-validate an index directory written by :func:`save_index`."""
+    """Load an index directory written by :func:`save_index`, checking each file."""
     root = Path(index_dir)
     manifest_path = root / MANIFEST_FILE
     if not manifest_path.is_file():
@@ -509,14 +518,4 @@ def load_index(index_dir: str | Path) -> IndexBundle:
 
     docs = load_documents(root / DOCS_FILE)
     vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, [doc.id for doc in docs])
-
-    if (vector.count, vector.dim) != (manifest.count, manifest.dim):
-        raise IndexFormatError(
-            f"manifest count x dim {manifest.count} x {manifest.dim} does not match "
-            f"vectors.bin {vector.count} x {vector.dim}"
-        )
-    known = {doc.id for doc in docs}
-    missing = [doc_id for ids in keyword.entries.values() for doc_id in ids if doc_id not in known]
-    if missing:
-        raise IndexFormatError(f"index refers to unknown document ids: {sorted(set(missing))[:5]}")
     return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=docs)

@@ -27,6 +27,10 @@ from .retrieval import (
     retrieve,
 )
 
+# Threads beyond the HTTP client's ``max_in_flight`` only wait on it, and
+# one thread per input line can exhaust the process's threads.
+MAX_PARALLELISM = 64
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -156,15 +160,7 @@ def translate(
     apart from timings.  ``prepared`` is passed on to :func:`retrieve`, as
     :func:`batch_translate` does for each of its queries."""
     started = time.perf_counter()
-    results = retrieve(
-        query,
-        indexes.keyword,
-        indexes.vector,
-        indexes.doc_map,
-        embedder,
-        retrieval_config,
-        prepared,
-    )
+    results = retrieve(query, indexes, embedder, retrieval_config, prepared)
     retrieval_ms = (time.perf_counter() - started) * 1000.0
     if prepared is not None:
         retrieval_ms += prepared.prepare_ms
@@ -200,17 +196,15 @@ def batch_translate(
     back to the vector phase are embedded together, up to
     ``EMBED_BATCH_SIZE`` per request (see :func:`prepare_queries`).  Vector
     top-K, prompt assembly and generation then run per query, on
-    ``parallelism`` threads.  A backend or retrieval failure on one item is
-    recorded on that item (``error`` set, empty output) and the batch
-    continues.
+    ``parallelism`` threads, at most ``MAX_PARALLELISM``.  A backend or
+    retrieval failure on one item is recorded on that item (``error`` set,
+    empty output) and the batch continues.
     """
     if not queries:
         raise ValueError("batch_translate requires at least one query")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    prepared = prepare_queries(
-        queries, indexes.keyword, indexes.vector, indexes.doc_map, embedder, retrieval_config
-    )
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ValueError(f"parallelism must be between 1 and {MAX_PARALLELISM}")
+    prepared = prepare_queries(queries, indexes, embedder, retrieval_config)
 
     def run_one(item: PreparedQuery) -> TranslationRecord:
         try:

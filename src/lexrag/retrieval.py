@@ -8,14 +8,15 @@ vector query embeds the whole query sentence, not individual terms.
 A batch runs the keyword phase for every query first (:func:`prepare_queries`),
 so the queries that fall back to the vector phase are embedded together, up to
 ``EMBED_BATCH_SIZE`` per request; :func:`retrieve` then finishes each query.
-A single query is a batch of one.
+A single query is a batch of one.  Both take the whole :class:`IndexBundle`,
+whose construction checked that every id either index yields has a document.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .backends import BackendError, Embedder
 from .corpus import Document
 from .index import (
     EMBED_BATCH_SIZE,
-    KeywordIndex,
-    VectorIndex,
+    IndexBundle,
     keyword_lookup,
     normalize_keyword,
     vector_topk,
@@ -38,7 +38,7 @@ POLICY_FILL = "fill"
 
 
 class RetrievalError(Exception):
-    """Inconsistent index/document set or unusable query embedding."""
+    """Unusable query embedding, or an index embedded by another embedder."""
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,11 @@ def extract_query_terms(query: str, max_phrase_len: int) -> list[str]:
     return phrases
 
 
-def _doc_for(doc_id: str, docs: Mapping[str, Document]) -> Document:
-    try:
-        return docs[doc_id]
-    except KeyError:
-        raise RetrievalError(
-            f"index refers to document {doc_id!r} that is not in the loaded document set"
-        ) from None
-
-
 @dataclass
 class PreparedQuery:
     """A query after the keyword phase: its keyword hits, the unit embedding
     the vector phase will use (``None`` when that phase does not run), or the
-    error that stopped either phase.  ``prepare_ms`` is the time spent on it,
+    error that stopped that phase.  ``prepare_ms`` is the time spent on it,
     including the whole embedding request that served it."""
 
     query: str
@@ -111,7 +102,7 @@ class PreparedQuery:
 
 
 def _keyword_phase(
-    query: str, kw_index: KeywordIndex, docs: Mapping[str, Document], config: RetrievalConfig
+    query: str, indexes: IndexBundle, config: RetrievalConfig
 ) -> list[RetrievalResult]:
     """Walk the extracted phrases in order, appending exact keyword hits
     until ``k_total`` is reached."""
@@ -120,12 +111,12 @@ def _keyword_phase(
     for phrase in extract_query_terms(query, config.max_phrase_len):
         if len(results) >= config.k_total:
             break
-        for doc_id in keyword_lookup(kw_index, phrase):
+        for doc_id in keyword_lookup(indexes.keyword, phrase):
             if doc_id in included:
                 continue
             results.append(
                 RetrievalResult(
-                    doc=_doc_for(doc_id, docs),
+                    doc=indexes.doc_map[doc_id],
                     score=1.0,
                     provenance=KEYWORD,
                     matched_phrase=phrase,
@@ -170,42 +161,37 @@ def _embed_queries(
 
 def prepare_queries(
     queries: Sequence[str],
-    kw_index: KeywordIndex,
-    vec_index: VectorIndex,
-    docs: Mapping[str, Document],
+    indexes: IndexBundle,
     embedder: Embedder,
     config: RetrievalConfig = RetrievalConfig(),
 ) -> list[PreparedQuery]:
-    """Run the keyword phase once per query, then embed the distinct queries
-    that need the vector phase, ``EMBED_BATCH_SIZE`` per request.
+    """Run the keyword phase on ``indexes`` once per query, then embed the
+    distinct queries needing the vector phase, ``EMBED_BATCH_SIZE`` per request.
 
     A query needs the vector phase when it has no keyword hits under
     ``strict_fallback``, or fewer than ``k_total`` under ``fill``, and the
     vector index is not empty; on an index embedded by another embedder it
     gets a ``RetrievalError`` instead.  Errors stay on their query.
     """
+    vec_index = indexes.vector
     prepared: list[PreparedQuery] = []
     fallback: dict[str, list[PreparedQuery]] = {}  # query -> its items needing phase 2
     for query in queries:
         started = time.perf_counter()
-        try:
-            item = PreparedQuery(query, _keyword_phase(query, kw_index, docs, config))
-        except RetrievalError as exc:
-            item = PreparedQuery(query, [], error=exc)
-        else:
-            run_vector = (
-                not item.results
-                if config.policy == POLICY_STRICT_FALLBACK
-                else len(item.results) < config.k_total
-            )
-            if run_vector and vec_index.count:
-                if embedder.embedder_id != vec_index.embedder_id:
-                    item.error = RetrievalError(
-                        f"the index was embedded by {vec_index.embedder_id!r}, not by "
-                        f"{embedder.embedder_id!r}; use that embedder or rebuild the index"
-                    )
-                else:
-                    fallback.setdefault(query, []).append(item)
+        item = PreparedQuery(query, _keyword_phase(query, indexes, config))
+        run_vector = (
+            not item.results
+            if config.policy == POLICY_STRICT_FALLBACK
+            else len(item.results) < config.k_total
+        )
+        if run_vector and vec_index.count:
+            if embedder.embedder_id != vec_index.embedder_id:
+                item.error = RetrievalError(
+                    f"the index was embedded by {vec_index.embedder_id!r}, not by "
+                    f"{embedder.embedder_id!r}; use that embedder or rebuild the index"
+                )
+            else:
+                fallback.setdefault(query, []).append(item)
         item.prepare_ms = (time.perf_counter() - started) * 1000.0
         prepared.append(item)
 
@@ -228,14 +214,12 @@ def prepare_queries(
 
 def retrieve(
     query: str,
-    kw_index: KeywordIndex,
-    vec_index: VectorIndex,
-    docs: Mapping[str, Document],
+    indexes: IndexBundle,
     embedder: Embedder,
     config: RetrievalConfig = RetrievalConfig(),
     prepared: PreparedQuery | None = None,
 ) -> list[RetrievalResult]:
-    """Run the two retrieval phases and merge, capped at ``k_total``.
+    """Run the two retrieval phases on ``indexes`` and merge, capped at ``k_total``.
 
     Phase 1 walks the extracted phrases in order and appends exact keyword
     hits.  Phase 2 embeds the full query and appends cosine top-K hits; it
@@ -248,18 +232,18 @@ def retrieve(
     here.  An error met while preparing is raised.
     """
     if prepared is None:
-        (prepared,) = prepare_queries([query], kw_index, vec_index, docs, embedder, config)
+        (prepared,) = prepare_queries([query], indexes, embedder, config)
     if prepared.error is not None:
         raise prepared.error
     results = list(prepared.results)
     if prepared.embedding is None:
         return results
     included = {result.doc.id for result in results}
-    for doc_id, score in vector_topk(vec_index, prepared.embedding, config.k_vector):
+    for doc_id, score in vector_topk(indexes.vector, prepared.embedding, config.k_vector):
         if len(results) >= config.k_total:
             break
         if doc_id in included:
             continue
-        results.append(RetrievalResult(doc=_doc_for(doc_id, docs), score=score, provenance=VECTOR))
+        results.append(RetrievalResult(indexes.doc_map[doc_id], score, VECTOR))
         included.add(doc_id)
     return results

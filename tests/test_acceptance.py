@@ -169,14 +169,7 @@ def test_criterion_5_keyword_first_fallback(data_dir):
     assert len(headwords) == 10
     for headword in headwords:
         embedder = MockEmbedder(dim=8)
-        results = retrieve(
-            f"please {headword} now",
-            bundle.keyword,
-            bundle.vector,
-            bundle.doc_map,
-            embedder,
-            config,
-        )
+        results = retrieve(f"please {headword} now", bundle, embedder, config)
         assert embedder.calls == 0, headword
         assert results and all(r.provenance == "keyword" for r in results)
 
@@ -184,9 +177,7 @@ def test_criterion_5_keyword_first_fallback(data_dir):
         for phrase in extract_query_terms(query, config.max_phrase_len):
             assert keyword_lookup(bundle.keyword, phrase) == []
         embedder = MockEmbedder(dim=8)
-        results = retrieve(
-            query, bundle.keyword, bundle.vector, bundle.doc_map, embedder, config
-        )
+        results = retrieve(query, bundle, embedder, config)
         assert embedder.calls == 1
         raw = MockEmbedder(dim=8).embed_texts([query])[0]
         unit = (np.asarray(raw) / np.linalg.norm(raw)).tolist()

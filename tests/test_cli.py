@@ -397,7 +397,7 @@ class TestTranslate:
     def test_jsonl_batch_keeps_ids(self, built_index, tmp_path, capsys):
         batch = tmp_path / "in.jsonl"
         batch.write_text(
-            '{"id": "v1", "source": "water"}\n{"id": "v2", "source": "sun"}\n',
+            '{"id": "v1", "source": "water"}\n{"id": 2, "source": "sun"}\n',
             encoding="utf-8",
         )
         out = tmp_path / "out.jsonl"
@@ -413,7 +413,33 @@ class TestTranslate:
         )
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert [r["id"] for r in records] == ["v1", "v2"]
+        assert [r["id"] for r in records] == ["v1", "2"]
+
+    @pytest.mark.parametrize(
+        "line,field",
+        [
+            ('{"id": "a", "source": null}', "'source'"),
+            ('{"id": "a", "source": ["water"]}', "'source'"),
+            ('{"id": "a", "source": 7}', "'source'"),
+            ('{"id": true, "source": "water"}', "'id'"),
+            ('{"id": null, "source": "water"}', "'id'"),
+            ('{"id": 1.5, "source": "water"}', "'id'"),
+            ('{"source": "water"}', "id and source"),
+            ('["a", "water"]', "id and source"),
+        ],
+        ids=[
+            "source-null", "source-list", "source-int", "id-bool", "id-null", "id-float",
+            "no-id", "not-object",
+        ],
+    )
+    def test_jsonl_batch_bad_field_is_exit_1(self, built_index, tmp_path, capsys, line, field):
+        batch = tmp_path / "in.jsonl"
+        batch.write_text('{"id": 1, "source": "water"}\n' + line + "\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "translate", "--index", str(built_index), "--input", str(batch)
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"lexrag: error: {batch}:2: ") and field in err
 
     def test_invalid_index_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -944,6 +970,22 @@ class TestReport:
         assert code == 65
         assert "language" in err
 
+    @pytest.mark.parametrize(
+        "row,field",
+        [
+            ('{"language": null, "model": ["m"], "bleu": 0.5}', "language"),
+            ('{"language": "x", "model": ["m"], "bleu": 0.5}', "model"),
+            ('{"language": 3, "model": "m"}', "language"),
+        ],
+        ids=["language-null", "model-list", "language-int"],
+    )
+    def test_non_string_labels_exit_65(self, tmp_path, capsys, row, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(row, encoding="utf-8")
+        code, stdout, err = run(capsys, "report", str(bad))
+        assert code == 65 and stdout == ""
+        assert err == f"lexrag: validation error: {bad}: field {field!r} must be a string\n"
+
     def test_json_passthrough_full_precision(self, data_dir, capsys):
         code, stdout, _ = run(
             capsys,
@@ -988,8 +1030,9 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize("parallel", ["0", "-2"])
-    def test_translate_parallel_below_one_is_64(self, tmp_path, capsys, parallel):
+    # The range is checked before the index is loaded or a thread started.
+    @pytest.mark.parametrize("parallel", ["0", "-2", "65", "1000000"])
+    def test_translate_parallel_out_of_range_is_64(self, tmp_path, capsys, parallel):
         batch = tmp_path / "in.txt"
         batch.write_text("water\n", encoding="utf-8")
         code, out, err = run(
@@ -997,7 +1040,7 @@ class TestUsage:
             "--parallel", parallel,
         )
         assert code == 64 and out == ""
-        assert err == "lexrag: error: --parallel must be >= 1\n"
+        assert err == "lexrag: error: --parallel must be between 1 and 64\n"
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_cli"

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lexrag.index import (
     VECTORS_HEADER,
     EmbeddingCache,
     IndexBuildError,
+    IndexBundle,
     IndexFormatError,
     IndexManifest,
     KeywordIndex,
@@ -460,10 +462,37 @@ class TestPersistence:
 
     def test_unknown_doc_id_rejected(self, tiny_docs, tmp_path):
         keyword, vector, manifest = self._build(tiny_docs)
-        keyword.entries["ghost"] = ["d:999"]
+        ghost = KeywordIndex({**keyword.entries, "ghost": ["d:999"]}, keyword.max_phrase_len)
+        with pytest.raises(IndexFormatError, match="unknown document ids"):
+            save_index(ghost, vector, manifest, tiny_docs, tmp_path / "refused")
+        assert not (tmp_path / "refused").exists()
+
         save_index(keyword, vector, manifest, tiny_docs, tmp_path)
+        (tmp_path / KEYWORD_FILE).write_text(json.dumps(ghost.entries), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="unknown document ids"):
             load_index(tmp_path)
+
+    @pytest.mark.parametrize(
+        "break_parts,message",
+        [
+            (lambda k, v, m, d: (k, v, replace(m, count=m.count + 1), d), "does not match"),
+            (lambda k, v, m, d: (k, v, replace(m, dim=m.dim + 1), d), "does not match"),
+            (lambda k, v, m, d: (k, v, replace(m, embedder_id="other"), d), "does not match"),
+            (lambda k, v, m, d: (k, v, m, d[::-1]), "do not follow the documents in order"),
+            (
+                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": ["d:999"]}), v, m, d),
+                r"unknown document ids: \['d:999'\]",
+            ),
+        ],
+        ids=["count", "dim", "embedder_id", "id_order", "dangling_id"],
+    )
+    def test_bundle_checks_each_invariant(self, tiny_docs, tmp_path, break_parts, message):
+        keyword, vector, manifest, docs = break_parts(*self._build(tiny_docs), list(tiny_docs))
+        with pytest.raises(IndexFormatError, match=message):
+            IndexBundle(keyword, vector, manifest, docs)
+        with pytest.raises(IndexFormatError, match=message):
+            save_index(keyword, vector, manifest, docs, tmp_path / "index")
+        assert not (tmp_path / "index").exists()
 
 
 @settings(max_examples=30)

@@ -7,9 +7,10 @@ import pytest
 
 from lexrag.backends import BackendError, MockEmbedder, MockGenerator
 from lexrag.corpus import Document
-from lexrag.index import IndexBundle, IndexManifest, VectorIndex, build_keyword_index
+from lexrag.index import IndexBundle, IndexManifest, KeywordIndex, VectorIndex
 from lexrag.pipeline import (
     DEFAULT_TEMPLATE,
+    MAX_PARALLELISM,
     PromptTemplate,
     assemble_prompt,
     batch_translate,
@@ -97,13 +98,13 @@ class TestAssemblePrompt:
             assemble_prompt("q", [], template)
 
 
-def _empty_vector_bundle(docs):
-    keyword = build_keyword_index(docs)
+def _empty_bundle():
+    keyword = KeywordIndex({})
     vector = VectorIndex(
         dim=8, embedder_id="mock-embed-8", ids=[], vectors=np.zeros((0, 8), dtype=np.float32)
     )
     manifest = IndexManifest.create(keyword, vector)
-    return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=list(docs))
+    return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=[])
 
 
 class TestTranslate:
@@ -121,8 +122,8 @@ class TestTranslate:
         # become glossary lines, so the output stays ᎠᎹ ᏅᏓ
         assert [r.doc.id for r in record.results] == ["d:0", "x:2", "d:1"]
 
-    def test_zero_retrievals_empty_vector_index(self, tiny_docs, mock_embedder, mock_generator):
-        bundle = _empty_vector_bundle(tiny_docs)
+    def test_zero_retrievals_empty_vector_index(self, mock_embedder, mock_generator):
+        bundle = _empty_bundle()
         record = translate(
             "nothing matches at all",
             bundle,
@@ -213,6 +214,16 @@ class TestBatchTranslate:
     def test_empty_batch_rejected(self, tiny_bundle, mock_embedder, mock_generator):
         with pytest.raises(ValueError):
             batch_translate([], tiny_bundle, mock_embedder, mock_generator)
+
+    # Checked before any thread starts, so an out-of-range value starts none.
+    @pytest.mark.parametrize("parallelism", [0, -2, MAX_PARALLELISM + 1, 1_000_000])
+    def test_parallelism_out_of_range_rejected(
+        self, tiny_bundle, mock_embedder, mock_generator, parallelism
+    ):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_PARALLELISM}"):
+            batch_translate(
+                ["water"], tiny_bundle, mock_embedder, mock_generator, parallelism=parallelism
+            )
 
 
 class _CountingEmbedder:

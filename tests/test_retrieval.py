@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from lexrag.backends import BackendError, MockEmbedder
 from lexrag.corpus import Document
-from lexrag.index import KeywordIndex, VectorIndex, normalize_keyword, vector_topk
-from lexrag.retrieval import (
-    RetrievalConfig,
-    RetrievalError,
-    extract_query_terms,
-    retrieve,
+from lexrag.index import (
+    IndexBundle,
+    IndexFormatError,
+    IndexManifest,
+    KeywordIndex,
+    VectorIndex,
+    normalize_keyword,
+    vector_topk,
 )
+from lexrag.retrieval import RetrievalConfig, extract_query_terms, retrieve
 from oracles import oracle_topk
 
 
@@ -97,36 +100,33 @@ def _dict_doc(doc_id, headword, target="t"):
     )
 
 
-def _square_setup():
+def _square_setup(keyword_entries=None):
     """Four 2-D docs: d:0 along x, d:3 at 37 degrees, d:1 along y, d:2 anti-x."""
-    docs = {
-        "d:0": _dict_doc("d:0", "water"),
-        "d:1": _dict_doc("d:1", "sun"),
-        "d:2": _dict_doc("d:2", "fire"),
-        "d:3": _dict_doc("d:3", "earth"),
-    }
-    kw = KeywordIndex(entries={"water": ["d:0"], "sun": ["d:1"]}, max_phrase_len=1)
+    docs = [
+        _dict_doc("d:0", "water"),
+        _dict_doc("d:1", "sun"),
+        _dict_doc("d:2", "fire"),
+        _dict_doc("d:3", "earth"),
+    ]
+    kw = KeywordIndex(
+        entries=keyword_entries or {"water": ["d:0"], "sun": ["d:1"]}, max_phrase_len=1
+    )
     vec = VectorIndex(
         dim=2,
         embedder_id="fixed",
-        ids=["d:0", "d:1", "d:2", "d:3"],
+        ids=[doc.id for doc in docs],
         vectors=np.array(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.8, 0.6]], dtype=np.float32
         ),
     )
-    return docs, kw, vec
+    return IndexBundle(kw, vec, IndexManifest.create(kw, vec), docs)
 
 
 class TestRetrieve:
     def test_keyword_hit_never_embeds_under_strict_fallback(self, tiny_bundle):
         embedder = MockEmbedder(dim=8)
         results = retrieve(
-            "water is good",
-            tiny_bundle.keyword,
-            tiny_bundle.vector,
-            tiny_bundle.doc_map,
-            embedder,
-            RetrievalConfig(max_phrase_len=2),
+            "water is good", tiny_bundle, embedder, RetrievalConfig(max_phrase_len=2)
         )
         assert embedder.calls == 0
         # phrase order first ("water" precedes "good"), id order within a phrase
@@ -139,14 +139,7 @@ class TestRetrieve:
     def test_zero_keyword_hits_equals_vector_topk(self, tiny_bundle, mock_embedder):
         config = RetrievalConfig(k_vector=3, k_total=8)
         query = "completely unrelated nonsense"
-        results = retrieve(
-            query,
-            tiny_bundle.keyword,
-            tiny_bundle.vector,
-            tiny_bundle.doc_map,
-            mock_embedder,
-            config,
-        )
+        results = retrieve(query, tiny_bundle, mock_embedder, config)
         raw = MockEmbedder(dim=8).embed_texts([query])[0]
         unit = (np.array(raw) / np.linalg.norm(raw)).tolist()
         expected = vector_topk(tiny_bundle.vector, unit, config.k_vector)
@@ -158,13 +151,10 @@ class TestRetrieve:
         assert [r.doc.id for r in results] == [doc_id for doc_id, _ in oracle]
 
     def test_fill_policy_merges_without_duplicates(self):
-        docs, kw, vec = _square_setup()
         embedder = _FixedQueryEmbedder([1.0, 0.0])
         results = retrieve(
             "water please",
-            kw,
-            vec,
-            docs,
+            _square_setup(),
             embedder,
             RetrievalConfig(k_vector=2, k_total=8, policy="fill", max_phrase_len=1),
         )
@@ -176,13 +166,10 @@ class TestRetrieve:
         assert results[1].score == pytest.approx(0.8, abs=1e-6)
 
     def test_strict_fallback_skips_vector_when_keywords_hit(self):
-        docs, kw, vec = _square_setup()
         embedder = _FixedQueryEmbedder([1.0, 0.0])
         results = retrieve(
             "water please",
-            kw,
-            vec,
-            docs,
+            _square_setup(),
             embedder,
             RetrievalConfig(k_vector=2, k_total=8, max_phrase_len=1),
         )
@@ -192,9 +179,7 @@ class TestRetrieve:
     def test_k_total_caps_keyword_hits(self, tiny_bundle, mock_embedder):
         results = retrieve(
             "water sun fire dog",
-            tiny_bundle.keyword,
-            tiny_bundle.vector,
-            tiny_bundle.doc_map,
+            tiny_bundle,
             mock_embedder,
             RetrievalConfig(k_vector=1, k_total=2, max_phrase_len=1),
         )
@@ -203,48 +188,20 @@ class TestRetrieve:
 
     def test_embedder_failure_only_reachable_in_fallback(self, tiny_bundle):
         embedder = _FailingEmbedder()
-        results = retrieve(
-            "water",
-            tiny_bundle.keyword,
-            tiny_bundle.vector,
-            tiny_bundle.doc_map,
-            embedder,
-            RetrievalConfig(max_phrase_len=1),
-        )
+        results = retrieve("water", tiny_bundle, embedder, RetrievalConfig(max_phrase_len=1))
         assert results  # keyword path answered, no embedding attempted
         with pytest.raises(BackendError):
-            retrieve(
-                "zxqj",
-                tiny_bundle.keyword,
-                tiny_bundle.vector,
-                tiny_bundle.doc_map,
-                embedder,
-                RetrievalConfig(max_phrase_len=1),
-            )
+            retrieve("zxqj", tiny_bundle, embedder, RetrievalConfig(max_phrase_len=1))
 
-    def test_unknown_doc_id_is_a_retrieval_error(self):
-        docs, kw, vec = _square_setup()
-        del docs["d:0"]
-        with pytest.raises(RetrievalError, match="d:0"):
-            retrieve(
-                "water",
-                kw,
-                vec,
-                docs,
-                _FixedQueryEmbedder([1.0, 0.0]),
-                RetrievalConfig(max_phrase_len=1),
-            )
+    def test_bundle_rejects_keyword_id_without_document(self):
+        # Retrieval reads doc_map[doc_id] unguarded: a bundle cannot hold a
+        # keyword id that names no document.
+        with pytest.raises(IndexFormatError, match="unknown document ids: \\['d:9'\\]"):
+            _square_setup({"water": ["d:0"], "rain": ["d:9"]})
 
     def test_deterministic(self, tiny_bundle, mock_embedder):
         config = RetrievalConfig()
-        args = (
-            "the sun and the sea",
-            tiny_bundle.keyword,
-            tiny_bundle.vector,
-            tiny_bundle.doc_map,
-            mock_embedder,
-            config,
-        )
+        args = ("the sun and the sea", tiny_bundle, mock_embedder, config)
         first = retrieve(*args)
         second = retrieve(*args)
         assert first == second
@@ -272,7 +229,7 @@ def _shared_bundle():
         from pathlib import Path
 
         from lexrag.corpus import load_dictionary, load_parallel, to_documents
-        from lexrag.index import IndexBundle, IndexManifest, build_keyword_index, build_vector_index
+        from lexrag.index import build_keyword_index, build_vector_index
 
         data = Path(__file__).parent / "data"
         docs = to_documents(
@@ -294,14 +251,7 @@ def test_no_duplicates_and_cap_property(query, fill):
     config = RetrievalConfig(
         k_vector=3, k_total=4, policy="fill" if fill else "strict_fallback"
     )
-    results = retrieve(
-        query,
-        bundle.keyword,
-        bundle.vector,
-        bundle.doc_map,
-        MockEmbedder(dim=8),
-        config,
-    )
+    results = retrieve(query, bundle, MockEmbedder(dim=8), config)
     ids = [r.doc.id for r in results]
     assert len(ids) == len(set(ids))
     assert len(ids) <= config.k_total
@@ -340,9 +290,7 @@ def keyword_phase_golden() -> list:
     batch = (Path(__file__).parent / "data" / "batch_input.txt").read_text(encoding="utf-8")
     golden = []
     for query in batch.splitlines() + NORMALIZATION_QUERIES:
-        results = retrieve(
-            query, bundle.keyword, bundle.vector, bundle.doc_map, MockEmbedder(dim=8)
-        )
+        results = retrieve(query, bundle, MockEmbedder(dim=8))
         golden.append(
             {
                 "query": query,
