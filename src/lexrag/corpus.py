@@ -26,6 +26,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -66,11 +67,14 @@ class ParallelExample:
     provenance: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     """Unified retrievable unit.  ``id`` follows from position and kind
     (``d:<seq>``, ``x:<seq>``), and ``render_text``, the text that gets
-    embedded, from the other fields."""
+    embedded, from the other fields.
+
+    A NamedTuple, so that loading builds each one at the cost of a tuple:
+    it is immutable and hashable, equals a plain tuple of the same values,
+    unpacks, and lists its field names in ``_fields``."""
 
     id: str
     kind: str
@@ -256,17 +260,23 @@ def render_example_text(source_text: str, target_text: str) -> str:
 
 _ID_PREFIX = {DICTIONARY_KIND: "d", EXAMPLE_KIND: "x"}
 
-# The arrays of docs.json, a Document's fields after its id, and what each
-# of their values must be.
+# The arrays of docs.json, a Document's fields after its id: what each of
+# their values must be, the types it may have and, for kind, the values.
 _DOC_COLUMNS = {
-    "kind": ("a document kind", lambda value: value in (DICTIONARY_KIND, EXAMPLE_KIND)),
-    "source_text": ("a string", lambda value: isinstance(value, str)),
-    "target_text": ("a string", lambda value: isinstance(value, str)),
-    "definition": ("a string or null", lambda value: value is None or isinstance(value, str)),
+    "kind": ("a document kind", {str}, {DICTIONARY_KIND, EXAMPLE_KIND}),
+    "source_text": ("a string", {str}, None),
+    "target_text": ("a string", {str}, None),
+    "definition": ("a string or null", {str, type(None)}, None),
 }
 
 
-def _positional_ids(kinds: list[str]) -> list[str]:
+def _valid_column(column: list, types: set[type], values: set | None) -> bool:
+    """Whether every value of ``column`` has one of ``types`` and, unless
+    ``values`` is None, is one of ``values``: one C-level pass each."""
+    return set(map(type, column)) <= types and (values is None or set(column) <= values)
+
+
+def _positional_ids(kinds: Sequence[str]) -> list[str]:
     """``d:<seq>`` for dictionary entries and ``x:<seq>`` for examples, with
     ``seq`` counted per kind in document order."""
     seen = dict.fromkeys(_ID_PREFIX, 0)
@@ -279,9 +289,9 @@ def _positional_ids(kinds: list[str]) -> list[str]:
     return ids
 
 
-def _documents(rows: list[tuple]) -> list[Document]:
-    ids = _positional_ids([kind for kind, *_ in rows])
-    return [Document(doc_id, *row) for doc_id, row in zip(ids, rows)]
+def _documents(columns: list[Sequence]) -> list[Document]:
+    """Documents from the columns of ``_DOC_COLUMNS``, in that order."""
+    return list(map(Document._make, zip(_positional_ids(columns[0]), *columns)))
 
 
 def to_documents(
@@ -297,7 +307,7 @@ def to_documents(
         for entry in entries
     ]
     rows += [(EXAMPLE_KIND, ex.source_text, ex.target_text, None) for ex in examples]
-    return _documents(rows)
+    return _documents(list(zip(*rows)))
 
 
 def save_documents(docs: list[Document], path: str | Path) -> None:
@@ -316,18 +326,24 @@ def save_documents(docs: list[Document], path: str | Path) -> None:
 
 def load_documents(path: str | Path) -> list[Document]:
     """Reload Documents written by :func:`save_documents`, checking the keys,
-    the array lengths and each value; ids follow from position and kind."""
+    the array lengths and each value; ids follow from position and kind.
+
+    Each column is checked in one C-level pass over its value types (and,
+    for ``kind``, its values); only a column that fails is scanned value by
+    value, for the position the error names."""
     try:
         columns = json.loads(read_utf8(Path(path)))
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(columns, dict) or columns.keys() != _DOC_COLUMNS.keys():
         raise IngestError(f"{path}: expected an object with exactly the keys {tuple(_DOC_COLUMNS)}")
-    for name, (expected, is_valid) in _DOC_COLUMNS.items():
+    for name, (expected, types, values) in _DOC_COLUMNS.items():
         column = columns[name]
         if not isinstance(column, list) or len(column) != len(columns["kind"]):
             raise IngestError(f"{path}: {name} is not an array as long as kind")
-        for position, value in enumerate(column):
-            if not is_valid(value):
-                raise IngestError(f"{path}: {name}[{position}] is not {expected}")
-    return _documents(list(zip(*(columns[name] for name in _DOC_COLUMNS))))
+        if not _valid_column(column, types, values):
+            position = next(
+                i for i, value in enumerate(column) if not _valid_column([value], types, values)
+            )
+            raise IngestError(f"{path}: {name}[{position}] is not {expected}")
+    return _documents([columns[name] for name in _DOC_COLUMNS])

@@ -37,8 +37,10 @@ Each file is checked by ``load_index``; how they fit together only by
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import math
 import struct
 import threading
 import unicodedata
@@ -143,7 +145,10 @@ def keyword_lookup(index: KeywordIndex, phrase: str) -> list[str]:
 
 @dataclass(eq=False)
 class VectorIndex:
-    """Ordered unit vectors, one float32 row per document."""
+    """Ordered unit vectors, one float32 row per document.  Construction
+    rejects a row whose norm is NaN, infinite or not within
+    ``UNIT_NORM_TOL`` of 1; the norms are summed in float64 without a
+    float64 copy of the matrix."""
 
     dim: int
     embedder_id: str
@@ -160,7 +165,7 @@ class VectorIndex:
         if len(set(self.ids)) != len(self.ids):
             raise IndexBuildError("vector index ids must be unique")
         if len(self.ids):
-            norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
             bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN too
             if bad.size:
                 raise IndexBuildError(
@@ -200,6 +205,11 @@ def cache_key(embedder_id: str, text: str) -> str:
     return digest.hexdigest()
 
 
+# What a cache line that is not an entry raises: OverflowError comes from
+# an integer too large for a float.
+_BAD_CACHE_LINE = (ValueError, KeyError, TypeError, OverflowError)
+
+
 class EmbeddingCache:
     """Append-only JSONL cache of raw embedder output, keyed by the SHA-256
     of (embedder_id, text).  Backend calls are billable and slow; the cache
@@ -207,9 +217,11 @@ class EmbeddingCache:
 
     Reads are lock-free once loaded; appends are serialized.  A crash during
     an append can leave a final line without its newline: on load, such a
-    line is kept if it parses, and otherwise dropped (with a warning) and cut
-    from the file, so the next append starts on a line of its own.  A bad
-    line anywhere else is an ``IndexFormatError``.
+    line is kept if it is an entry, and otherwise dropped (with a warning)
+    and cut from the file, so the next append starts on a line of its own.
+    A bad line anywhere else is an ``IndexFormatError``.  An entry is a
+    UTF-8 JSON object whose ``key`` is a string, ``dim`` an integer and
+    ``vector`` a list of ``dim`` finite numbers (bool is not a number here).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -224,18 +236,18 @@ class EmbeddingCache:
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
         complete = data.rfind(b"\n") + 1
-        lines = data[:complete].decode("utf-8").splitlines()
+        lines = data[:complete].splitlines()
         for lineno, line in enumerate(lines, 1):
             try:
-                self._add_line(line)
-            except (ValueError, KeyError, TypeError) as exc:
+                self._add_line(line.decode("utf-8"))
+            except _BAD_CACHE_LINE as exc:
                 raise IndexFormatError(f"{path}:{lineno}: bad cache entry: {exc}") from exc
         tail = data[complete:]
         if not tail:
             return
         try:
             self._add_line(tail.decode("utf-8"))
-        except (ValueError, KeyError, TypeError) as exc:
+        except _BAD_CACHE_LINE as exc:
             logger.warning("%s:%d: dropping torn last cache line (%s)", path, len(lines) + 1, exc)
             with path.open("r+b") as fh:
                 fh.truncate(complete)
@@ -247,10 +259,19 @@ class EmbeddingCache:
         if not line.strip():
             return
         obj = json.loads(line)
-        vector = [float(v) for v in obj["vector"]]
-        if len(vector) != int(obj["dim"]):
+        key, dim, vector = obj["key"], obj["dim"], obj["vector"]
+        if type(key) is not str:
+            raise ValueError("key must be a string")
+        if type(dim) is not int:  # rejects bool too
+            raise ValueError("dim must be an integer")
+        if type(vector) is not list or not set(map(type, vector)) <= {int, float}:
+            raise ValueError("vector must be a list of numbers")
+        if len(vector) != dim:
             raise ValueError("dim field disagrees with vector length")
-        self._entries[obj["key"]] = vector
+        vector = list(map(float, vector))
+        if not all(map(math.isfinite, vector)):  # NaN and Infinity parse as JSON
+            raise ValueError("vector must be finite")
+        self._entries[key] = vector
 
     def get(self, embedder_id: str, text: str) -> list[float] | None:
         vector = self._entries.get(cache_key(embedder_id, text))
@@ -485,6 +506,11 @@ def save_index(
     (out / MANIFEST_FILE).write_text(manifest_text, encoding="utf-8")
 
 
+# The manifest's JSON type for each IndexManifest annotation (a string in
+# this module), and its name in an error.
+_MANIFEST_TYPES = {"int": (int, "an integer"), "str": (str, "a string")}
+
+
 def load_index(index_dir: str | Path) -> IndexBundle:
     """Load an index directory written by :func:`save_index`, checking each file."""
     root = Path(index_dir)
@@ -493,12 +519,22 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         raise IndexFormatError(f"{root} is not an index directory (missing {MANIFEST_FILE})")
     try:
         raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-        casts = {"int": int, "str": str}  # by annotation, a string in this module
-        manifest = IndexManifest(
-            **{f.name: casts[f.type](raw[f.name]) for f in fields(IndexManifest)}
-        )
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        values = {f.name: raw[f.name] for f in fields(IndexManifest)}
+    except (ValueError, KeyError, TypeError) as exc:
         raise IndexFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    for f in fields(IndexManifest):
+        json_type, expected = _MANIFEST_TYPES[f.type]
+        if type(values[f.name]) is not json_type:  # rejects bool as an integer too
+            raise IndexFormatError(
+                f"{manifest_path}: malformed manifest: field {f.name!r} must be {expected}, "
+                f"got {json.dumps(values[f.name], ensure_ascii=False)}"
+            )
+    manifest = IndexManifest(**values)
+    if manifest.max_phrase_len < 1:
+        raise IndexFormatError(
+            f"{manifest_path}: malformed manifest: field 'max_phrase_len' must be at least 1, "
+            f"got {manifest.max_phrase_len}"
+        )
     if manifest.version != FORMAT_VERSION:
         raise IndexFormatError(
             f"{root}: unsupported index version {manifest.version} (expected "
@@ -509,9 +545,12 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         entries = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
-    if not isinstance(entries, dict) or not all(
-        isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-        for ids in entries.values()
+    # Each value must be a list, and each id in one a string: one C-level
+    # pass over the values, one over the ids.
+    if not (
+        isinstance(entries, dict)
+        and set(map(type, entries.values())) <= {list}
+        and set(map(type, itertools.chain.from_iterable(entries.values()))) <= {str}
     ):
         raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [ids] object")
     keyword = KeywordIndex(entries, manifest.max_phrase_len)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,10 +61,13 @@ class RetrievalConfig:
             raise ValueError("max_phrase_len must be >= 1")
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
+class RetrievalResult(NamedTuple):
     """One retrieved document with its score and provenance.  Keyword hits
-    score 1.0 (the cosine ceiling); ``matched_phrase`` is set only for them."""
+    score 1.0 (the cosine ceiling); ``matched_phrase`` is set only for them.
+
+    A NamedTuple, the cheapest immutable record to build, which a query does
+    up to ``k_total`` times: it equals a plain tuple of the same values,
+    unpacks, and lists its field names in ``_fields``."""
 
     doc: Document
     score: float
@@ -114,14 +117,7 @@ def _keyword_phase(
         for doc_id in keyword_lookup(indexes.keyword, phrase):
             if doc_id in included:
                 continue
-            results.append(
-                RetrievalResult(
-                    doc=indexes.doc_map[doc_id],
-                    score=1.0,
-                    provenance=KEYWORD,
-                    matched_phrase=phrase,
-                )
-            )
+            results.append(RetrievalResult(indexes.doc_map[doc_id], 1.0, KEYWORD, phrase))
             included.add(doc_id)
             if len(results) >= config.k_total:
                 break

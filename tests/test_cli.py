@@ -2,18 +2,31 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import struct
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexrag.backends import BackendConfig, BackendError, MockEmbedder, MockGenerator, RetryPolicy
 from lexrag.cli import AppConfig, load_config, main
-from lexrag.index import DOCS_FILE, KEYWORD_FILE, MANIFEST_FILE, VECTORS_FILE, load_index
+from lexrag.corpus import IngestError
+from lexrag.index import (
+    DOCS_FILE,
+    KEYWORD_FILE,
+    MANIFEST_FILE,
+    VECTORS_FILE,
+    IndexFormatError,
+    load_index,
+)
 from lexrag.retrieval import RetrievalConfig
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
+
+INDEX_FILES = (MANIFEST_FILE, KEYWORD_FILE, DOCS_FILE, VECTORS_FILE)
 
 
 @pytest.fixture
@@ -345,6 +358,55 @@ class TestDamagedIndex:
         assert code == 1 and out == ""
         assert err.startswith("lexrag:") and f"{DOCS_FILE}: source_text[0] is not a string" in err
         assert len(err.splitlines()) == 1
+
+    def test_any_cut_or_bit_flip_loads_or_is_exit_1(self, tmp_path, data_dir, capsys):
+        """Truncating an index file at any offset, or flipping any one of its
+        bits, leaves an index that either loads and translates (a flip inside
+        a text value, or in a vector's sign bit, can) or fails to load with an
+        index error: exit 1 and one ``lexrag:`` line."""
+        config = str(write_config(tmp_path / "lexrag.json"))
+        saved = tmp_path / "saved"
+        code, _, err = run(
+            capsys,
+            "index-build",
+            "--dict",
+            str(data_dir / "tiny_dict.jsonl"),
+            "--parallel",
+            str(data_dir / "tiny_parallel.jsonl"),
+            "--out",
+            str(saved),
+            "--config",
+            config,
+        )
+        assert code == 0, err
+
+        @settings(max_examples=400, deadline=None)
+        @given(name=st.sampled_from(INDEX_FILES), flip=st.booleans(), data=st.data())
+        def check(name, flip, data):
+            damaged = bytearray((saved / name).read_bytes())
+            if flip:
+                bit = data.draw(st.integers(0, 8 * len(damaged) - 1), label="bit")
+                damaged[bit // 8] ^= 1 << bit % 8
+            else:
+                del damaged[data.draw(st.integers(0, len(damaged)), label="cut") :]
+            target = tmp_path / "damaged"
+            shutil.copytree(saved, target, dirs_exist_ok=True)
+            (target / name).write_bytes(damaged)
+            try:
+                load_index(target)
+                loads = True
+            except (IndexFormatError, IngestError):
+                loads = False
+            code, out, err = run(
+                capsys, "translate", "--index", str(target), "--text", "water", "--config", config
+            )
+            if loads:
+                assert code == 0 and out.strip(), err
+            else:
+                assert code == 1 and out == ""
+                assert err.startswith("lexrag:") and len(err.splitlines()) == 1, err
+
+        check()
 
 
 class TestTranslate:

@@ -157,7 +157,7 @@ class TestToDocuments:
             Document("d:0", "dictionary", "sun", "ᏅᏓ", "day star"),
             Document("x:0", "example", "water is good", "ᎠᎹ ᎣᏍᏓ", None),
         ]
-        assert list(Document.__dataclass_fields__) == [
+        assert list(Document._fields) == [
             "id", "kind", "source_text", "target_text", "definition"
         ]
 

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexrag
 from lexrag.backends import MockEmbedder
 from lexrag.corpus import DictionaryEntry, IngestError, ParallelExample, to_documents
 from lexrag.index import (
@@ -30,6 +33,7 @@ from lexrag.index import (
     VectorIndex,
     build_keyword_index,
     build_vector_index,
+    cache_key,
     keyword_lookup,
     load_index,
     normalize_keyword,
@@ -394,6 +398,59 @@ class TestPartitionTopK:
             vector_topk(index, [float("nan"), 0.0], 1)
 
 
+# Runs vector_topk on seeded matrices whose full product OpenBLAS splits
+# across threads (above about 460,000 elements), with duplicate rows that
+# tie; prints one SHA-256 per call over its ids and float.hex scores.  With
+# one row more than a multiple of 16, two threads split a product of all rows
+# off an 8-row boundary, which changes the bits of some of its rows; score
+# blocks of 4,096 rows fail this test.
+_TOPK_SIZES = ((3000, 1536), (9000, 384), (20000, 64), (3001, 1536), (9001, 384), (20001, 64))
+_TOPK_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from lexrag.index import VectorIndex, vector_topk
+digests = []
+for count, dim in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((count, dim))
+    rows[count // 2 : count // 2 + 8] = rows[:8]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    ids = [f"d:{i}" for i in rng.permutation(count)]
+    index = VectorIndex(dim, "e", ids, rows.astype(np.float32))
+    for _ in range(3):
+        query = rng.standard_normal(dim)
+        query /= np.linalg.norm(query)
+        for k in (5, count + 1):
+            ranked = [(doc_id, score.hex()) for doc_id, score in vector_topk(index, query, k)]
+            digests.append(hashlib.sha256(json.dumps(ranked).encode()).hexdigest())
+json.dump(digests, sys.stdout)
+"""
+
+
+def _topk_digests(blas_threads: int) -> list[str]:
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
+        "PYTHONPATH": os.path.dirname(os.path.dirname(lexrag.__file__)),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _TOPK_SCRIPT, json.dumps(_TOPK_SIZES)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_topk_bits_do_not_depend_on_blas_threads():
+    """Each float64 score block stays below OpenBLAS's split point, so top-K
+    ids and score bits are the same on one BLAS thread and on two."""
+    one = _topk_digests(1)
+    assert len(one) == 6 * len(_TOPK_SIZES)
+    assert _topk_digests(2) == one
+
+
 class TestPersistence:
     def _build(self, tiny_docs):
         keyword = build_keyword_index(tiny_docs)
@@ -458,6 +515,33 @@ class TestPersistence:
         )
         manifest_path.write_text(text, encoding="utf-8")
         with pytest.raises(IndexFormatError, match="count"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, value, expected",
+        [
+            ("count", 13.9, "an integer, got 13.9"),
+            ("count", "13", 'an integer, got "13"'),
+            ("embedder_id", None, "a string, got null"),
+            ("embedder_id", 7, "a string, got 7"),
+            ("version", "4", 'an integer, got "4"'),
+            ("max_phrase_len", 2.5, "an integer, got 2.5"),
+            ("max_phrase_len", True, "an integer, got true"),
+        ],
+    )
+    def test_manifest_value_of_wrong_type_rejected(self, name, value, expected, tiny_docs, tmp_path):
+        keyword, vector, manifest = self._build(tiny_docs)
+        save_index(keyword, vector, manifest, tiny_docs, tmp_path)
+        path = tmp_path / MANIFEST_FILE
+        path.write_text(json.dumps({**json.loads(path.read_text()), name: value}), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == f"{path}: malformed manifest: field {name!r} must be {expected}"
+
+    def test_manifest_max_phrase_len_below_one_rejected(self, tiny_docs, tmp_path):
+        keyword, vector, manifest = self._build(tiny_docs)
+        save_index(keyword, vector, replace(manifest, max_phrase_len=0), tiny_docs, tmp_path)
+        with pytest.raises(IndexFormatError, match="'max_phrase_len' must be at least 1, got 0"):
             load_index(tmp_path)
 
     def test_unknown_doc_id_rejected(self, tiny_docs, tmp_path):
@@ -562,6 +646,85 @@ class TestEmbeddingCacheTornTail:
         path.write_bytes(path.read_bytes() + b'{"key": "abc"}\n')
         with pytest.raises(IndexFormatError, match=":3: bad cache entry"):
             EmbeddingCache(path)
+
+
+# Cache lines that are not entries, and what their error says.
+BAD_CACHE_LINES = [
+    pytest.param(
+        '{"key": "abc", "dim": "2", "vector": ["0.5", true]}',
+        "dim must be an integer",
+        id="string-dim-string-and-bool-values",
+    ),
+    pytest.param('{"key": 7, "dim": 2.9, "vector": [1, 2]}', "key must be a string", id="int-key"),
+    pytest.param(
+        '{"key": "abc", "dim": 2.0, "vector": [1, 2]}', "dim must be an integer", id="float-dim"
+    ),
+    pytest.param('{"key": "abc", "dim": true, "vector": [1]}', "dim must be an integer", id="bool-dim"),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [0.5, true]}',
+        "vector must be a list of numbers",
+        id="bool-value",
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": ["0.5", 1]}',
+        "vector must be a list of numbers",
+        id="string-value",
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 1, "vector": {"0": 1}}',
+        "vector must be a list of numbers",
+        id="object-vector",
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 1, "vector": [1' + "0" * 400 + "]}",
+        "int too large",
+        id="int-too-large-for-float",
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [NaN, 0]}', "vector must be finite", id="nan-value"
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [1e999, 0]}', "vector must be finite", id="inf-value"
+    ),
+]
+
+
+class TestEmbeddingCacheEntries:
+    """An entry's key is a string, its dim an integer and its vector a list
+    of that many finite numbers; bool is not a number here."""
+
+    @pytest.mark.parametrize("line, reason", BAD_CACHE_LINES)
+    def test_wrong_type_is_bad_entry(self, line, reason, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(IndexFormatError, match=f":1: bad cache entry: .*{reason}"):
+            EmbeddingCache(path)
+
+    @pytest.mark.parametrize("line, reason", BAD_CACHE_LINES)
+    def test_wrong_type_last_line_without_newline_dropped(self, line, reason, tmp_path, caplog):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put("e", "one", [1.0, 0.0])
+        complete = path.read_bytes()
+        path.write_bytes(complete + line.encode())
+        with caplog.at_level("WARNING", logger="lexrag.index"):
+            cache = EmbeddingCache(path)
+        assert cache.get("e", "one") == [1.0, 0.0]
+        assert f"{path}:2: dropping torn last cache line" in caplog.text
+        assert path.read_bytes() == complete
+
+    def test_non_utf8_line_is_bad_entry(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put("e", "one", [1.0, 0.0])
+        path.write_bytes(path.read_bytes() + b'{"key": "\xff"}\n')
+        with pytest.raises(IndexFormatError, match=":2: bad cache entry: 'utf-8' codec"):
+            EmbeddingCache(path)
+
+    def test_integer_values_served_as_floats(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        key = json.dumps(cache_key("e", "one"))
+        path.write_text(f'{{"key": {key}, "dim": 2, "vector": [1, -0.5]}}\n', encoding="utf-8")
+        vector = EmbeddingCache(path).get("e", "one")
+        assert vector == [1.0, -0.5] and all(type(v) is float for v in vector)
 
 
 def _saved_tiny_index(docs, out_dir):
