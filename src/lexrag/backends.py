@@ -44,6 +44,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not (self.initial_backoff_ms >= 0 and self.multiplier >= 0):
+            raise ValueError("initial_backoff_ms and multiplier must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be > 0")
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,13 @@ from .backends import (
     HttpBackend,
     MockEmbedder,
     MockGenerator,
-    RetryPolicy,
 )
 from .corpus import (
     IngestError,
+    from_json,
     iter_lines,
     load_dictionary,
+    load_json,
     load_parallel,
     read_utf8,
     split_lines,
@@ -72,54 +73,31 @@ class UsageError(Exception):
     """Bad command-line invocation (maps to exit 64)."""
 
 
-class ConfigFileError(Exception):
-    """Missing or unparsable config file (maps to exit 1)."""
-
-
 def _round3(value: float) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
-def _reject_unknown(raw: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
-
-
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-# Each config section accepts the fields of the dataclass it builds, except
-# ``retrieval.max_phrase_len``: every index records its own in its manifest.
-_HTTP_KEYS = tuple(name for name in _field_names(BackendConfig) if name != "retry")
-_RETRIEVAL_KEYS = tuple(name for name in _field_names(RetrievalConfig) if name != "max_phrase_len")
+def _load(cls, path: Path):
+    """Dataclass ``cls`` from the JSON object in ``path``; a bad value's error names the file."""
+    try:
+        return from_json(cls, load_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class BackendSettings:
+class BackendSettings(BackendConfig):
+    """The config's ``backend`` section: the HTTP settings, the provider and the mock's dim."""
+
     provider: str = "mock"
     embed_dim: int = 8
-    http: BackendConfig = field(default_factory=BackendConfig)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.provider not in ("mock", "http"):
             raise ValueError(f"backend.provider must be 'mock' or 'http', got {self.provider!r}")
         if self.embed_dim < 1:
             raise ValueError("backend.embed_dim must be >= 1")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BackendSettings":
-        """The config's ``backend`` section: ``provider``, ``embed_dim`` and
-        the fields of :class:`BackendConfig`, all at one level."""
-        _reject_unknown(raw, ("provider", "embed_dim", *_field_names(BackendConfig)), "backend")
-        retry_raw = raw.get("retry", {})
-        _reject_unknown(retry_raw, _field_names(RetryPolicy), "backend.retry")
-        http_kwargs = {key: raw[key] for key in _HTTP_KEYS if key in raw}
-        if retry_raw:
-            http_kwargs["retry"] = RetryPolicy(**retry_raw)
-        own = {key: raw[key] for key in ("provider", "embed_dim") if key in raw}
-        return cls(**own, http=BackendConfig(**http_kwargs))
 
 
 @dataclass(frozen=True)
@@ -142,47 +120,25 @@ class AppConfig:
             return DEFAULT_TEMPLATE
         path = Path(self.template)
         if not path.is_file():
-            raise ConfigFileError(f"template file not found: {path}")
-        return PromptTemplate.from_file(path)
+            raise IngestError(f"template file not found: {path}")
+        return _load(PromptTemplate, path)
 
 
 def load_config(path: str | None) -> AppConfig:
     """Read the JSON config; an explicitly given path must exist, while a
     missing default path silently falls back to built-in defaults."""
-    explicit = path is not None
     config_path = Path(path or DEFAULT_CONFIG_PATH)
     if not config_path.is_file():
-        if explicit:
-            raise ConfigFileError(f"config file not found: {config_path}")
+        if path is not None:
+            raise IngestError(f"config file not found: {config_path}")
         return AppConfig()
-    try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigFileError(f"{config_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{config_path}: config must be a JSON object")
-    _reject_unknown(raw, _field_names(AppConfig), "config")
-    retrieval_raw = raw.get("retrieval", {})
-    backend_raw = raw.get("backend", {})
-    for name, section in (("retrieval", retrieval_raw), ("backend", backend_raw)):
-        if not isinstance(section, dict):
-            raise ValueError(f"{config_path}: {name} must be a JSON object")
-    _reject_unknown(retrieval_raw, _RETRIEVAL_KEYS, "retrieval")
-    try:
-        sections = {
-            "backend": BackendSettings.from_dict(backend_raw),
-            "retrieval": RetrievalConfig(**retrieval_raw),
-            "tokenize": TokenizationPolicy(raw.get("tokenize", "whitespace")),
-        }
-        return AppConfig(**{**raw, **sections})
-    except TypeError as exc:
-        raise ValueError(f"{config_path}: invalid config value: {exc}") from exc
+    return _load(AppConfig, config_path)
 
 
 def make_backends(settings: BackendSettings) -> tuple[Embedder, Generator]:
     if settings.provider == "mock":
         return MockEmbedder(settings.embed_dim), MockGenerator()
-    client = HttpBackend(settings.http)
+    client = HttpBackend(settings)
     return client, client
 
 
@@ -361,7 +317,7 @@ REPORT_COLUMNS = (
 )
 # What ``evaluate`` and ``humaneval`` write, in the key order merged rows keep.
 _REPORT_FIELDS = (
-    *(name for name in _field_names(MetricReport) if name != "n_sentences"),
+    *(f.name for f in fields(MetricReport) if f.name != "n_sentences"),
     "human_eval",
     "n_sentences",
 )
@@ -383,10 +339,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = Path(file_name)
         if not path.is_file():
             raise IngestError(f"metrics file not found: {path}")
-        try:
-            data = json.loads(read_utf8(path))
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+        data = load_json(path)
         rows = data if isinstance(data, list) else [data]
         for row in rows:
             if not isinstance(row, dict) or "language" not in row or "model" not in row:
@@ -502,14 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"lexrag: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (
-        ConfigFileError,
-        IngestError,
-        IndexFormatError,
-        OSError,
-        UnicodeDecodeError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (IngestError, IndexFormatError, OSError) as exc:
         print(f"lexrag: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, IndexBuildError, RetrievalError) as exc:

@@ -21,10 +21,14 @@ one JSON object of per-field arrays; ids are positional.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import sys
+import typing
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -120,6 +124,65 @@ def read_utf8(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def load_json(path: Path):
+    """The parsed JSON of a UTF-8 file; a decode or syntax error names the file."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+
+
+# The scalar annotations from_json reads: the JSON value types each takes, and their name.
+_JSON_TYPES = {
+    int: ({int}, "an integer"),
+    float: ({int, float}, "a finite number"),
+    str: ({str}, "a string"),
+    str | None: ({str, type(None)}, "a string or null"),
+}
+
+
+@functools.cache
+def _json_fields(cls) -> tuple[dict, list[str]]:
+    """The JSON keys of dataclass ``cls`` with their annotations, and those without a default."""
+    hints = typing.get_type_hints(cls)
+    keys = [f for f in fields(cls) if f.metadata.get("json", True)]
+    required = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING]
+    return {f.name: hints[f.name] for f in keys}, required
+
+
+def from_json(kind, value, path: str = ""):
+    """Parsed JSON ``value`` as a ``kind``.  A dataclass takes an object whose
+    keys name fields (not those with metadata ``{"json": False}``) and hold
+    every field without a default, each read by its annotation: an ``int``
+    takes an integer (not a bool), a ``float`` a finite number, a ``str`` a
+    string, a ``str | None`` a string or null and an enum one of its values.
+    Else ``ValueError`` names the key path (``path`` is that of ``value``) and
+    shows the value as ASCII JSON, so on one line: ``field 'a.b' must be an integer, got 2.5``."""
+    if is_dataclass(kind):
+        if isinstance(value, dict):
+            kinds, required = _json_fields(kind)
+            prefix = f"{path}." if path else ""
+            for key in [*value, *required]:
+                if key not in kinds:
+                    raise ValueError(f"unknown key {prefix + key!r}")
+                if key not in value:
+                    raise ValueError(f"missing field {prefix + key!r}")
+            return kind(**{k: from_json(kinds[k], v, prefix + k) for k, v in value.items()})
+        if not path:
+            raise ValueError("must be a JSON object")
+        expected = "an object"
+    elif isinstance(kind, type) and issubclass(kind, Enum):
+        options = [member.value for member in kind]
+        if type(value) is str and value in options:
+            return kind(value)
+        expected = "one of " + ", ".join(map(repr, options))
+    else:
+        types, expected = _JSON_TYPES[kind]
+        if type(value) in types and (kind is not float or abs(value) <= sys.float_info.max):
+            return float(value) if kind is float else value  # not NaN or infinite
+    raise ValueError(f"field {path!r} must be {expected}, got {json.dumps(value)}")
 
 
 def split_lines(text: str) -> list[str]:
@@ -331,10 +394,7 @@ def load_documents(path: str | Path) -> list[Document]:
     Each column is checked in one C-level pass over its value types (and,
     for ``kind``, its values); only a column that fails is scanned value by
     value, for the position the error names."""
-    try:
-        columns = json.loads(read_utf8(Path(path)))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
+    columns = load_json(Path(path))
     if not isinstance(columns, dict) or columns.keys() != _DOC_COLUMNS.keys():
         raise IngestError(f"{path}: expected an object with exactly the keys {tuple(_DOC_COLUMNS)}")
     for name, (expected, types, values) in _DOC_COLUMNS.items():

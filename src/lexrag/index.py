@@ -44,7 +44,7 @@ import math
 import struct
 import threading
 import unicodedata
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,7 +52,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .backends import Embedder
-from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, load_documents, save_documents
+from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, from_json
+from .corpus import load_documents, save_documents
 
 logger = logging.getLogger(__name__)
 
@@ -185,7 +186,7 @@ class IndexManifest:
     embedder_id: str
     created_at: str
     max_phrase_len: int
-    version: int = FORMAT_VERSION
+    version: int
 
     @classmethod
     def create(cls, keyword: KeywordIndex, vector: VectorIndex) -> "IndexManifest":
@@ -195,6 +196,7 @@ class IndexManifest:
             embedder_id=vector.embedder_id,
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             max_phrase_len=keyword.max_phrase_len,
+            version=FORMAT_VERSION,
         )
 
 
@@ -506,11 +508,6 @@ def save_index(
     (out / MANIFEST_FILE).write_text(manifest_text, encoding="utf-8")
 
 
-# The manifest's JSON type for each IndexManifest annotation (a string in
-# this module), and its name in an error.
-_MANIFEST_TYPES = {"int": (int, "an integer"), "str": (str, "a string")}
-
-
 def load_index(index_dir: str | Path) -> IndexBundle:
     """Load an index directory written by :func:`save_index`, checking each file."""
     root = Path(index_dir)
@@ -518,18 +515,9 @@ def load_index(index_dir: str | Path) -> IndexBundle:
     if not manifest_path.is_file():
         raise IndexFormatError(f"{root} is not an index directory (missing {MANIFEST_FILE})")
     try:
-        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-        values = {f.name: raw[f.name] for f in fields(IndexManifest)}
-    except (ValueError, KeyError, TypeError) as exc:
+        manifest = from_json(IndexManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
+    except ValueError as exc:  # a decode or JSON syntax error too
         raise IndexFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
-    for f in fields(IndexManifest):
-        json_type, expected = _MANIFEST_TYPES[f.type]
-        if type(values[f.name]) is not json_type:  # rejects bool as an integer too
-            raise IndexFormatError(
-                f"{manifest_path}: malformed manifest: field {f.name!r} must be {expected}, "
-                f"got {json.dumps(values[f.name], ensure_ascii=False)}"
-            )
-    manifest = IndexManifest(**values)
     if manifest.max_phrase_len < 1:
         raise IndexFormatError(
             f"{manifest_path}: malformed manifest: field 'max_phrase_len' must be at least 1, "

@@ -8,12 +8,11 @@ headers, and rendering is byte-deterministic so prompts can be golden-tested.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from string import Formatter
+from typing import Sequence
 
 from .backends import BackendError, Embedder, Generator
 from .corpus import DICTIONARY_KIND, EXAMPLE_KIND
@@ -31,11 +30,19 @@ from .retrieval import (
 # one thread per input line can exhaust the process's threads.
 MAX_PARALLELISM = 64
 
+# The placeholders that assemble_prompt fills in each format field of a template.
+_PLACEHOLDERS = {
+    "preamble": ("source_lang", "target_lang"),
+    "glossary_line_format": ("headword", "target"),
+    "example_line_format": ("source", "target"),
+    "directive": ("source_lang", "target_lang"),
+}
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Text building blocks for the augmented prompt.  ``preamble`` and
-    ``directive`` may use the placeholders {source_lang} and {target_lang}."""
+    """Text building blocks for the augmented prompt.  Construction checks that
+    each format field uses only the placeholders ``_PLACEHOLDERS`` gives it."""
 
     preamble: str = (
         "You are a careful translator working from {source_lang} into {target_lang}. "
@@ -50,28 +57,22 @@ class PromptTemplate:
         "Output only the translation."
     )
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, str]) -> "PromptTemplate":
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown template fields: {sorted(unknown)}")
-        if not all(isinstance(v, str) for v in raw.values()):
-            raise ValueError("template fields must be strings")
-        return cls(**raw)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PromptTemplate":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    def __post_init__(self) -> None:
+        # A placeholder nested in a format spec could make the spec valid for
+        # one value and not for another, so it is refused too.
+        for name, allowed in _PLACEHOLDERS.items():
+            text = getattr(self, name)
+            try:
+                for _, placeholder, spec, _ in Formatter().parse(text):
+                    if placeholder is not None and (placeholder not in allowed or "{" in spec):
+                        shown = f"{placeholder}:{spec}" if spec else placeholder
+                        raise ValueError(f"{{{shown}}} is not one of {allowed}")
+                text.format(**dict(zip(allowed, allowed)))  # a bad spec or conversion
+            except ValueError as exc:
+                raise ValueError(f"template field {name!r}: {exc}") from exc
 
 
 DEFAULT_TEMPLATE = PromptTemplate()
-
-
-def _fill(text: str, source_lang: str, target_lang: str) -> str:
-    try:
-        return text.format(source_lang=source_lang, target_lang=target_lang)
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"template references unknown placeholder: {exc}") from exc
 
 
 def assemble_prompt(
@@ -97,12 +98,13 @@ def assemble_prompt(
         for r in results
         if r.doc.kind == EXAMPLE_KIND
     ]
-    blocks = [_fill(template.preamble, source_lang, target_lang)]
+    langs = {"source_lang": source_lang, "target_lang": target_lang}
+    blocks = [template.preamble.format(**langs)]
     if glossary_lines:
         blocks.append("\n".join([template.glossary_header, *glossary_lines]))
     if example_lines:
         blocks.append("\n".join([template.example_header, *example_lines]))
-    blocks.append(_fill(template.directive, source_lang, target_lang) + "\n" + query)
+    blocks.append(template.directive.format(**langs) + "\n" + query)
     return "\n\n".join(blocks)
 
 

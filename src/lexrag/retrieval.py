@@ -15,7 +15,7 @@ whose construction checked that every id either index yields has a document.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ class RetrievalConfig:
     k_vector: int = 5
     k_total: int = 8
     policy: str = POLICY_STRICT_FALLBACK
-    max_phrase_len: int = 4
+    max_phrase_len: int = field(default=4, metadata={"json": False})  # each index records its own
 
     def __post_init__(self) -> None:
         for name in ("k_vector", "k_total", "max_phrase_len"):

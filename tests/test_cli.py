@@ -1065,21 +1065,235 @@ def _names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
+def _readme_sample_config() -> str:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeConfig:
     def test_sample_config_loads_and_lists_every_key(self, tmp_path):
-        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-        section = readme.split("## Configuration", 1)[1]
-        sample = section.split("```json\n", 1)[1].split("```", 1)[0]
+        sample = _readme_sample_config()
         path = tmp_path / "lexrag.json"
         path.write_text(sample, encoding="utf-8")
         config = load_config(str(path))
-        assert config.retrieval.k_total == 8 and config.backend.http.retry.max_attempts == 3
+        assert config.retrieval.k_total == 8 and config.backend.retry.max_attempts == 3
 
         raw = json.loads(sample)
         assert set(raw) == _names(AppConfig)
         assert set(raw["backend"]) == {"provider", "embed_dim"} | _names(BackendConfig)
         assert set(raw["backend"]["retry"]) == _names(RetryPolicy)
         assert set(raw["retrieval"]) == _names(RetrievalConfig) - {"max_phrase_len"}
+
+
+_NEGATIVE_BACKOFF = "initial_backoff_ms and multiplier must be >= 0"
+
+
+class TestConfigValues:
+    """A config value of the wrong type or out of range fails at load, before
+    any index or request: exit 65 with one line naming the file and the key."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"template": 5}, "field 'template' must be a string or null, got 5"),
+            ({"index_dir": 5}, "field 'index_dir' must be a string or null, got 5"),
+            ({"backend": {"base_url": 5}}, "field 'backend.base_url' must be a string, got 5"),
+            (
+                {"backend": {"api_key_env": 5}},
+                "field 'backend.api_key_env' must be a string, got 5",
+            ),
+            (
+                {"backend": {"timeout_s": "1"}},
+                'field \'backend.timeout_s\' must be a finite number, got "1"',
+            ),
+            (
+                {"backend": {"timeout_s": float("inf")}},
+                "field 'backend.timeout_s' must be a finite number, got Infinity",
+            ),
+            (
+                {"backend": {"provider": "http", "retry": {"max_attempts": 2.5}}},
+                "field 'backend.retry.max_attempts' must be an integer, got 2.5",
+            ),
+            (
+                {"backend": {"embed_dim": 2.5}},
+                "field 'backend.embed_dim' must be an integer, got 2.5",
+            ),
+            (
+                {"backend": {"embed_dim": True}},
+                "field 'backend.embed_dim' must be an integer, got true",
+            ),
+            (
+                {"backend": {"max_in_flight": 2.5}},
+                "field 'backend.max_in_flight' must be an integer, got 2.5",
+            ),
+            (
+                {"tokenize": "words"},
+                'field \'tokenize\' must be one of \'whitespace\', \'codepoint\', got "words"',
+            ),
+            ({"retrieval": [5]}, "field 'retrieval' must be an object, got [5]"),
+            ({"backend": {"retry": {"tries": 2}}}, "unknown key 'backend.retry.tries'"),
+            ([], "must be a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["translate", "index-build"])
+    def test_wrong_type_is_exit_65(self, command, config, message, tmp_path, data_dir, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        if command == "translate":
+            argv = ["--index", str(tmp_path / "no-index"), "--text", "water"]
+        else:
+            argv = ["--dict", str(data_dir / "tiny_dict.jsonl"), "--out", str(tmp_path / "idx")]
+        code, out, err = run(capsys, command, *argv, "--config", str(path))
+        assert (code, out) == (65, "")
+        assert err == f"lexrag: validation error: {path}: {message}\n"
+        assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            ({"retry": {"initial_backoff_ms": -100}}, _NEGATIVE_BACKOFF),
+            ({"retry": {"multiplier": -1}}, _NEGATIVE_BACKOFF),
+            ({"timeout_s": -1}, "timeout_s must be > 0"),
+            ({"timeout_s": 0}, "timeout_s must be > 0"),
+        ],
+    )
+    def test_out_of_range_backend_value_fails_before_any_request(
+        self, backend, message, built_index, tmp_path, capsys, monkeypatch
+    ):
+        def no_request(*args):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr("lexrag.backends.HttpBackend._send", no_request)
+        path = write_config(
+            tmp_path / "cfg.json",
+            backend={"provider": "http", "base_url": "http://127.0.0.1:9", **backend},
+        )
+        argv = ("translate", "--index", str(built_index), "--text", "water", "--config", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err == f"lexrag: validation error: {path}: {message}\n"
+
+    def test_any_damaged_config_exits_with_a_documented_code(self, built_index, tmp_path, capsys):
+        """The README sample config (with the mock provider), with one value
+        or section replaced by another JSON value, cut at any offset, or with
+        a 0xff byte inserted: ``translate`` returns 0, 1, 2, 64 or 65 and never
+        raises, and a failure prints exactly one ``lexrag:`` line."""
+        base = json.loads(_readme_sample_config())
+        assert base["backend"]["provider"] == "mock"
+        (tmp_path / base["template"]).write_text("{}", encoding="utf-8")
+        key_paths = [(section,) for section in base] + [
+            (section, *inner)
+            for section, value in base.items()
+            if isinstance(value, dict)
+            for inner in [(key,) for key in value]
+            + [(key, leaf) for key, sub in value.items() if isinstance(sub, dict) for leaf in sub]
+        ]
+        # Never "http", so that no request is sent.
+        text = st.text(max_size=6).filter(lambda s: s != "http")
+        leaf = st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-(2**70), 2**70),
+            st.floats(),
+            st.sampled_from([math.nan, math.inf, -math.inf, 1e308]),
+            text,
+        )
+        json_value = st.recursive(
+            leaf,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+            max_leaves=6,
+        )
+        path = tmp_path / "lexrag.json"
+        argv = ("translate", "--index", str(built_index), "--text", "water", "--config", str(path))
+        path.write_text(json.dumps(base), encoding="utf-8")
+        assert run(capsys, *argv)[:2] == (0, "ᎠᎹ\n")
+
+        @settings(max_examples=300, deadline=None)
+        @given(damage=st.sampled_from(["replace", "cut", "0xff"]), data=st.data())
+        def check(damage, data):
+            raw = json.dumps(base).encode()
+            if damage == "replace":
+                config = json.loads(raw)
+                *parents, key = data.draw(st.sampled_from(key_paths), label="key path")
+                section = config
+                for parent in parents:
+                    section = section[parent]
+                section[key] = data.draw(json_value, label="value")
+                raw = json.dumps(config).encode()
+            else:
+                offset = data.draw(st.integers(0, len(raw)), label="offset")
+                raw = raw[:offset] + (b"\xff" + raw[offset:] if damage == "0xff" else b"")
+            path.write_bytes(raw)
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 64, 65)
+            if code:
+                assert err.startswith("lexrag:") and len(err.splitlines()) == 1, err
+
+        check()
+
+
+class TestTemplateFile:
+    """A template file is read and checked once, before any query."""
+
+    def _translate(self, capsys, built_index, tmp_path, mode, content):
+        template = tmp_path / "template.json"
+        template.write_bytes(content)
+        config = write_config(tmp_path / "cfg.json", template=str(template))
+        if mode == "--text":
+            query = ["--text", "water"]
+        else:
+            (tmp_path / "in.txt").write_text("water\nsun\n", encoding="utf-8")
+            query = ["--input", str(tmp_path / "in.txt")]
+        code, out, err = run(
+            capsys, "translate", "--index", str(built_index), *query, "--config", str(config)
+        )
+        return template, code, out, err
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("glossary_line_format", "{nope}", "{nope} is not one of ('headword', 'target')"),
+            ("example_line_format", "{0}", "{0} is not one of ('source', 'target')"),
+            (
+                "preamble",
+                "{source_lang.x}",
+                "{source_lang.x} is not one of ('source_lang', 'target_lang')",
+            ),
+            (
+                "glossary_line_format",
+                "{headword:{target}}",
+                "{headword:{target}} is not one of ('headword', 'target')",
+            ),
+            ("directive", "{target_lang:d}", "Unknown format code 'd' for object of type 'str'"),
+            ("directive", "{target_lang", "expected '}' before end of string"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["--text", "--input"])
+    def test_bad_placeholder_is_exit_65(
+        self, mode, name, value, message, built_index, tmp_path, capsys
+    ):
+        content = json.dumps({name: value}).encode()
+        template, code, out, err = self._translate(capsys, built_index, tmp_path, mode, content)
+        assert (code, out) == (65, "")
+        assert err == f"lexrag: validation error: {template}: template field {name!r}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "content, code, message",
+        [
+            (b'{"preamble": "x', 1, "invalid JSON: Unterminated string"),
+            (b'{"preamble": "\xff"}', 1, "is not valid UTF-8"),
+            (b'["x"]', 65, "must be a JSON object"),
+            (b'{"preamble": 5}', 65, "field 'preamble' must be a string, got 5"),
+        ],
+    )
+    def test_unreadable_template_names_the_file(
+        self, content, code, message, built_index, tmp_path, capsys
+    ):
+        template, got, out, err = self._translate(capsys, built_index, tmp_path, "--text", content)
+        assert (got, out) == (code, "")
+        assert err.startswith(f"lexrag: {'error' if code == 1 else 'validation error'}: {template}")
+        assert message in err and err.count("\n") == 1
 
 
 class TestUsage:
@@ -1199,8 +1413,9 @@ class TestNonUtf8Files:
             ("evaluate", "--hyp", "{good}", "--ref", "{bad}"),
             ("humaneval", "--scores", "{bad}"),
             ("report", "{bad}"),
+            ("evaluate", "--hyp", "{good}", "--ref", "{good}", "--config", "{bad}"),
         ],
-        ids=["evaluate", "humaneval", "report"],
+        ids=["evaluate", "humaneval", "report", "config"],
     )
     def test_names_the_file(self, argv, tmp_path, capsys):
         good = tmp_path / "good.txt"

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import unicodedata
+from dataclasses import dataclass, field
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from lexrag.corpus import (
     Document,
     IngestError,
     ParallelExample,
+    from_json,
     load_dictionary,
     load_documents,
     load_parallel,
@@ -311,3 +315,57 @@ class TestDocumentRoundTrip:
         path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.update(kind="example"))
         with pytest.raises(IngestError, match=r"docs\.json: kind is not an array as long"):
             load_documents(path)
+
+
+class _Color(Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    count: int
+    ratio: float = 1.0
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    name: str | None = None
+    color: _Color = _Color.RED
+    hidden: int = field(default=0, metadata={"json": False})
+
+
+class TestFromJson:
+    """from_json reads a dataclass by its annotations, naming the key path."""
+
+    def test_values_of_each_type(self):
+        raw = {"inner": {"count": 2**70, "ratio": 3}, "name": None, "color": "red"}
+        outer = from_json(_Outer, raw)
+        assert outer == _Outer(_Inner(2**70, 3.0), None, _Color.RED)
+        assert type(outer.inner.ratio) is float
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"inner": {"count": True}}, "field 'inner.count' must be an integer, got true"),
+            ({"inner": {"count": 1.0}}, "field 'inner.count' must be an integer, got 1.0"),
+            ({"inner": {"count": 1, "ratio": False}}, "'inner.ratio' must be a finite number"),
+            ({"inner": {"count": 1, "ratio": math.nan}}, "must be a finite number, got NaN"),
+            ({"inner": {"count": 1, "ratio": -math.inf}}, "must be a finite number, got -Infinity"),
+            ({"inner": {"count": 1, "ratio": 10**400}}, "'inner.ratio' must be a finite number"),
+            ({"inner": {"count": 1}, "name": 5}, "field 'name' must be a string or null, got 5"),
+            ({"inner": {"count": 1}, "color": "RED"}, "field 'color' must be one of 'red'"),
+            ({"inner": {"count": 1}, "color": ["red"]}, "must be one of 'red', got [\"red\"]"),
+            ({"inner": {"count": 1}, "name": ["\u2028"]}, "got [\"\\u2028\"]"),
+            ({"inner": {"count": 1}, "hidden": 1}, "unknown key 'hidden'"),
+            ({"inner": {"count": 1, "size": 2}}, "unknown key 'inner.size'"),
+            ({"inner": {}}, "missing field 'inner.count'"),
+            ({}, "missing field 'inner'"),
+            ({"inner": "x"}, "field 'inner' must be an object, got \"x\""),
+            (["inner"], "must be a JSON object"),
+        ],
+    )
+    def test_rejects(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            from_json(_Outer, raw)
+        assert message in str(info.value)

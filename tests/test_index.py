@@ -538,6 +538,24 @@ class TestPersistence:
             load_index(tmp_path)
         assert str(info.value) == f"{path}: malformed manifest: field {name!r} must be {expected}"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: {**m, "shards": 2}, "unknown key 'shards'"),
+            (lambda m: {k: v for k, v in m.items() if k != "version"}, "missing field 'version'"),
+            (lambda m: [m], "must be a JSON object"),
+        ],
+        ids=["unknown", "missing", "array"],
+    )
+    def test_manifest_keys_must_be_its_fields(self, edit, message, tiny_docs, tmp_path):
+        keyword, vector, manifest = self._build(tiny_docs)
+        save_index(keyword, vector, manifest, tiny_docs, tmp_path)
+        path = tmp_path / MANIFEST_FILE
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == f"{path}: malformed manifest: {message}"
+
     def test_manifest_max_phrase_len_below_one_rejected(self, tiny_docs, tmp_path):
         keyword, vector, manifest = self._build(tiny_docs)
         save_index(keyword, vector, replace(manifest, max_phrase_len=0), tiny_docs, tmp_path)

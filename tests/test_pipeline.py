@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lexrag.backends import BackendError, MockEmbedder, MockGenerator
-from lexrag.corpus import Document
+from lexrag.corpus import Document, from_json
 from lexrag.index import IndexBundle, IndexManifest, KeywordIndex, VectorIndex
 from lexrag.pipeline import (
     DEFAULT_TEMPLATE,
@@ -88,14 +88,13 @@ class TestAssemblePrompt:
         assert "from English into Tibetan" in prompt
         assert "into Tibetan." in prompt
 
-    def test_template_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown template fields"):
-            PromptTemplate.from_dict({"preamble": "x", "surprise": "y"})
+    def test_template_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unknown key 'surprise'"):
+            from_json(PromptTemplate, {"preamble": "x", "surprise": "y"})
 
     def test_template_unknown_placeholder(self):
-        template = PromptTemplate(preamble="Hello {nope}")
-        with pytest.raises(ValueError, match="placeholder"):
-            assemble_prompt("q", [], template)
+        with pytest.raises(ValueError, match=r"'preamble': \{nope\} is not one of"):
+            PromptTemplate(preamble="Hello {nope}")
 
 
 def _empty_bundle():
