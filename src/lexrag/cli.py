@@ -95,9 +95,9 @@ class BackendSettings(BackendConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.provider not in ("mock", "http"):
-            raise ValueError(f"backend.provider must be 'mock' or 'http', got {self.provider!r}")
+            raise ValueError(f"provider must be 'mock' or 'http', got {self.provider!r}")
         if self.embed_dim < 1:
-            raise ValueError("backend.embed_dim must be >= 1")
+            raise ValueError("embed_dim must be >= 1")
 
 
 @dataclass(frozen=True)

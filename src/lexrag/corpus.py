@@ -127,10 +127,11 @@ def read_utf8(path: Path) -> str:
 
 
 def load_json(path: Path):
-    """The parsed JSON of a UTF-8 file; a decode or syntax error names the file."""
+    """The parsed JSON of a UTF-8 file; a decode or syntax error, or an
+    integer over Python's digit limit, names the file."""
     try:
         return json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or the int-digit limit
         raise IngestError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -159,7 +160,9 @@ def from_json(kind, value, path: str = ""):
     takes an integer (not a bool), a ``float`` a finite number, a ``str`` a
     string, a ``str | None`` a string or null and an enum one of its values.
     Else ``ValueError`` names the key path (``path`` is that of ``value``) and
-    shows the value as ASCII JSON, so on one line: ``field 'a.b' must be an integer, got 2.5``."""
+    shows the value as ASCII JSON, so on one line: ``field 'a.b' must be an integer, got 2.5``.
+    A ``ValueError`` from the dataclass itself (a value out of range) gets
+    the object's key path as a prefix: ``a: b must be >= 1``."""
     if is_dataclass(kind):
         if isinstance(value, dict):
             kinds, required = _json_fields(kind)
@@ -169,7 +172,13 @@ def from_json(kind, value, path: str = ""):
                     raise ValueError(f"unknown key {prefix + key!r}")
                 if key not in value:
                     raise ValueError(f"missing field {prefix + key!r}")
-            return kind(**{k: from_json(kinds[k], v, prefix + k) for k, v in value.items()})
+            kwargs = {k: from_json(kinds[k], v, prefix + k) for k, v in value.items()}
+            try:
+                return kind(**kwargs)
+            except ValueError as exc:
+                if not path:
+                    raise
+                raise ValueError(f"{path}: {exc}") from exc
         if not path:
             raise ValueError("must be a JSON object")
         expected = "an object"

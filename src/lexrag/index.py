@@ -17,21 +17,23 @@ Index directory layout::
 
     manifest.json       the fields of IndexManifest: dim / count / embedder_id /
                         created_at / max_phrase_len / version
-    keyword_index.json  normalized phrase -> array of document ids, compact
+    keyword_index.json  normalized phrase -> ascending array of document
+                        positions (indexes into docs.json), compact
     docs.json           arrays kind / source_text / target_text / definition,
                         one value per document; no ids or render texts
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=4), dim u32,
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=5), dim u32,
 count u64, then ``count × dim`` float32 values, one row per document in
 ``docs.json`` order.
 
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
 leaves a directory that ``load_index`` rejects, never one that loads.
-Each file is checked by ``load_index``; how they fit together only by
-:class:`IndexBundle`, which ``save_index`` builds before writing anything.
+Each file is checked by ``load_index``; the keyword postings, and how the
+files fit together, only by :class:`IndexBundle`, which ``save_index``
+builds before writing anything.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .corpus import load_documents, save_documents
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 4  # of both manifest.json and the vectors.bin header
+FORMAT_VERSION = 5  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
@@ -102,15 +104,16 @@ def normalize_keyword(text: str) -> str:
 
 @dataclass
 class KeywordIndex:
-    """Exact-match mapping from normalized phrase to sorted document ids."""
+    """Exact-match mapping from normalized phrase to ascending document
+    positions: indexes into the documents, as saved in ``docs.json``."""
 
-    entries: dict[str, list[str]]
+    entries: dict[str, list[int]]
     max_phrase_len: int = MAX_PHRASE_LEN
 
 
 def build_keyword_index(docs: Sequence[Document]) -> KeywordIndex:
     """Index dictionary documents under their normalized headword and example
-    documents under each source-text unigram.
+    documents under each source-text unigram, by position in ``docs``.
 
     ``max_phrase_len`` records the longest indexed phrase, capped at
     ``MAX_PHRASE_LEN``; longer headwords are still indexed and remain exact-
@@ -118,11 +121,9 @@ def build_keyword_index(docs: Sequence[Document]) -> KeywordIndex:
     """
     if not docs:
         raise ValueError("cannot build a keyword index from zero documents")
-    if len({doc.id for doc in docs}) != len(docs):
-        raise ValueError("document ids must be unique")
-    mapping: dict[str, set[str]] = {}
+    mapping: dict[str, set[int]] = {}
     longest = 0
-    for doc in docs:
+    for position, doc in enumerate(docs):
         if doc.kind == DICTIONARY_KIND:
             phrases: Iterable[str] = [normalize_keyword(doc.source_text)]
         else:
@@ -131,16 +132,16 @@ def build_keyword_index(docs: Sequence[Document]) -> KeywordIndex:
             if not phrase:
                 continue
             longest = max(longest, len(phrase.split()))
-            mapping.setdefault(phrase, set()).add(doc.id)
-    entries = {phrase: sorted(ids) for phrase, ids in mapping.items()}
+            mapping.setdefault(phrase, set()).add(position)
+    entries = {phrase: sorted(positions) for phrase, positions in mapping.items()}
     return KeywordIndex(entries=entries, max_phrase_len=min(max(longest, 1), MAX_PHRASE_LEN))
 
 
-def keyword_lookup(index: KeywordIndex, phrase: str) -> list[str]:
-    """Exact lookup of an already normalized phrase; misses yield an empty
-    list.  The index keys and the phrases of ``extract_query_terms`` are both
-    ``normalize_keyword`` outputs, so a query is normalized once and each of
-    its n-grams is looked up as it is."""
+def keyword_lookup(index: KeywordIndex, phrase: str) -> list[int]:
+    """Exact lookup of an already normalized phrase: its ascending document
+    positions, or an empty list on a miss.  The index keys and the phrases
+    of ``extract_query_terms`` are both ``normalize_keyword`` outputs, so a
+    query is normalized once and each of its n-grams is looked up as it is."""
     return list(index.entries.get(phrase, ()))
 
 
@@ -431,7 +432,10 @@ def vector_topk(
 class IndexBundle:
     """One index, as saved and loaded.  Construction checks its parts against
     each other, here only: the manifest describes the vectors, whose rows
-    follow the documents, and every keyword id has a document."""
+    follow the documents, and every keyword posting is the position of a
+    document.  The postings take three C-level passes, over their types,
+    for their ``min`` and for their ``max``; only a bundle that fails one is
+    scanned, for the phrase and the value to name."""
 
     keyword: KeywordIndex
     vector: VectorIndex
@@ -449,9 +453,23 @@ class IndexBundle:
         if self.vector.ids != [doc.id for doc in self.docs]:
             raise IndexFormatError("vector index ids do not follow the documents in order")
         self.doc_map = {doc.id: doc for doc in self.docs}
-        missing = {i for ids in self.keyword.entries.values() for i in ids} - self.doc_map.keys()
-        if missing:
-            raise IndexFormatError(f"index refers to unknown document ids: {sorted(missing)[:5]}")
+        count, entries = len(self.docs), self.keyword.entries
+        postings = itertools.chain.from_iterable
+        if not (
+            set(map(type, postings(entries.values()))) <= {int}  # not bool or float
+            and min(postings(entries.values()), default=0) >= 0
+            and max(postings(entries.values()), default=-1) < count
+        ):
+            phrase, bad = next(
+                (phrase, position)
+                for phrase, positions in entries.items()
+                for position in positions
+                if type(position) is not int or not 0 <= position < count
+            )
+            raise IndexFormatError(
+                f"{KEYWORD_FILE}: phrase {phrase!r} lists {bad!r}, not the position of "
+                f"one of the {count} documents"
+            )
 
 
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
@@ -531,16 +549,12 @@ def load_index(index_dir: str | Path) -> IndexBundle:
 
     try:
         entries = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decode, JSON syntax or int-digit limit error too
         raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
-    # Each value must be a list, and each id in one a string: one C-level
-    # pass over the values, one over the ids.
-    if not (
-        isinstance(entries, dict)
-        and set(map(type, entries.values())) <= {list}
-        and set(map(type, itertools.chain.from_iterable(entries.values()))) <= {str}
-    ):
-        raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [ids] object")
+    # Each value must be a list (one C-level pass); the bundle checks the
+    # positions in them.
+    if not (isinstance(entries, dict) and set(map(type, entries.values())) <= {list}):
+        raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [positions] object")
     keyword = KeywordIndex(entries, manifest.max_phrase_len)
 
     docs = load_documents(root / DOCS_FILE)

@@ -9,7 +9,8 @@ A batch runs the keyword phase for every query first (:func:`prepare_queries`),
 so the queries that fall back to the vector phase are embedded together, up to
 ``EMBED_BATCH_SIZE`` per request; :func:`retrieve` then finishes each query.
 A single query is a batch of one.  Both take the whole :class:`IndexBundle`,
-whose construction checked that every id either index yields has a document.
+whose construction checked that every keyword posting is a document's
+position and every vector id a document's id.
 """
 
 from __future__ import annotations
@@ -108,17 +109,18 @@ def _keyword_phase(
     query: str, indexes: IndexBundle, config: RetrievalConfig
 ) -> list[RetrievalResult]:
     """Walk the extracted phrases in order, appending exact keyword hits
-    until ``k_total`` is reached."""
+    (each phrase's in ascending document position) until ``k_total`` is
+    reached."""
     results: list[RetrievalResult] = []
-    included: set[str] = set()
+    included: set[int] = set()
     for phrase in extract_query_terms(query, config.max_phrase_len):
         if len(results) >= config.k_total:
             break
-        for doc_id in keyword_lookup(indexes.keyword, phrase):
-            if doc_id in included:
+        for position in keyword_lookup(indexes.keyword, phrase):
+            if position in included:
                 continue
-            results.append(RetrievalResult(indexes.doc_map[doc_id], 1.0, KEYWORD, phrase))
-            included.add(doc_id)
+            results.append(RetrievalResult(indexes.docs[position], 1.0, KEYWORD, phrase))
+            included.add(position)
             if len(results) >= config.k_total:
                 break
     return results

@@ -15,6 +15,7 @@ from lexrag.backends import BackendConfig, BackendError, MockEmbedder, MockGener
 from lexrag.cli import AppConfig, load_config, main
 from lexrag.corpus import IngestError
 from lexrag.index import (
+    CACHE_FILE,
     DOCS_FILE,
     KEYWORD_FILE,
     MANIFEST_FILE,
@@ -93,6 +94,23 @@ class TestIndexBuild:
         assert code == 0
         assert "cache_hits=2" in stdout
         assert (out / "vectors.bin").read_bytes() == first_bytes
+
+    def test_two_builds_differ_only_in_created_at(self, tmp_path, data_dir, capsys):
+        inputs = ("--dict", str(data_dir / "tiny_dict.jsonl"))
+        inputs += ("--parallel", str(data_dir / "tiny_parallel.jsonl"))
+        trees = []
+        for name in ("a", "b"):
+            code, _, err = run(capsys, "index-build", *inputs, "--out", str(tmp_path / name))
+            assert code == 0, err
+            root = tmp_path / name
+            files = {
+                p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+            assert set(files) == {*INDEX_FILES, CACHE_FILE}
+            manifest = json.loads(files.pop(MANIFEST_FILE))
+            del manifest["created_at"]
+            trees.append((files, manifest))
+        assert trees[0] == trees[1]
 
     def test_no_inputs_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "index-build", "--out", str(tmp_path / "idx"))
@@ -242,7 +260,7 @@ class TestFailedIndexBuild:
 
     def test_v1_index_rejected_then_rebuilt_from_cache(self, built_index, data_dir, capsys):
         path = built_index / "manifest.json"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
             code, out, err = run(
                 capsys, "translate", "--index", str(built_index), "--text", "water"
@@ -358,6 +376,38 @@ class TestDamagedIndex:
         assert code == 1 and out == ""
         assert err.startswith("lexrag:") and f"{DOCS_FILE}: source_text[0] is not a string" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "posting, message",
+        [
+            (-1, "lists -1,"),
+            (10, "lists 10,"),
+            (True, "lists True,"),
+            (1.0, "lists 1.0,"),
+            ("d:0", "lists 'd:0',"),
+        ],
+        ids=["negative", "count", "true", "float", "v4_id"],
+    )
+    def test_bad_keyword_posting_is_exit_1(self, posting, message, built_index, capsys):
+        path = built_index / KEYWORD_FILE
+        entries = json.loads(path.read_text(encoding="utf-8"))
+        assert entries["water"] == [0]
+        entries["water"] = [posting]
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert (code, out) == (1, "")
+        assert err.startswith("lexrag: error: ") and len(err.splitlines()) == 1
+        assert f"{KEYWORD_FILE}: phrase 'water' {message} not the position of one of the 10 " in err
+
+    @pytest.mark.parametrize("name", [KEYWORD_FILE, DOCS_FILE])
+    def test_integer_over_digit_limit_is_exit_1(self, name, built_index, capsys):
+        # Past Python's int-digit limit json.loads raises a plain ValueError,
+        # not a JSONDecodeError.
+        path = built_index / name
+        path.write_text(path.read_text(encoding="utf-8").replace("[", f"[{'9' * 5000},", 1))
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"lexrag: error: {path}") and len(err.splitlines()) == 1
 
     def test_any_cut_or_bit_flip_loads_or_is_exit_1(self, tmp_path, data_dir, capsys):
         """Truncating an index file at any offset, or flipping any one of its
@@ -1138,6 +1188,34 @@ class TestConfigValues:
     )
     @pytest.mark.parametrize("command", ["translate", "index-build"])
     def test_wrong_type_is_exit_65(self, command, config, message, tmp_path, data_dir, capsys):
+        self._assert_config_error(command, config, message, tmp_path, data_dir, capsys)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"backend": {"retry": {"max_attempts": 0}}},
+                "backend.retry: max_attempts must be >= 1",
+            ),
+            ({"backend": {"timeout_s": -1}}, "backend: timeout_s must be > 0"),
+            ({"retrieval": {"k_vector": 9}}, "retrieval: need 1 <= k_vector <= k_total"),
+            ({"backend": {"embed_dim": 0}}, "backend: embed_dim must be >= 1"),
+            (
+                {"backend": {"provider": "grpc"}},
+                "backend: provider must be 'mock' or 'http', got 'grpc'",
+            ),
+            ({"report_format": "xml"}, "report_format must be json, csv or markdown, got 'xml'"),
+        ],
+        ids=["max_attempts", "timeout_s", "k_vector", "embed_dim", "provider", "top_level"],
+    )
+    @pytest.mark.parametrize("command", ["translate", "index-build"])
+    def test_out_of_range_names_its_section_once(
+        self, command, config, message, tmp_path, data_dir, capsys
+    ):
+        self._assert_config_error(command, config, message, tmp_path, data_dir, capsys)
+
+    @staticmethod
+    def _assert_config_error(command, config, message, tmp_path, data_dir, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         if command == "translate":
@@ -1172,7 +1250,8 @@ class TestConfigValues:
         argv = ("translate", "--index", str(built_index), "--text", "water", "--config", str(path))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (65, "")
-        assert err == f"lexrag: validation error: {path}: {message}\n"
+        section = "backend.retry" if "retry" in backend else "backend"
+        assert err == f"lexrag: validation error: {path}: {section}: {message}\n"
 
     def test_any_damaged_config_exits_with_a_documented_code(self, built_index, tmp_path, capsys):
         """The README sample config (with the mock provider), with one value

@@ -75,23 +75,23 @@ class TestKeywordIndex:
     def test_single_headword(self):
         docs = to_documents([DictionaryEntry("water", "ᎠᎹ")], [])
         index = build_keyword_index(docs)
-        assert index.entries == {"water": ["d:0"]}
+        assert index.entries == {"water": [0]}
 
     def test_shared_headword_collects_both_ids(self):
         docs = to_documents(
             [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("water", "water-2")], []
         )
         index = build_keyword_index(docs)
-        assert index.entries["water"] == ["d:0", "d:1"]
+        assert index.entries["water"] == [0, 1]
 
     def test_example_source_unigrams(self):
         docs = to_documents([], [ParallelExample("he loved the world", "…", "en", "chr")])
         index = build_keyword_index(docs)
         assert index.entries == {
-            "he": ["x:0"],
-            "loved": ["x:0"],
-            "the": ["x:0"],
-            "world": ["x:0"],
+            "he": [0],
+            "loved": [0],
+            "the": [0],
+            "world": [0],
         }
 
     def test_max_phrase_len_tracks_longest_capped(self, tiny_docs):
@@ -100,24 +100,24 @@ class TestKeywordIndex:
 
     def test_lookup_normalizes(self):
         # the query is normalized once, into phrases that match the keys as they are
-        index = KeywordIndex(entries={"water": ["d:0"]})
-        assert [keyword_lookup(index, p) for p in extract_query_terms("Water", 4)] == [["d:0"]]
+        index = KeywordIndex(entries={"water": [0]})
+        assert [keyword_lookup(index, p) for p in extract_query_terms("Water", 4)] == [[0]]
 
     def test_lookup_miss(self):
-        index = KeywordIndex(entries={"water": ["d:0"]})
+        index = KeywordIndex(entries={"water": [0]})
         assert keyword_lookup(index, "earth") == []
 
     def test_lookup_multiword(self, tiny_docs):
         index = build_keyword_index(tiny_docs)
         phrases = extract_query_terms("Mountain Lion", index.max_phrase_len)
         assert phrases[0] == "mountain lion"
-        assert keyword_lookup(index, phrases[0]) == ["d:8"]
+        assert [tiny_docs[i].id for i in keyword_lookup(index, phrases[0])] == ["d:8"]
 
     def test_every_headword_reachable(self, tiny_docs):
         index = build_keyword_index(tiny_docs)
-        for doc in tiny_docs:
+        for position, doc in enumerate(tiny_docs):
             if doc.kind == "dictionary":
-                assert doc.id in keyword_lookup(index, doc.source_text)
+                assert position in keyword_lookup(index, doc.source_text)
 
 
 class _DriftingEmbedder:
@@ -564,14 +564,14 @@ class TestPersistence:
 
     def test_unknown_doc_id_rejected(self, tiny_docs, tmp_path):
         keyword, vector, manifest = self._build(tiny_docs)
-        ghost = KeywordIndex({**keyword.entries, "ghost": ["d:999"]}, keyword.max_phrase_len)
-        with pytest.raises(IndexFormatError, match="unknown document ids"):
+        ghost = KeywordIndex({**keyword.entries, "ghost": [999]}, keyword.max_phrase_len)
+        with pytest.raises(IndexFormatError, match="'ghost' lists 999, not the position"):
             save_index(ghost, vector, manifest, tiny_docs, tmp_path / "refused")
         assert not (tmp_path / "refused").exists()
 
         save_index(keyword, vector, manifest, tiny_docs, tmp_path)
         (tmp_path / KEYWORD_FILE).write_text(json.dumps(ghost.entries), encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="unknown document ids"):
+        with pytest.raises(IndexFormatError, match="'ghost' lists 999, not the position"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize(
@@ -582,11 +582,26 @@ class TestPersistence:
             (lambda k, v, m, d: (k, v, replace(m, embedder_id="other"), d), "does not match"),
             (lambda k, v, m, d: (k, v, m, d[::-1]), "do not follow the documents in order"),
             (
-                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": ["d:999"]}), v, m, d),
-                r"unknown document ids: \['d:999'\]",
+                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [999]}), v, m, d),
+                f"{KEYWORD_FILE}: phrase 'ghost' lists 999, not the position of one of the 13 ",
+            ),
+            (
+                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [0, -1]}), v, m, d),
+                "'ghost' lists -1, not the position",
+            ),
+            (
+                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": ["d:0"]}), v, m, d),
+                "'ghost' lists 'd:0', not the position",
+            ),
+            (
+                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [1.0]}), v, m, d),
+                "'ghost' lists 1.0, not the position",
             ),
         ],
-        ids=["count", "dim", "embedder_id", "id_order", "dangling_id"],
+        ids=[
+            "count", "dim", "embedder_id", "id_order", "dangling_id", "negative", "id_string",
+            "float",
+        ],
     )
     def test_bundle_checks_each_invariant(self, tiny_docs, tmp_path, break_parts, message):
         keyword, vector, manifest, docs = break_parts(*self._build(tiny_docs), list(tiny_docs))
@@ -610,8 +625,8 @@ def test_headword_lookup_property(headwords):
     entries = [DictionaryEntry(h, f"t-{h}") for h in headwords]
     docs = to_documents(entries, [])
     index = build_keyword_index(docs)
-    for doc in docs:
-        assert doc.id in keyword_lookup(index, doc.source_text)
+    for position, doc in enumerate(docs):
+        assert position in keyword_lookup(index, doc.source_text)
 
 
 class TestEmbeddingCacheTornTail:
@@ -770,7 +785,7 @@ class TestFormatV2:
         _saved_tiny_index(tiny_docs, tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             path.write_text(json.dumps({**manifest, "version": version}), encoding="utf-8")
             with pytest.raises(
                 IndexFormatError, match=f"unsupported index version {version}.*index-build"
@@ -836,9 +851,9 @@ class TestFormatV3:
         assert bundle.docs == tiny_docs
         assert [d.render_text for d in bundle.docs] == [d.render_text for d in tiny_docs]
         manifest = json.loads((tmp_path / MANIFEST_FILE).read_text())
-        assert manifest["version"] == FORMAT_VERSION == 4
+        assert manifest["version"] == FORMAT_VERSION == 5
         header = (tmp_path / VECTORS_FILE).read_bytes()[: VECTORS_HEADER.size]
-        assert VECTORS_HEADER.unpack(header)[1] == 4
+        assert VECTORS_HEADER.unpack(header)[1] == 5
 
     def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
         docs = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])

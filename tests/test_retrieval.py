@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexrag.backends import BackendError, MockEmbedder
-from lexrag.corpus import Document
+from lexrag.corpus import Document, ParallelExample, to_documents
 from lexrag.index import (
     IndexBundle,
     IndexFormatError,
     IndexManifest,
     KeywordIndex,
     VectorIndex,
+    build_keyword_index,
+    build_vector_index,
     normalize_keyword,
     vector_topk,
 )
@@ -109,7 +111,7 @@ def _square_setup(keyword_entries=None):
         _dict_doc("d:3", "earth"),
     ]
     kw = KeywordIndex(
-        entries=keyword_entries or {"water": ["d:0"], "sun": ["d:1"]}, max_phrase_len=1
+        entries=keyword_entries or {"water": [0], "sun": [1]}, max_phrase_len=1
     )
     vec = VectorIndex(
         dim=2,
@@ -186,6 +188,19 @@ class TestRetrieve:
         assert len(results) == 2
         assert [r.doc.id for r in results] == ["d:0", "x:2"]
 
+    def test_one_phrase_hits_come_in_document_order(self):
+        # x:2 before x:10, not in id-text order (x:10 before x:2)
+        examples = [ParallelExample(f"the word {i}", f"t{i}", "en", "chr") for i in range(12)]
+        docs = to_documents([], examples)
+        kw = build_keyword_index(docs)
+        vec = build_vector_index(docs, MockEmbedder(dim=8))
+        bundle = IndexBundle(kw, vec, IndexManifest.create(kw, vec), docs)
+        config = RetrievalConfig(k_vector=1, k_total=12, max_phrase_len=1)
+        embedder = MockEmbedder(dim=8)
+        results = retrieve("the", bundle, embedder, config)
+        assert [r.doc.id for r in results] == [f"x:{i}" for i in range(12)]
+        assert embedder.calls == 0
+
     def test_embedder_failure_only_reachable_in_fallback(self, tiny_bundle):
         embedder = _FailingEmbedder()
         results = retrieve("water", tiny_bundle, embedder, RetrievalConfig(max_phrase_len=1))
@@ -194,10 +209,12 @@ class TestRetrieve:
             retrieve("zxqj", tiny_bundle, embedder, RetrievalConfig(max_phrase_len=1))
 
     def test_bundle_rejects_keyword_id_without_document(self):
-        # Retrieval reads doc_map[doc_id] unguarded: a bundle cannot hold a
-        # keyword id that names no document.
-        with pytest.raises(IndexFormatError, match="unknown document ids: \\['d:9'\\]"):
-            _square_setup({"water": ["d:0"], "rain": ["d:9"]})
+        # Retrieval reads docs[position] unguarded: a bundle cannot hold a
+        # keyword posting that is not a document's position (docs[-1] would
+        # silently return the last one).
+        for bad in (9, 4, -1):
+            with pytest.raises(IndexFormatError, match=f"'rain' lists {bad}, not the position"):
+                _square_setup({"water": [0], "rain": [bad]})
 
     def test_deterministic(self, tiny_bundle, mock_embedder):
         config = RetrievalConfig()
