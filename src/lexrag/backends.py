@@ -23,7 +23,6 @@ import os
 import random
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from collections import Counter
@@ -153,19 +152,13 @@ class MockGenerator:
         return GenerationResult(text=text, model_id=self.model_id)
 
 
-def _is_retryable_status(status: int) -> bool:
-    return status == 429 or status >= 500
-
-
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follows no redirect: a 3xx reaches the caller as an ``HTTPError``, so
-    the ``Authorization`` header is never re-sent to the ``Location`` host."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
-_OPENER = urllib.request.build_opener(_NoRedirect)
+# No redirect or error handler: every reply, 3xx to 5xx included, comes back
+# from ``open`` as a response, so a redirect is never followed and the
+# ``Authorization`` header is never re-sent to a ``Location`` host.
+_OPENER = urllib.request.OpenerDirector()
+_OPENER.add_handler(urllib.request.ProxyHandler())
+_OPENER.add_handler(urllib.request.HTTPHandler())
+_OPENER.add_handler(urllib.request.HTTPSHandler())
 
 
 class HttpBackend:
@@ -210,12 +203,8 @@ class HttpBackend:
         """One POST: the status, the body and the ``Retry-After`` header of
         whatever reply came back; transport failures raise."""
         request = urllib.request.Request(url, data=data, headers=self._headers(), method="POST")
-        try:
-            with _OPENER.open(request, timeout=self.config.timeout_s) as response:
-                return response.status, response.read(), response.headers.get("Retry-After")
-        except urllib.error.HTTPError as exc:
-            with exc:
-                return exc.code, exc.read(), exc.headers.get("Retry-After")
+        with _OPENER.open(request, timeout=self.config.timeout_s) as response:
+            return response.status, response.read(), response.headers.get("Retry-After")
 
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
@@ -244,7 +233,7 @@ class HttpBackend:
                         raise BackendError(f"{url}: response is not JSON") from exc
                 text = body.decode("utf-8", errors="replace")[:200]
                 last_error = BackendError(f"{url}: HTTP {status}: {text}")
-                if not _is_retryable_status(status):
+                if status != 429 and status < 500:
                     raise last_error
                 outcome = status
             delay_s = 0.0

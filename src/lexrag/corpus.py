@@ -214,8 +214,8 @@ def iter_lines(path: str | Path):
 def _json_object(line: str, where: str) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{where}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, or the int-digit limit
+        raise IngestError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise IngestError(f"{where}: expected a JSON object")
     return obj

@@ -4,6 +4,7 @@
   brevity penalty.  Orders with no candidate n-grams are skipped; orders with
   candidates but zero matches contribute an epsilon precision, which keeps
   the score defined for short sentences while preserving bleu(x, x) = 1.
+  Clipping counts down the reference's n-gram counts.
 * ``rouge_l``: precision/recall/F1 over the longest common subsequence,
   whose length comes from the bit-parallel recurrence of Allison and Dix
   (as revisited by Hyyrö, 2004): one big-int update per hypothesis token.
@@ -11,7 +12,7 @@
   embedder; no IDF weighting, no baseline rescaling.  ``evaluate_set``
   embeds each distinct token of its scored pairs once, in requests of
   ``EMBED_BATCH_SIZE`` tokens, since a token's vector does not depend on
-  its sentence.
+  its sentence, into one vocabulary matrix whose rows each pair gathers.
 * ``human_eval_normalize``: mean over sentences of
   (fluency + grammaticality + faithfulness) / 15, mapping 0..5 expert scores
   to [0, 1].
@@ -43,6 +44,7 @@ BLEU_EPS = 1e-9
 BLEU_MAX_ORDER = 4
 MAX_SUBSCORE = 5
 DIMENSIONS_PER_SENTENCE = 3
+TokenRows = tuple[dict[str, int], np.ndarray]
 
 
 class TokenizationPolicy(Enum):
@@ -56,8 +58,10 @@ def tokenize(text: str, policy: TokenizationPolicy = TokenizationPolicy.WHITESPA
     return [ch for ch in text if not ch.isspace()]
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _ngrams(tokens: Sequence[str], n: int):
+    """The n-grams of ``tokens`` as tuples, or for n = 1 the tokens
+    themselves, whose hashes a string caches."""
+    return tokens if n == 1 else zip(*(tokens[i:] for i in range(n)))
 
 
 def bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
@@ -75,13 +79,18 @@ def bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
     clipped = [0] * (BLEU_MAX_ORDER + 1)
     candidates = [0] * (BLEU_MAX_ORDER + 1)
     for hyp, ref in pairs:
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            candidates[n] += sum(hyp_counts.values())
-            clipped[n] += sum(map(min, hyp_counts.values(), map(ref_counts.__getitem__, hyp_counts)))
+        for n in range(1, min(len(hyp), BLEU_MAX_ORDER) + 1):
+            # Each hypothesis n-gram uses up one of the reference's copies,
+            # which sums min(hypothesis count, reference count) over n-grams.
+            remaining = Counter(_ngrams(ref, n))
+            left = remaining.get
+            matched = 0
+            for gram in _ngrams(hyp, n):
+                if left(gram):
+                    remaining[gram] -= 1
+                    matched += 1
+            clipped[n] += matched
+            candidates[n] += len(hyp) - n + 1
 
     log_sum = 0.0
     orders = 0
@@ -129,21 +138,25 @@ def rouge_l(hyp: Sequence[str], ref: Sequence[str]) -> tuple[float, float, float
     return (precision, recall, 2.0 * precision * recall / (recall + precision))
 
 
-def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> dict[str, np.ndarray]:
-    """Each distinct token's unit-normalised embedding, in first-seen order,
-    embedded ``EMBED_BATCH_SIZE`` tokens per request."""
+def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> TokenRows:
+    """Each distinct token's row number, in first-seen order, and the float64
+    matrix whose rows are their unit-normalised embeddings, embedded
+    ``EMBED_BATCH_SIZE`` tokens per request."""
     unique = list(dict.fromkeys(tokens))
-    lookup: dict[str, np.ndarray] = {}
+    chunks = []
     for start in range(0, len(unique), EMBED_BATCH_SIZE):
         chunk = unique[start : start + EMBED_BATCH_SIZE]
         vectors = np.asarray(embedder.embed_tokens(chunk), dtype=np.float64)
+        if len(vectors) != len(chunk):
+            raise ValueError(f"token embedder gave {len(vectors)} vectors for {len(chunk)} tokens")
         norms = np.linalg.norm(vectors, axis=1)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
         if bad.size:
             fault = "zero" if norms[bad[0]] == 0.0 else "non-finite"
             raise ValueError(f"token embedder returned a {fault} vector")
-        lookup.update(zip(chunk, vectors / norms[:, None]))
-    return lookup
+        chunks.append(vectors / norms[:, None])
+    rows = {token: row for row, token in enumerate(unique)}
+    return rows, np.concatenate(chunks) if chunks else np.empty((0, 0))
 
 
 def bertscore(
@@ -151,20 +164,22 @@ def bertscore(
     ref_tokens: Sequence[str],
     token_embedder: Embedder,
     *,
-    _vectors: dict[str, np.ndarray] | None = None,
+    _vectors: TokenRows | None = None,
 ) -> tuple[float, float, float]:
     """Greedy-matching similarity (precision, recall, F1): each hypothesis
     token takes its best cosine against any reference token, and vice versa.
 
-    ``_vectors`` (from ``_unit_token_vectors``) lets ``evaluate_set`` share
-    one embedding of its vocabulary across pairs.
+    ``_vectors`` (the token rows and unit matrix of ``_unit_token_vectors``)
+    lets ``evaluate_set`` share one embedding of its vocabulary across pairs;
+    each side's matrix is gathered from it by row number.
     """
     if not hyp_tokens or not ref_tokens:
         raise ValueError("bertscore requires non-empty token lists on both sides")
     if _vectors is None:
         _vectors = _unit_token_vectors([*hyp_tokens, *ref_tokens], token_embedder)
-    hyp_matrix = np.stack([_vectors[tok] for tok in hyp_tokens])
-    ref_matrix = np.stack([_vectors[tok] for tok in ref_tokens])
+    rows, matrix = _vectors
+    hyp_matrix = matrix.take(list(map(rows.__getitem__, hyp_tokens)), axis=0)
+    ref_matrix = matrix.take(list(map(rows.__getitem__, ref_tokens)), axis=0)
     similarity = hyp_matrix @ ref_matrix.T
     precision = float(similarity.max(axis=1).mean())
     recall = float(similarity.max(axis=0).mean())
@@ -310,10 +325,8 @@ def evaluate_set(
     if "bleu" in metrics:
         report["bleu"] = bleu(pairs)
     if "rouge" in metrics:
-        rouge_scores = [rouge_l(h, r) for h, r in pairs]
-        report["rouge_l_p"] = fmean(s[0] for s in rouge_scores)
-        report["rouge_l_r"] = fmean(s[1] for s in rouge_scores)
-        report["rouge_l_f"] = fmean(s[2] for s in rouge_scores)
+        rouge_scores = zip(*[rouge_l(h, r) for h, r in pairs])
+        report.update(zip(("rouge_l_p", "rouge_l_r", "rouge_l_f"), map(fmean, rouge_scores)))
     if "bertscore" in metrics:
         vocabulary = [t for h, r in pairs if h and r for t in (*h, *r)]
         vectors = _unit_token_vectors(vocabulary, token_embedder)
@@ -321,7 +334,5 @@ def evaluate_set(
             bertscore(h, r, token_embedder, _vectors=vectors) if h and r else (0.0, 0.0, 0.0)
             for h, r in pairs
         ]
-        report["bert_p"] = fmean(s[0] for s in bert_scores)
-        report["bert_r"] = fmean(s[1] for s in bert_scores)
-        report["bert_f1"] = fmean(s[2] for s in bert_scores)
+        report.update(zip(("bert_p", "bert_r", "bert_f1"), map(fmean, zip(*bert_scores))))
     return MetricReport(**report)

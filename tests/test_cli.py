@@ -1506,3 +1506,26 @@ class TestNonUtf8Files:
         assert stdout == ""
         assert err.startswith("lexrag: error:") and err.count("\n") == 1
         assert f"{bad} is not valid UTF-8" in err
+
+
+class TestIntegerOverDigitLimit:
+    """Past Python's int-digit limit ``json.loads`` raises a plain ValueError,
+    not a JSONDecodeError; on a JSONL input line that is still exit 1 with
+    one line naming the file and the line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("index-build", "--dict", "{bad}", "--out", "{out}"),
+            ("index-build", "--parallel", "{bad}", "--out", "{out}"),
+            ("translate", "--index", "{index}", "--input", "{bad}"),
+        ],
+        ids=["dict", "parallel", "translate-input"],
+    )
+    def test_names_file_and_line(self, argv, built_index, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('\n{"id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        values = {"bad": bad, "out": tmp_path / "new", "index": built_index}
+        code, stdout, err = run(capsys, *(arg.format(**values) for arg in argv))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"lexrag: error: {bad}:2: ") and err.count("\n") == 1, err

@@ -3,8 +3,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
+from statistics import fmean
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 from lexrag.backends import MockEmbedder
 from lexrag.index import EMBED_BATCH_SIZE
 from lexrag.metrics import (
+    BLEU_EPS,
+    BLEU_MAX_ORDER,
     HumanScoreRow,
     HumanScoreSheet,
     TokenizationPolicy,
@@ -433,6 +439,13 @@ class TestEvaluateOnce:
         with pytest.raises(ValueError, match="token embedder returned a non-finite vector"):
             evaluate_set(["a b"], ["b c"], token_embedder=embedder)
 
+    def test_vector_count_must_match_request(self):
+        # An extra vector would shift every later token onto another's row.
+        extra = lambda tokens: [*MockEmbedder(8).embed_tokens(tokens), [1.0] * 8]  # noqa: E731
+        embedder = SimpleNamespace(embedder_id="extra", embed_tokens=extra)
+        with pytest.raises(ValueError, match="gave 4 vectors for 3 tokens"):
+            evaluate_set(["a b"], ["b c"], token_embedder=embedder)
+
     def test_direct_bertscore_matches_oracle(self):
         embedder = MockEmbedder(8)
         embed = lambda token: embedder.embed_texts([token])[0]  # noqa: E731
@@ -446,3 +459,105 @@ class TestEvaluateOnce:
     def test_reports_equal_golden(self):
         golden = json.loads(GOLDEN_EVALUATE_SET.read_text(encoding="utf-8"))
         assert golden_reports() == golden
+
+
+# ---------------------------------------------------------------------------
+# The count-down BLEU clipping and the row-gathered BERTScore matrices keep
+# every bit of the formulas they replaced, which are kept here as references.
+# ---------------------------------------------------------------------------
+
+
+def counter_min_bleu(pairs) -> float:
+    """BLEU clipped with a Counter of each side's n-grams per order, summing
+    min(hypothesis count, reference count) over the hypothesis n-grams."""
+    hyp_len = sum(len(h) for h, _ in pairs)
+    ref_len = sum(len(r) for _, r in pairs)
+    if hyp_len == 0:
+        return 0.0
+    clipped = [0] * (BLEU_MAX_ORDER + 1)
+    candidates = [0] * (BLEU_MAX_ORDER + 1)
+    for hyp, ref in pairs:
+        for n in range(1, BLEU_MAX_ORDER + 1):
+            hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
+            ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
+            candidates[n] += sum(hyp_counts.values())
+            clipped[n] += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+    log_sum, orders = 0.0, 0
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        if candidates[n]:
+            log_sum += math.log(clipped[n] / candidates[n] if clipped[n] else BLEU_EPS)
+            orders += 1
+    if orders == 0:
+        return 0.0
+    brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return brevity * math.exp(log_sum / orders)
+
+
+def stacked_token_vectors(tokens, embedder) -> dict:
+    """Each distinct token's unit row, a view into its request's matrix."""
+    unique = list(dict.fromkeys(tokens))
+    lookup = {}
+    for start in range(0, len(unique), EMBED_BATCH_SIZE):
+        chunk = unique[start : start + EMBED_BATCH_SIZE]
+        vectors = np.asarray(embedder.embed_tokens(chunk), dtype=np.float64)
+        lookup.update(zip(chunk, vectors / np.linalg.norm(vectors, axis=1)[:, None]))
+    return lookup
+
+
+def stacked_bertscore(hyp, ref, vectors) -> tuple[float, float, float]:
+    """BERTScore over matrices built by ``np.stack`` of one row per token."""
+    similarity = np.stack([vectors[t] for t in hyp]) @ np.stack([vectors[t] for t in ref]).T
+    precision = float(similarity.max(axis=1).mean())
+    recall = float(similarity.max(axis=0).mean())
+    if precision <= 0.0 or recall <= 0.0:
+        return (precision, recall, 0.0)
+    return (precision, recall, 2.0 * precision * recall / (precision + recall))
+
+
+def reference_report(hyps, refs, policy, embedder) -> dict:
+    pairs = [(tokenize(h, policy), tokenize(r, policy)) for h, r in zip(hyps, refs)]
+    rouge = [rouge_l(h, r) for h, r in pairs]
+    vectors = stacked_token_vectors([t for h, r in pairs if h and r for t in (*h, *r)], embedder)
+    bert = [stacked_bertscore(h, r, vectors) if h and r else (0.0, 0.0, 0.0) for h, r in pairs]
+    return {
+        "n_sentences": len(pairs),
+        "bleu": counter_min_bleu(pairs),
+        "rouge_l_p": fmean(s[0] for s in rouge),
+        "rouge_l_r": fmean(s[1] for s in rouge),
+        "rouge_l_f": fmean(s[2] for s in rouge),
+        "bert_p": fmean(s[0] for s in bert),
+        "bert_r": fmean(s[1] for s in bert),
+        "bert_f1": fmean(s[2] for s in bert),
+    }
+
+
+# Words of one to three letters over "abc": repeated tokens under both
+# policies, and up to 39 distinct words, so some sets take two requests.
+words_st = st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=10)
+sentence_st = words_st.map(" ".join)
+sentence_pairs_st = st.lists(
+    st.tuples(st.one_of(st.sampled_from(["", "  "]), sentence_st), sentence_st),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestKernelsKeepReferenceBits:
+    @settings(max_examples=150, deadline=None)
+    @given(sentence_pairs_st, st.sampled_from(list(TokenizationPolicy)))
+    def test_bleu_and_report_equal_references(self, sentence_pairs, policy):
+        hyps, refs = (list(side) for side in zip(*sentence_pairs))
+        pairs = [(tokenize(h, policy), tokenize(r, policy)) for h, r in sentence_pairs]
+        assert bleu(pairs) == counter_min_bleu(pairs)
+        report = evaluate_set(hyps, refs, policy, MockEmbedder(8)).to_dict()
+        assert report == reference_report(hyps, refs, policy, MockEmbedder(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sentence_pairs_st, st.sampled_from(list(TokenizationPolicy)))
+    def test_direct_bertscore_equals_reference(self, sentence_pairs, policy):
+        embedder = MockEmbedder(8)
+        for h, r in sentence_pairs:
+            hyp, ref = tokenize(h, policy), tokenize(r, policy)
+            if hyp:
+                expected = stacked_bertscore(hyp, ref, stacked_token_vectors(hyp + ref, embedder))
+                assert bertscore(hyp, ref, embedder) == expected
