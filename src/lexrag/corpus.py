@@ -117,6 +117,27 @@ def _clean_headword(raw: str) -> str:
     return " ".join(nfc(raw).split())
 
 
+def _strip_punctuation(word: str) -> str:
+    start, end = 0, len(word)
+    while start < end and unicodedata.category(word[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+        end -= 1
+    return word[start:end]
+
+
+def normalize_keyword(text: str) -> str:
+    """NFC + casefold, strip leading/trailing punctuation per word, collapse
+    whitespace.  May return an empty string; the caller decides what that means.
+    """
+    # NFC before casefold composes marks in canonical order ("a\u0345\u0301" -> "áι",
+    # not "aί"); NFC after it, because casefold can decompose (U+0390 ΐ).
+    text = unicodedata.normalize("NFC", text).casefold()
+    text = unicodedata.normalize("NFC", text)
+    words = [_strip_punctuation(w) for w in text.split()]
+    return " ".join(w for w in words if w)
+
+
 def read_utf8(path: Path) -> str:
     """The text of a UTF-8 file, line ends as they are; a decode error names
     the file."""
@@ -232,7 +253,7 @@ def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
         where = f"{path}:{lineno}"
         obj = _json_object(line, where)
         headword = _clean_headword(_require_str(obj, "headword", where))
-        if not headword:
+        if not normalize_keyword(headword):
             raise IngestError(f"{where}: headword is empty after normalization")
         if len(headword.split()) > MAX_PHRASE_LEN:
             raise IngestError(f"{where}: headword {headword!r} exceeds {MAX_PHRASE_LEN} words")

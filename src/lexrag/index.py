@@ -10,8 +10,8 @@ score.  Only the remaining blocks are scored in float64, so no query
 allocates a float64 copy of the matrix (25 MB at 3,000 x 1,536).  Among
 their rows, ``np.partition`` finds the k-th best score, and only the rows
 scoring at least that much (ties at the boundary included) are sorted by
-(-score, id).  The result, every score bit included, equals a full float64
-sort of every row, which is what the tests compare it with.
+(-score, row), a row being a document's position, as a keyword posting is.
+The result, every score bit included, equals a full float64 sort of every row.
 
 Index directory layout::
 
@@ -45,8 +45,7 @@ import logging
 import math
 import struct
 import threading
-import unicodedata
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -54,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .backends import Embedder
-from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, from_json
+from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, from_json, normalize_keyword
 from .corpus import load_documents, save_documents
 
 logger = logging.getLogger(__name__)
@@ -79,27 +78,6 @@ class IndexBuildError(Exception):
 
 class IndexFormatError(Exception):
     """Corrupt or inconsistent on-disk index data."""
-
-
-def _strip_punctuation(word: str) -> str:
-    start, end = 0, len(word)
-    while start < end and unicodedata.category(word[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(word[end - 1]).startswith("P"):
-        end -= 1
-    return word[start:end]
-
-
-def normalize_keyword(text: str) -> str:
-    """NFC + casefold, strip leading/trailing punctuation per word, collapse
-    whitespace.  May return an empty string; the caller decides what that means.
-    """
-    # NFC before casefold composes marks in canonical order ("a\u0345\u0301" -> "áι",
-    # not "aί"); NFC after it, because casefold can decompose (U+0390 ΐ).
-    text = unicodedata.normalize("NFC", text).casefold()
-    text = unicodedata.normalize("NFC", text)
-    words = [_strip_punctuation(w) for w in text.split()]
-    return " ".join(w for w in words if w)
 
 
 @dataclass
@@ -164,8 +142,6 @@ class VectorIndex:
                 f"vector payload shape {self.vectors.shape} does not match "
                 f"{len(self.ids)} ids x dim {self.dim}"
             )
-        if len(set(self.ids)) != len(self.ids):
-            raise IndexBuildError("vector index ids must be unique")
         if len(self.ids):
             norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
             bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN too
@@ -373,9 +349,9 @@ def build_vector_index(
 
 def vector_topk(
     index: VectorIndex, query_vec: Sequence[float], k: int
-) -> list[tuple[str, float]]:
-    """Exact cosine top-K: score rows by float64 dot product against the unit
-    query, rank descending, break score ties by ascending document id.
+) -> list[tuple[int, float]]:
+    """Exact cosine top-K as (row, score) pairs: float64 dot products with the
+    unit query, descending, score ties by ascending row (document position).
 
     Two passes, and no float64 copy of the whole matrix: a float32 product
     screens every row, then only the ``SCORE_BLOCK_ROWS``-row blocks holding
@@ -423,9 +399,8 @@ def vector_topk(
         kth = np.partition(scores, scores.size - k)[scores.size - k]
         keep = np.flatnonzero(scores >= kth)
         scores, rows = scores[keep], rows[keep]
-    # Negation is exact, so sorting (-score, id) pairs keeps every score's bits.
-    ranked = sorted(zip((-scores).tolist(), [index.ids[row] for row in rows.tolist()]))
-    return [(doc_id, -negated) for negated, doc_id in ranked[:k]]
+    order = np.lexsort((rows, -scores))[:k]
+    return list(zip(rows[order].tolist(), scores[order].tolist()))
 
 
 @dataclass
@@ -441,7 +416,6 @@ class IndexBundle:
     vector: VectorIndex
     manifest: IndexManifest
     docs: list[Document]
-    doc_map: dict[str, Document] = field(init=False)
 
     def __post_init__(self) -> None:
         described = (self.manifest.count, self.manifest.dim, self.manifest.embedder_id)
@@ -452,7 +426,6 @@ class IndexBundle:
             )
         if self.vector.ids != [doc.id for doc in self.docs]:
             raise IndexFormatError("vector index ids do not follow the documents in order")
-        self.doc_map = {doc.id: doc for doc in self.docs}
         count, entries = len(self.docs), self.keyword.entries
         postings = itertools.chain.from_iterable
         if not (

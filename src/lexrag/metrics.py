@@ -144,11 +144,17 @@ def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> TokenRows:
     ``EMBED_BATCH_SIZE`` tokens per request."""
     unique = list(dict.fromkeys(tokens))
     chunks = []
+    dim = None
     for start in range(0, len(unique), EMBED_BATCH_SIZE):
         chunk = unique[start : start + EMBED_BATCH_SIZE]
-        vectors = np.asarray(embedder.embed_tokens(chunk), dtype=np.float64)
-        if len(vectors) != len(chunk):
-            raise ValueError(f"token embedder gave {len(vectors)} vectors for {len(chunk)} tokens")
+        raw = embedder.embed_tokens(chunk)
+        if len(raw) != len(chunk):
+            raise ValueError(f"token embedder gave {len(raw)} vectors for {len(chunk)} tokens")
+        dim = len(raw[0]) if dim is None else dim
+        for vector in raw:
+            if len(vector) != dim:
+                raise ValueError(f"token embedder dimension drifted from {dim} to {len(vector)}")
+        vectors = np.asarray(raw, dtype=np.float64)
         norms = np.linalg.norm(vectors, axis=1)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
         if bad.size:

@@ -10,7 +10,7 @@ so the queries that fall back to the vector phase are embedded together, up to
 ``EMBED_BATCH_SIZE`` per request; :func:`retrieve` then finishes each query.
 A single query is a batch of one.  Both take the whole :class:`IndexBundle`,
 whose construction checked that every keyword posting is a document's
-position and every vector id a document's id.
+position and that vector row i is document i.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .backends import BackendError, Embedder
-from .corpus import Document
-from .index import (
-    EMBED_BATCH_SIZE,
-    IndexBundle,
-    keyword_lookup,
-    normalize_keyword,
-    vector_topk,
-)
+from .corpus import Document, normalize_keyword
+from .index import EMBED_BATCH_SIZE, IndexBundle, keyword_lookup, vector_topk
 
 KEYWORD = "keyword"
 VECTOR = "vector"
@@ -93,37 +87,31 @@ def extract_query_terms(query: str, max_phrase_len: int) -> list[str]:
 
 @dataclass
 class PreparedQuery:
-    """A query after the keyword phase: its keyword hits, the unit embedding
-    the vector phase will use (``None`` when that phase does not run), or the
-    error that stopped that phase.  ``prepare_ms`` is the time spent on it,
-    including the whole embedding request that served it."""
+    """A query after the keyword phase: its at most ``k_total`` keyword hits
+    (position -> first matching phrase, in rank order), the unit embedding
+    the vector phase will use (``None`` when it does not run), or the error
+    that stopped that phase.  ``prepare_ms`` is the time spent on it, with
+    the whole embedding request."""
 
     query: str
-    results: list[RetrievalResult]
+    keyword: dict[int, str]
     embedding: list[float] | None = None
     error: Exception | None = None
     prepare_ms: float = 0.0
 
 
-def _keyword_phase(
-    query: str, indexes: IndexBundle, config: RetrievalConfig
-) -> list[RetrievalResult]:
-    """Walk the extracted phrases in order, appending exact keyword hits
-    (each phrase's in ascending document position) until ``k_total`` is
-    reached."""
-    results: list[RetrievalResult] = []
-    included: set[int] = set()
+def _keyword_phase(query: str, indexes: IndexBundle, config: RetrievalConfig) -> dict[int, str]:
+    """Exact keyword hits in rank order, each document position mapped to the
+    first phrase that hit it: the extracted phrases in order, each phrase's
+    positions ascending.  The walk ends as soon as it holds ``k_total``,
+    however many documents a common word is posted under."""
+    matched: dict[int, str] = {}
     for phrase in extract_query_terms(query, config.max_phrase_len):
-        if len(results) >= config.k_total:
-            break
         for position in keyword_lookup(indexes.keyword, phrase):
-            if position in included:
-                continue
-            results.append(RetrievalResult(indexes.docs[position], 1.0, KEYWORD, phrase))
-            included.add(position)
-            if len(results) >= config.k_total:
-                break
-    return results
+            matched.setdefault(position, phrase)
+            if len(matched) >= config.k_total:
+                return matched
+    return matched
 
 
 def _embed_queries(
@@ -178,9 +166,9 @@ def prepare_queries(
         started = time.perf_counter()
         item = PreparedQuery(query, _keyword_phase(query, indexes, config))
         run_vector = (
-            not item.results
+            not item.keyword
             if config.policy == POLICY_STRICT_FALLBACK
-            else len(item.results) < config.k_total
+            else len(item.keyword) < config.k_total
         )
         if run_vector and vec_index.count:
             if embedder.embedder_id != vec_index.embedder_id:
@@ -219,11 +207,11 @@ def retrieve(
 ) -> list[RetrievalResult]:
     """Run the two retrieval phases on ``indexes`` and merge, capped at ``k_total``.
 
-    Phase 1 walks the extracted phrases in order and appends exact keyword
-    hits.  Phase 2 embeds the full query and appends cosine top-K hits; it
-    runs only on zero keyword hits under ``strict_fallback``, or whenever
-    the cap is not yet filled under ``fill``.  Already-included documents
-    are never duplicated.  Deterministic for a deterministic embedder.
+    Phase 1 walks the extracted phrases in order and takes exact keyword
+    hits.  Phase 2 embeds the full query and appends the cosine top-K rows
+    not already taken; it runs only on zero keyword hits under
+    ``strict_fallback``, or whenever the cap is not yet filled under
+    ``fill``.  Deterministic for a deterministic embedder.
 
     ``prepared`` is this query as :func:`prepare_queries` left it, for a
     caller that prepared a whole batch; without it the query is prepared
@@ -233,15 +221,15 @@ def retrieve(
         (prepared,) = prepare_queries([query], indexes, embedder, config)
     if prepared.error is not None:
         raise prepared.error
-    results = list(prepared.results)
-    if prepared.embedding is None:
-        return results
-    included = {result.doc.id for result in results}
-    for doc_id, score in vector_topk(indexes.vector, prepared.embedding, config.k_vector):
-        if len(results) >= config.k_total:
-            break
-        if doc_id in included:
-            continue
-        results.append(RetrievalResult(indexes.doc_map[doc_id], score, VECTOR))
-        included.add(doc_id)
+    results = [
+        RetrievalResult(indexes.docs[row], 1.0, KEYWORD, phrase)
+        for row, phrase in prepared.keyword.items()
+    ]
+    if prepared.embedding is not None:
+        ranked = vector_topk(indexes.vector, prepared.embedding, config.k_vector)
+        fresh = [(row, score) for row, score in ranked if row not in prepared.keyword]
+        results += [
+            RetrievalResult(indexes.docs[row], score, VECTOR)
+            for row, score in fresh[: config.k_total - len(results)]
+        ]
     return results

@@ -144,7 +144,7 @@ def test_criterion_4_topk_equals_brute_force():
             for k in (1, 5, 50):
                 got = vector_topk(index, query, k)
                 want = oracle_topk(stored, query, k)
-                assert [g[0] for g in got] == [w[0] for w in want]
+                assert [ids[row] for row, _ in got] == [w[0] for w in want]
                 for (_, gs), (_, ws) in zip(got, want):
                     assert gs == pytest.approx(ws, abs=1e-6)
     _finish("C4", "cosine top-K equals full-sort brute force", started, 5.0)
@@ -182,7 +182,7 @@ def test_criterion_5_keyword_first_fallback(data_dir):
         raw = MockEmbedder(dim=8).embed_texts([query])[0]
         unit = (np.asarray(raw) / np.linalg.norm(raw)).tolist()
         expected = vector_topk(bundle.vector, unit, config.k_vector)[: config.k_total]
-        assert [(r.doc.id, r.score) for r in results] == expected
+        assert [(r.doc, r.score) for r in results] == [(bundle.docs[i], s) for i, s in expected]
     _finish("C5", "keyword hits suppress embedding; misses mirror top-K", started, 1.0)
 
 

@@ -20,6 +20,7 @@ from lexrag.backends import (
     HttpBackend,
     RetryPolicy,
 )
+from lexrag.cli import main
 
 # Pinned output of MockEmbedder(dim=8) for "a"; guards cross-process stability.
 FROZEN_A = [
@@ -166,7 +167,8 @@ def stub_server():
     server.peak_in_flight = 0
     server.handler_delay = 0.0
     server.respond = _default_respond
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown, which waits for one poll, fast.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server
@@ -271,6 +273,72 @@ class TestHttpBackend:
             "usage": [7, 3],
         }
         assert HttpBackend(_config(stub_server)).generate("x").text == "ᎠᎹ"
+
+
+class TestMalformedRepliesThroughMain:
+    """A reply of the wrong shape fails the command that asked for it with
+    exit 2 and one ``lexrag: backend error:`` line."""
+
+    def _main(self, capsys, server, tmp_path, *argv) -> str:
+        host, port = server.server_address
+        config = tmp_path / "http.json"
+        backend = {
+            "provider": "http",
+            "base_url": f"http://{host}:{port}",
+            "embed_model_id": "mock-embed-8",
+            "retry": {"max_attempts": 1},
+        }
+        config.write_text(json.dumps({"backend": backend}), encoding="utf-8")
+        code = main([*argv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("lexrag: backend error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([4] * 11, "embeddings response count 11 != input count 10"),
+            ([4] * 5 + [3] * 5, "embedding dimensions drifted within one response: [3, 4]"),
+        ],
+        ids=["count", "mixed_dims"],
+    )
+    def test_embeddings_reply(self, stub_server, data_dir, tmp_path, capsys, lengths, message):
+        stub_server.respond = lambda path, payload: {
+            "data": [{"embedding": [1.0] * n} for n in lengths]
+        }
+        dictionary, out = str(data_dir / "tiny_dict.jsonl"), str(tmp_path / "idx")
+        build = ["index-build", "--dict", dictionary, "--out", out]
+        err = self._main(capsys, stub_server, tmp_path, *build)
+        assert err.endswith(f": {message}\n")
+        assert [len(r["payload"]["input"]) for r in stub_server.requests] == [10]
+
+    NOT_A_STRING = "content is not a string"
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ({"unexpected": True}, "'choices'"),
+            ({"choices": []}, "list index out of range"),
+            ({"choices": [{}]}, "'message'"),
+            ({"choices": [{"message": {}}]}, "'content'"),
+            ({"choices": [{"message": {"content": 5}}]}, NOT_A_STRING),
+            ({"choices": [{"message": {"content": None}}]}, NOT_A_STRING),
+        ],
+        ids=["no_choices", "empty_choices", "no_message", "no_content", "int", "null"],
+    )
+    def test_chat_reply(self, stub_server, data_dir, tmp_path, capsys, reply, message):
+        index, mock = tmp_path / "idx", tmp_path / "mock.json"
+        mock.write_text(json.dumps({"backend": {"provider": "mock"}}), encoding="utf-8")
+        build = ["index-build", "--dict", str(data_dir / "tiny_dict.jsonl"), "--out", str(index)]
+        assert main([*build, "--config", str(mock)]) == 0
+        capsys.readouterr()
+        stub_server.respond = lambda path, payload: reply
+        translate = ["translate", "--index", str(index), "--text", "water"]
+        err = self._main(capsys, stub_server, tmp_path, *translate)
+        assert err == f"lexrag: backend error: malformed chat response: {message}\n"
+        assert [r["path"] for r in stub_server.requests] == ["/chat/completions"]
 
 
 def _reply(status: int, body: bytes = b"", *headers: str) -> bytes:

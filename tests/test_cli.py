@@ -125,6 +125,16 @@ class TestIndexBuild:
         assert code == 1
         assert not out.exists()
 
+    def test_punctuation_only_headword_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"headword":"water","target":"ᎠᎹ"}\n{"headword":"?!","target":"X"}\n', encoding="utf-8"
+        )
+        out = tmp_path / "idx"
+        code, _, err = run(capsys, "index-build", "--dict", str(bad), "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert err == f"lexrag: error: {bad}:2: headword is empty after normalization\n"
+
     def test_parallel_only_build(self, tmp_path, data_dir, capsys):
         out = tmp_path / "idx"
         code, stdout, _ = run(
@@ -286,8 +296,9 @@ class TestFailedIndexBuild:
 
 
 class _BadVectorEmbedder(MockEmbedder):
-    """The mock embedder, but with every vector zeroed or NaN, or with the
-    vectors of the second request onwards one element longer."""
+    """The mock embedder, but with every vector zeroed or NaN, one vector
+    short, or with the vectors of the second request onwards one element
+    longer."""
 
     def __init__(self, fault: str) -> None:
         super().__init__(dim=8)
@@ -299,6 +310,8 @@ class _BadVectorEmbedder(MockEmbedder):
             return [[0.0] * len(v) for v in vectors]
         if self.fault == "nan":
             return [[float("nan")] * len(v) for v in vectors]
+        if self.fault == "count":
+            return vectors[1:]
         return vectors if self.calls == 1 else [v + [0.0] for v in vectors]
 
 
@@ -309,6 +322,7 @@ class TestIndexBuildValidation:
             ("zero", "zero vector"),
             ("drift", "dimension drifted from 8 to 9"),
             ("nan", "non-finite vector for document 'd:0'"),
+            ("count", "embedder returned 31 vectors for 32 texts"),
         ],
     )
     def test_bad_embedding_is_exit_65(self, tmp_path, capsys, monkeypatch, fault, message):
@@ -329,6 +343,22 @@ class TestIndexBuildValidation:
         assert message in err
         assert len(err.splitlines()) == 1
         assert not (out / "manifest.json").exists()
+
+    def test_cached_and_fresh_dimensions_differ_is_exit_65(
+        self, built_index, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The cache holds the tiny dictionary's dim-8 vectors; "moon" is new.
+        source = tmp_path / "d.jsonl"
+        tiny = (data_dir / "tiny_dict.jsonl").read_text(encoding="utf-8")
+        source.write_text(tiny + '{"headword":"moon","target":"ᏅᏙ"}\n', encoding="utf-8")
+        embedder = _embedder_named("mock-embed-8", dim=16)
+        monkeypatch.setattr("lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator()))
+        code, stdout, err = run(
+            capsys, "index-build", "--dict", str(source), "--out", str(built_index)
+        )
+        assert code == 65 and stdout == ""
+        assert err == "lexrag: validation error: inconsistent embedding dimensions: [8, 16]\n"
+        assert embedder.calls == 1
 
     @pytest.mark.parametrize("fault", ["zero", "nan"])
     def test_rebuild_after_bad_embedding_succeeds(self, tmp_path, capsys, monkeypatch, fault):
@@ -749,6 +779,17 @@ class TestTranslate:
         assert err == "1/2 items failed\n"
 
 
+    def test_query_vector_count_mismatch_is_exit_2(self, built_index, capsys, monkeypatch):
+        embedder = _embedder_named("mock-embed-8")
+        embed_texts = embedder.embed_texts
+        embedder.embed_texts = lambda texts: [*embed_texts(texts), *embed_texts(texts)]
+        monkeypatch.setattr("lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator()))
+        code, out, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "nothing here"
+        )
+        assert code == 2 and out == ""
+        assert err == "lexrag: backend error: embedder returned 2 vectors for 1 queries\n"
+
     def test_index_of_another_embedder_is_exit_65(self, built_index, capsys, monkeypatch):
         embedder = _embedder_named("some-other-model")
         monkeypatch.setattr("lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator()))
@@ -935,6 +976,32 @@ class TestEvaluate:
         assert stdout == "" and not report.exists()
         assert err.startswith("lexrag: validation error:") and err.count("\n") == 1
         assert "non-finite vector" in err
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[[8] * 32, [16] * 8], [[8] * 5 + [16] + [8] * 26, [8] * 8]],
+        ids=["between_requests", "within_one_request"],
+    )
+    def test_token_dimension_drift_is_exit_65(self, tmp_path, capsys, monkeypatch, dims):
+        class _DriftingEmbedder:
+            embedder_id = "drifting"
+            requests = iter(dims)
+
+            def embed_tokens(self, tokens):
+                vectors = MockEmbedder(16).embed_tokens(tokens)
+                return [v[:dim] for v, dim in zip(vectors, next(self.requests))]
+
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (_DriftingEmbedder(), MockGenerator())
+        )
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("".join(chr(0x13A0 + i) for i in range(40)) + "\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+            "--metrics", "bertscore", "--tokenize", "codepoint",
+        )
+        assert code == 65 and stdout == ""
+        assert err == "lexrag: validation error: token embedder dimension drifted from 8 to 16\n"
 
     def test_labels_embedded_in_json(self, tmp_path, capsys):
         hyp = tmp_path / "h.txt"

@@ -51,6 +51,14 @@ class TestLoadDictionary:
         with pytest.raises(IngestError, match=r"d\.jsonl:2.*headword"):
             load_dictionary(path)
 
+    @pytest.mark.parametrize("headword", ["?!", "« … »", "'-'"])
+    def test_punctuation_only_headword_is_an_error(self, tmp_path, headword):
+        # Keyword normalization strips it to nothing, so no lookup could reach it.
+        line = json.dumps({"headword": headword, "target": "X"})
+        path = write(tmp_path, "d.jsonl", '{"headword":"ok","target":"x"}\n' + line + "\n")
+        with pytest.raises(IngestError, match=r"d\.jsonl:2: headword is empty after normalization"):
+            load_dictionary(path)
+
     def test_missing_target_is_an_error(self, tmp_path):
         path = write(tmp_path, "d.jsonl", '{"headword":"water"}\n')
         with pytest.raises(IngestError, match="target"):

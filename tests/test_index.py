@@ -231,24 +231,28 @@ THREE_ROWS = [
 ]
 
 
+def _ids(index, ranked):
+    return [index.ids[row] for row, _ in ranked]
+
+
 class TestVectorTopK:
     def test_self_similarity_first(self):
         index = _index_from_rows(THREE_ROWS)
         top = vector_topk(index, [0.0, 1.0], 1)
-        assert top[0][0] == "d2"
+        assert _ids(index, top) == ["d2"]
         assert top[0][1] >= 1.0 - 1e-6
 
     def test_hand_case(self):
         index = _index_from_rows(THREE_ROWS)
         result = vector_topk(index, [1.0, 0.0], 2)
-        assert [doc_id for doc_id, _ in result] == ["d1", "d3"]
+        assert result[0][0] == 0 and _ids(index, result) == ["d1", "d3"]
         assert result[0][1] == pytest.approx(1.0, abs=1e-6)
         assert result[1][1] == pytest.approx(0.70710678, abs=1e-6)
 
     def test_k_larger_than_count(self):
         index = _index_from_rows(THREE_ROWS)
         result = vector_topk(index, [1.0, 0.0], 10)
-        assert [doc_id for doc_id, _ in result] == ["d1", "d3", "d2"]
+        assert [row for row, _ in result] == [0, 2, 1]
 
     def test_k_zero(self):
         index = _index_from_rows(THREE_ROWS)
@@ -264,9 +268,13 @@ class TestVectorTopK:
         with pytest.raises(ValueError, match="unit"):
             vector_topk(index, [2.0, 0.0], 1)
 
-    def test_tie_broken_by_ascending_id(self):
-        index = _index_from_rows([("b", [1.0, 0.0]), ("a", [1.0, 0.0])])
-        assert [doc_id for doc_id, _ in vector_topk(index, [1.0, 0.0], 2)] == ["a", "b"]
+    def test_tie_broken_by_ascending_row(self):
+        # Rows 9 and 10 tie; their ids sort "x:10" first, their rows 9 first.
+        rows = [(f"x:{i}", [0.0, 1.0] if i < 9 else [1.0, 0.0]) for i in range(11)]
+        index = _index_from_rows(rows)
+        ranked = vector_topk(index, [1.0, 0.0], 2)
+        assert [row for row, _ in ranked] == [9, 10]
+        assert ranked[0][1] == ranked[1][1]
 
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_brute_force_oracle(self, dim):
@@ -280,15 +288,15 @@ class TestVectorTopK:
             for k in (1, 5, 50):
                 got = vector_topk(index, query, k)
                 want = oracle_topk(stored_rows, query, k)
-                assert [g[0] for g in got] == [w[0] for w in want]
+                assert _ids(index, got) == [w[0] for w in want]
                 assert np.allclose([g[1] for g in got], [w[1] for w in want], atol=1e-6)
 
 
 def _full_sort_topk(index, query_vec, k):
-    """The pre-partition implementation: sort every row by (-score, id)."""
+    """The pre-partition implementation: sort every row by (-score, row)."""
     scores = index.vectors.astype(np.float64) @ np.asarray(query_vec, dtype=np.float64)
-    ranked = sorted(zip(index.ids, scores), key=lambda item: (-item[1], item[0]))
-    return [(doc_id, float(score)) for doc_id, score in ranked[:k]]
+    ranked = sorted(enumerate(scores.tolist()), key=lambda item: (-item[1], item[0]))
+    return ranked[:k]
 
 
 _small_ints = st.integers(min_value=-2, max_value=2)
@@ -296,8 +304,8 @@ _small_ints = st.integers(min_value=-2, max_value=2)
 
 @st.composite
 def _tied_index_and_query(draw):
-    """Few distinct quantised rows, each duplicated, under shuffled ids, so
-    many scores tie, including at the k-th boundary."""
+    """Few distinct quantised rows, each duplicated, so many scores tie,
+    including at the k-th boundary; shuffled ids, which must not matter."""
     dim = draw(st.integers(min_value=2, max_value=4))
     nonzero = st.lists(_small_ints, min_size=dim, max_size=dim).filter(any)
     base = draw(st.lists(nonzero, min_size=1, max_size=5))
@@ -371,25 +379,25 @@ class TestPartitionTopK:
         assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
 
     def test_tied_run_straddling_a_block_boundary(self):
-        # the two best rows are in the last block; rows 252..259 tie for third
-        # place, and their four lowest ids lie on both sides of the block
+        # the two best rows are in the last block; rows 254..261 tie for third
+        # place, and the four that rank lie on both sides of the block
         # boundary at row 256
-        count, tied = 2 * SCORE_BLOCK_ROWS + 3, range(SCORE_BLOCK_ROWS - 4, SCORE_BLOCK_ROWS + 4)
+        count, tied = 2 * SCORE_BLOCK_ROWS + 3, range(SCORE_BLOCK_ROWS - 2, SCORE_BLOCK_ROWS + 6)
         rows = [(f"x{i:04d}", [-1.0, 1.0 + i % 7]) for i in range(count)]
         rows[-3:-1] = [("a", [1.0, 0.0]), ("b", [1.0, 0.1])]
-        for row, tie_id in zip(tied, ["t7", "t5", "t3", "t1", "t0", "t2", "t4", "t6"]):
-            rows[row] = (tie_id, [1.0, 1.0])
+        for row in tied:
+            rows[row] = (f"t{row}", [1.0, 1.0])
         index = _index_from_rows(rows)
         got = vector_topk(index, [1.0, 0.0], 6)
-        assert [doc_id for doc_id, _ in got] == ["a", "b", "t0", "t1", "t2", "t3"]
+        assert [row for row, _ in got] == [count - 3, count - 2, *tied[:4]]
         assert got == _full_sort_topk(index, [1.0, 0.0], 6)
 
     def test_boundary_ties_all_considered(self):
-        # five identical rows tie for second place; only the lowest ids survive
-        rows = [("z", [1.0, 0.0])] + [(f"t{i}", [1.0, 1.0]) for i in (4, 2, 0, 3, 1)]
+        # five identical rows tie for second place; only the lowest rows survive
+        rows = [(f"t{i}", [1.0, 1.0]) for i in range(5)] + [("z", [1.0, 0.0])]
         index = _index_from_rows(rows)
         got = vector_topk(index, [1.0, 0.0], 3)
-        assert [doc_id for doc_id, _ in got] == ["z", "t0", "t1"]
+        assert [row for row, _ in got] == [5, 0, 1]
         assert got == _full_sort_topk(index, [1.0, 0.0], 3)
 
     def test_nan_query_rejected(self):
@@ -400,7 +408,7 @@ class TestPartitionTopK:
 
 # Runs vector_topk on seeded matrices whose full product OpenBLAS splits
 # across threads (above about 460,000 elements), with duplicate rows that
-# tie; prints one SHA-256 per call over its ids and float.hex scores.  With
+# tie; prints one SHA-256 per call over its rows and float.hex scores.  With
 # one row more than a multiple of 16, two threads split a product of all rows
 # off an 8-row boundary, which changes the bits of some of its rows; score
 # blocks of 4,096 rows fail this test.
@@ -421,7 +429,7 @@ for count, dim in json.loads(sys.argv[1]):
         query = rng.standard_normal(dim)
         query /= np.linalg.norm(query)
         for k in (5, count + 1):
-            ranked = [(doc_id, score.hex()) for doc_id, score in vector_topk(index, query, k)]
+            ranked = [(row, score.hex()) for row, score in vector_topk(index, query, k)]
             digests.append(hashlib.sha256(json.dumps(ranked).encode()).hexdigest())
 json.dump(digests, sys.stdout)
 """

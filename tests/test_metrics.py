@@ -379,6 +379,19 @@ class _ConstantEmbedder:
         return [[self.value] * 8 for _ in tokens]
 
 
+class _DriftingEmbedder:
+    """MockEmbedder vectors cut or padded to ``dims[request][token]`` entries."""
+
+    embedder_id = "drifting"
+
+    def __init__(self, dims: list[list[int]]) -> None:
+        self.dims = iter(dims)
+
+    def embed_tokens(self, tokens):
+        vectors = MockEmbedder(16).embed_tokens(tokens)
+        return [v[:dim] for v, dim in zip(vectors, next(self.dims))]
+
+
 class TestEvaluateOnce:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -445,6 +458,20 @@ class TestEvaluateOnce:
         embedder = SimpleNamespace(embedder_id="extra", embed_tokens=extra)
         with pytest.raises(ValueError, match="gave 4 vectors for 3 tokens"):
             evaluate_set(["a b"], ["b c"], token_embedder=embedder)
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([[8] * 32, [16] * 8], "drifted from 8 to 16"),  # between two requests
+            ([[8] * 5 + [16] + [8] * 26, [8] * 8], "drifted from 8 to 16"),  # within one
+        ],
+        ids=["between_requests", "within_one_request"],
+    )
+    def test_dimension_drift_rejected(self, dims, message):
+        hyp = "".join(chr(0x13A0 + i) for i in range(40))
+        embedder = _DriftingEmbedder(dims)
+        with pytest.raises(ValueError, match=f"token embedder dimension {message}$"):
+            evaluate_set([hyp], [hyp], TokenizationPolicy.CODEPOINT, embedder)
 
     def test_direct_bertscore_matches_oracle(self):
         embedder = MockEmbedder(8)

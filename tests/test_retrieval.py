@@ -145,7 +145,9 @@ class TestRetrieve:
         raw = MockEmbedder(dim=8).embed_texts([query])[0]
         unit = (np.array(raw) / np.linalg.norm(raw)).tolist()
         expected = vector_topk(tiny_bundle.vector, unit, config.k_vector)
-        assert [(r.doc.id, r.score) for r in results] == expected
+        assert [(r.doc, r.score) for r in results] == [
+            (tiny_bundle.docs[row], score) for row, score in expected
+        ]
         assert all(r.provenance == "vector" and r.matched_phrase is None for r in results)
 
         stored = [(i, v.tolist()) for i, v in zip(tiny_bundle.vector.ids, tiny_bundle.vector.vectors)]
@@ -166,6 +168,32 @@ class TestRetrieve:
         ]
         assert results[0].score == 1.0
         assert results[1].score == pytest.approx(0.8, abs=1e-6)
+
+    def test_fill_cuts_vector_hits_at_k_total(self):
+        # Vector top-3 is d:0 (already a keyword hit), d:3, d:1; one slot is left.
+        results = retrieve(
+            "water fire",
+            _square_setup({"water": [0], "fire": [2]}),
+            _FixedQueryEmbedder([1.0, 0.0]),
+            RetrievalConfig(k_vector=3, k_total=3, policy="fill", max_phrase_len=1),
+        )
+        assert [(r.doc.id, r.provenance, r.matched_phrase) for r in results] == [
+            ("d:0", "keyword", "water"),
+            ("d:2", "keyword", "fire"),
+            ("d:3", "vector", None),
+        ]
+
+    def test_vector_tie_follows_document_position(self):
+        # x:9 and x:10 have one vector; id-text order would put x:10 first.
+        examples = [ParallelExample(f"word{i}", f"t{i}", "en", "chr") for i in range(11)]
+        docs = to_documents([], examples)
+        rows = [[0.0, 1.0]] * 9 + [[1.0, 0.0]] * 2
+        vec = VectorIndex(2, "fixed", [doc.id for doc in docs], np.array(rows, dtype=np.float32))
+        kw = build_keyword_index(docs)
+        bundle = IndexBundle(kw, vec, IndexManifest.create(kw, vec), docs)
+        config = RetrievalConfig(k_vector=2, k_total=2)
+        results = retrieve("nothing indexed", bundle, _FixedQueryEmbedder([1.0, 0.0]), config)
+        assert [r.doc.id for r in results] == ["x:9", "x:10"]
 
     def test_strict_fallback_skips_vector_when_keywords_hit(self):
         embedder = _FixedQueryEmbedder([1.0, 0.0])
