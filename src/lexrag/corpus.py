@@ -253,9 +253,10 @@ def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
         where = f"{path}:{lineno}"
         obj = _json_object(line, where)
         headword = _clean_headword(_require_str(obj, "headword", where))
-        if not normalize_keyword(headword):
+        phrase = normalize_keyword(headword)
+        if not phrase:
             raise IngestError(f"{where}: headword is empty after normalization")
-        if len(headword.split()) > MAX_PHRASE_LEN:
+        if len(phrase.split()) > MAX_PHRASE_LEN:
             raise IngestError(f"{where}: headword {headword!r} exceeds {MAX_PHRASE_LEN} words")
         target = nfc(_require_str(obj, "target", where)).strip()
         if not target:

@@ -1,8 +1,9 @@
 """The two index structures behind retrieval, plus their on-disk form.
 
-A corpus is indexed twice: an exact keyword-to-document mapping over
-normalized phrases, and a vector store of unit-normalized embeddings queried
-by cosine similarity (dot product, since rows are unit vectors).  Top-K is
+A corpus is indexed twice: a plain dict from normalized phrase to ascending
+document positions, the same object in memory as in ``keyword_index.json``,
+and a vector store of unit-normalized embeddings queried by cosine
+similarity (dot product, since rows are unit vectors).  Top-K is
 exact and flat, in two passes.  A float32 product screens every row and
 gives the k-th best screen score; its proven error bound then rules out
 every block of ``SCORE_BLOCK_ROWS`` rows that cannot reach the k-th float64
@@ -48,7 +49,7 @@ import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,47 +81,31 @@ class IndexFormatError(Exception):
     """Corrupt or inconsistent on-disk index data."""
 
 
-@dataclass
-class KeywordIndex:
-    """Exact-match mapping from normalized phrase to ascending document
-    positions: indexes into the documents, as saved in ``docs.json``."""
-
-    entries: dict[str, list[int]]
-    max_phrase_len: int = MAX_PHRASE_LEN
-
-
-def build_keyword_index(docs: Sequence[Document]) -> KeywordIndex:
-    """Index dictionary documents under their normalized headword and example
-    documents under each source-text unigram, by position in ``docs``.
-
-    ``max_phrase_len`` records the longest indexed phrase, capped at
-    ``MAX_PHRASE_LEN``; longer headwords are still indexed and remain exact-
-    lookup reachable.
-    """
+def build_keyword_index(docs: Sequence[Document]) -> dict[str, list[int]]:
+    """Map each normalized phrase to the ascending positions in ``docs`` of
+    the documents it indexes: a dictionary document under its normalized
+    headword, an example document under each of its source-text unigrams.
+    Documents are visited in order and each adds its position to a phrase
+    once, so every posting list is ascending and unique as it is built."""
     if not docs:
         raise ValueError("cannot build a keyword index from zero documents")
-    mapping: dict[str, set[int]] = {}
-    longest = 0
+    index: dict[str, list[int]] = {}
     for position, doc in enumerate(docs):
-        if doc.kind == DICTIONARY_KIND:
-            phrases: Iterable[str] = [normalize_keyword(doc.source_text)]
-        else:
-            phrases = normalize_keyword(doc.source_text).split()
+        text = normalize_keyword(doc.source_text)
+        phrases = [text] if doc.kind == DICTIONARY_KIND else dict.fromkeys(text.split())
         for phrase in phrases:
-            if not phrase:
-                continue
-            longest = max(longest, len(phrase.split()))
-            mapping.setdefault(phrase, set()).add(position)
-    entries = {phrase: sorted(positions) for phrase, positions in mapping.items()}
-    return KeywordIndex(entries=entries, max_phrase_len=min(max(longest, 1), MAX_PHRASE_LEN))
+            if phrase:
+                index.setdefault(phrase, []).append(position)
+    return index
 
 
-def keyword_lookup(index: KeywordIndex, phrase: str) -> list[int]:
+def keyword_lookup(index: dict[str, list[int]], phrase: str) -> list[int]:
     """Exact lookup of an already normalized phrase: its ascending document
-    positions, or an empty list on a miss.  The index keys and the phrases
-    of ``extract_query_terms`` are both ``normalize_keyword`` outputs, so a
+    positions, or an empty list on a miss.  The list is the index's own;
+    do not modify it.  The index keys and the phrases of
+    ``extract_query_terms`` are both ``normalize_keyword`` outputs, so a
     query is normalized once and each of its n-grams is looked up as it is."""
-    return list(index.entries.get(phrase, ()))
+    return index.get(phrase, [])
 
 
 @dataclass(eq=False)
@@ -166,13 +151,17 @@ class IndexManifest:
     version: int
 
     @classmethod
-    def create(cls, keyword: KeywordIndex, vector: VectorIndex) -> "IndexManifest":
+    def create(cls, keyword: dict[str, list[int]], vector: VectorIndex) -> "IndexManifest":
+        """``max_phrase_len`` is the word count of the longest phrase in
+        ``keyword``, capped at ``MAX_PHRASE_LEN`` (a longer headword is still
+        indexed and reachable by exact lookup) and at least 1."""
+        longest = max(map(len, map(str.split, keyword)), default=0)
         return cls(
             dim=vector.dim,
             count=vector.count,
             embedder_id=vector.embedder_id,
             created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            max_phrase_len=keyword.max_phrase_len,
+            max_phrase_len=min(max(longest, 1), MAX_PHRASE_LEN),
             version=FORMAT_VERSION,
         )
 
@@ -405,14 +394,15 @@ def vector_topk(
 
 @dataclass
 class IndexBundle:
-    """One index, as saved and loaded.  Construction checks its parts against
+    """One index, as saved and loaded; ``keyword`` is the phrase -> positions
+    dict of ``keyword_index.json``.  Construction checks its parts against
     each other, here only: the manifest describes the vectors, whose rows
     follow the documents, and every keyword posting is the position of a
     document.  The postings take three C-level passes, over their types,
     for their ``min`` and for their ``max``; only a bundle that fails one is
     scanned, for the phrase and the value to name."""
 
-    keyword: KeywordIndex
+    keyword: dict[str, list[int]]
     vector: VectorIndex
     manifest: IndexManifest
     docs: list[Document]
@@ -426,7 +416,7 @@ class IndexBundle:
             )
         if self.vector.ids != [doc.id for doc in self.docs]:
             raise IndexFormatError("vector index ids do not follow the documents in order")
-        count, entries = len(self.docs), self.keyword.entries
+        count, entries = len(self.docs), self.keyword
         postings = itertools.chain.from_iterable
         if not (
             set(map(type, postings(entries.values()))) <= {int}  # not bool or float
@@ -476,7 +466,7 @@ def _read_vectors(path: Path, embedder_id: str, ids: list[str]) -> VectorIndex:
 
 
 def save_index(
-    keyword: KeywordIndex,
+    keyword: dict[str, list[int]],
     vector: VectorIndex,
     manifest: IndexManifest,
     docs: Sequence[Document],
@@ -489,7 +479,7 @@ def save_index(
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
     (out / KEYWORD_FILE).write_text(
-        json.dumps(keyword.entries, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        json.dumps(keyword, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         + "\n",
         encoding="utf-8",
     )
@@ -521,14 +511,13 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         )
 
     try:
-        entries = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
+        keyword = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # a decode, JSON syntax or int-digit limit error too
         raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
     # Each value must be a list (one C-level pass); the bundle checks the
     # positions in them.
-    if not (isinstance(entries, dict) and set(map(type, entries.values())) <= {list}):
+    if not (isinstance(keyword, dict) and set(map(type, keyword.values())) <= {list}):
         raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [positions] object")
-    keyword = KeywordIndex(entries, manifest.max_phrase_len)
 
     docs = load_documents(root / DOCS_FILE)
     vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, [doc.id for doc in docs])

@@ -100,8 +100,6 @@ def bleu(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
         precision = clipped[n] / candidates[n] if clipped[n] else BLEU_EPS
         log_sum += math.log(precision)
         orders += 1
-    if orders == 0:
-        return 0.0
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_sum / orders)
 

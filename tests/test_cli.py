@@ -135,6 +135,25 @@ class TestIndexBuild:
         assert code == 1 and not out.exists()
         assert err == f"lexrag: error: {bad}:2: headword is empty after normalization\n"
 
+    def test_headword_cap_counts_keyword_words(self, tmp_path, capsys):
+        # "." is no keyword word, so this headword's phrase has 4 words: the cap.
+        source = tmp_path / "d.jsonl"
+        source.write_text('{"headword":"one two three four .","target":"X"}\n')
+        out = tmp_path / "idx"
+        code, _, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 0, err
+        code, stdout, _ = run(
+            capsys, "translate", "--index", str(out), "--text", "one two three four"
+        )
+        assert (code, stdout) == (0, "X\n")
+
+        source.write_text('{"headword":"one two three four five .","target":"X"}\n')
+        code, _, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 1
+        assert err == (
+            f"lexrag: error: {source}:1: headword 'one two three four five .' exceeds 4 words\n"
+        )
+
     def test_parallel_only_build(self, tmp_path, data_dir, capsys):
         out = tmp_path / "idx"
         code, stdout, _ = run(
@@ -1596,3 +1615,113 @@ class TestIntegerOverDigitLimit:
         code, stdout, err = run(capsys, *(arg.format(**values) for arg in argv))
         assert (code, stdout) == (1, "")
         assert err.startswith(f"lexrag: error: {bad}:2: ") and err.count("\n") == 1, err
+
+
+
+_DICT = ("index-build", "--dict", "{tmp}/d.jsonl", "--out", "{tmp}/idx")
+_PARALLEL = ("index-build", "--parallel", "{tmp}/p.jsonl", "--out", "{tmp}/idx")
+_EVALUATE_AB = ("evaluate", "--hyp", "{tmp}/h.txt", "--ref", "{tmp}/r.txt")
+_HUMANEVAL_S = ("humaneval", "--scores", "{tmp}/s.csv")
+_PAIR_FILES = {"h.txt": "a b\n", "r.txt": "a c\n"}
+_SHEET_HEADER = "sentence_id,model_id,fluency,grammaticality,faithfulness\n"
+_EXAMPLES_MESSAGE = "error: {tmp}/d.jsonl:1: examples must be a list of [source, target] pairs"
+_EMPTY_TEXT_MESSAGE = "error: {tmp}/p.jsonl:1: source_text and target_text must be non-empty"
+
+
+def _dict_line(**fields) -> dict[str, str]:
+    return {"d.jsonl": json.dumps({"headword": "a", "target": "b", **fields})}
+
+
+def _parallel_line(**fields) -> dict[str, str]:
+    line = {"source_text": "a", "target_text": "b", "source_lang": "en", "target_lang": "chr"}
+    return {"p.jsonl": json.dumps({**line, **fields})}
+
+
+class TestErrorExits:
+    """Each misuse below is its documented exit code and one ``lexrag:`` line
+    on stderr, naming the file (and line) at fault; nothing goes to stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, files, code, message",
+        [
+            (
+                ("translate", "--text", "water"), {}, 64,
+                "error: --index is required (or set index_dir in the config)",
+            ),
+            (
+                ("translate", "--index", "{index}", "--text", "x", "--config", "{tmp}/c.json"),
+                {"c.json": '{"template": "absent.json"}'}, 1,
+                "error: template file not found: absent.json",
+            ),
+            (
+                ("translate", "--index", "{index}", "--input", "{tmp}/in.txt"),
+                {"in.txt": "\n  \n\t\n"}, 1, "error: {tmp}/in.txt: no input sentences",
+            ),
+            (
+                ("evaluate", "--hyp", "{tmp}/absent.txt", "--ref", "{tmp}/r.txt"),
+                {"r.txt": "a\n"}, 1, "error: file not found: {tmp}/absent.txt",
+            ),
+            (
+                ("report", "{tmp}/absent.json"), {}, 1,
+                "error: metrics file not found: {tmp}/absent.json",
+            ),
+            (
+                _DICT, {"d.jsonl": '["water", "x"]'}, 1,
+                "error: {tmp}/d.jsonl:1: expected a JSON object",
+            ),
+            (
+                _DICT, _dict_line(definition=5), 1,
+                "error: {tmp}/d.jsonl:1: field 'definition' must be a string",
+            ),
+            (_DICT, _dict_line(target=" "), 1, "error: {tmp}/d.jsonl:1: target is empty"),
+            (_DICT, _dict_line(examples="x"), 1, _EXAMPLES_MESSAGE),
+            (_DICT, _dict_line(examples=[["x", "y"], ["z"]]), 1, _EXAMPLES_MESSAGE),
+            (_PARALLEL, _parallel_line(source_text=" "), 1, _EMPTY_TEXT_MESSAGE),
+            (_PARALLEL, _parallel_line(target_text=""), 1, _EMPTY_TEXT_MESSAGE),
+            (
+                _PARALLEL, _parallel_line(provenance=5), 1,
+                "error: {tmp}/p.jsonl:1: provenance must be a string",
+            ),
+            (
+                ("report", "{tmp}/m.json"), {"m.json": '{"language": "x", "model": "m", "bl": 1}'},
+                65, "validation error: {tmp}/m.json: unknown metric fields ['bl']",
+            ),
+            (
+                _HUMANEVAL_S, {"s.csv": "sentence_id,model_id\n"}, 65,
+                "validation error: {tmp}/s.csv: expected header " + _SHEET_HEADER.strip(),
+            ),
+            (
+                _HUMANEVAL_S, {"s.csv": _SHEET_HEADER + "s1,m1,3,4\n"}, 65,
+                "validation error: {tmp}/s.csv:2: expected 5 columns",
+            ),
+            (
+                _HUMANEVAL_S, {"s.csv": _SHEET_HEADER + "s1,m1,3,4.5,2\n"}, 65,
+                "validation error: {tmp}/s.csv:2: scores must be integers",
+            ),
+            (
+                (*_EVALUATE_AB, "--metrics", "bleu,bogus"), _PAIR_FILES, 65,
+                "validation error: unknown metrics: ['bogus']",
+            ),
+            (
+                (*_EVALUATE_AB, "--config", "{tmp}/c.json"),
+                {**_PAIR_FILES, "c.json": '{"backend": {"max_in_flight": 0}}'}, 65,
+                "validation error: {tmp}/c.json: backend: max_in_flight must be >= 1",
+            ),
+        ],
+        ids=[
+            "no-index", "template-missing", "blank-batch", "hyp-missing", "report-missing",
+            "dict-not-object", "dict-definition-int", "dict-target-empty", "dict-examples-str",
+            "dict-example-pair", "parallel-source-empty", "parallel-target-empty",
+            "parallel-provenance-int", "report-unknown-field", "humaneval-header",
+            "humaneval-columns", "humaneval-score", "evaluate-metric", "max-in-flight-0",
+        ],
+    )
+    def test_exit_code_and_one_line(
+        self, argv, files, code, message, built_index, tmp_path, capsys
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        values = {"tmp": tmp_path, "index": built_index}
+        got, stdout, err = run(capsys, *(arg.format(**values) for arg in argv))
+        assert (got, stdout) == (code, "")
+        assert err == f"lexrag: {message.format(**values)}\n"

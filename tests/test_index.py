@@ -29,7 +29,6 @@ from lexrag.index import (
     IndexBundle,
     IndexFormatError,
     IndexManifest,
-    KeywordIndex,
     VectorIndex,
     build_keyword_index,
     build_vector_index,
@@ -75,41 +74,49 @@ class TestKeywordIndex:
     def test_single_headword(self):
         docs = to_documents([DictionaryEntry("water", "ᎠᎹ")], [])
         index = build_keyword_index(docs)
-        assert index.entries == {"water": [0]}
+        assert index == {"water": [0]}
 
     def test_shared_headword_collects_both_ids(self):
         docs = to_documents(
             [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("water", "water-2")], []
         )
         index = build_keyword_index(docs)
-        assert index.entries["water"] == [0, 1]
+        assert index["water"] == [0, 1]
 
     def test_example_source_unigrams(self):
         docs = to_documents([], [ParallelExample("he loved the world", "…", "en", "chr")])
         index = build_keyword_index(docs)
-        assert index.entries == {
+        assert index == {
             "he": [0],
             "loved": [0],
             "the": [0],
             "world": [0],
         }
 
+    def test_repeated_unigram_listed_once(self):
+        examples = [ParallelExample(text, "…", "en", "chr") for text in ("a b A", "b", "b a. b")]
+        index = build_keyword_index(to_documents([], examples))
+        assert index == {"a": [0, 2], "b": [0, 1, 2]}
+
     def test_max_phrase_len_tracks_longest_capped(self, tiny_docs):
         index = build_keyword_index(tiny_docs)
-        assert index.max_phrase_len == 2  # "mountain lion"
+        vector = build_vector_index(tiny_docs, MockEmbedder(dim=8))
+        assert IndexManifest.create(index, vector).max_phrase_len == 2  # "mountain lion"
+        assert IndexManifest.create({"a b c d e": [0]}, vector).max_phrase_len == 4
+        assert IndexManifest.create({}, vector).max_phrase_len == 1
 
     def test_lookup_normalizes(self):
         # the query is normalized once, into phrases that match the keys as they are
-        index = KeywordIndex(entries={"water": [0]})
+        index = {"water": [0]}
         assert [keyword_lookup(index, p) for p in extract_query_terms("Water", 4)] == [[0]]
 
     def test_lookup_miss(self):
-        index = KeywordIndex(entries={"water": [0]})
+        index = {"water": [0]}
         assert keyword_lookup(index, "earth") == []
 
     def test_lookup_multiword(self, tiny_docs):
         index = build_keyword_index(tiny_docs)
-        phrases = extract_query_terms("Mountain Lion", index.max_phrase_len)
+        phrases = extract_query_terms("Mountain Lion", 2)
         assert phrases[0] == "mountain lion"
         assert [tiny_docs[i].id for i in keyword_lookup(index, phrases[0])] == ["d:8"]
 
@@ -207,6 +214,22 @@ class TestBuildVectorIndex:
         index = build_vector_index(tiny_docs, MockEmbedder(dim=8), cache=cache)
         assert cache.hits == 2
         assert index.count == len(tiny_docs)
+
+    def test_identical_render_texts_embedded_once(self, tmp_path):
+        same = ParallelExample("he loved", "ᎤᎨᏳᎯ", "en", "chr")
+        docs = to_documents([], [same, ParallelExample("she sang", "…", "en", "chr"), same])
+        sent = []
+
+        class Recording(MockEmbedder):
+            def embed_texts(self, texts):
+                sent.extend(texts)
+                return super().embed_texts(texts)
+
+        cache = EmbeddingCache(tmp_path / "embeddings.jsonl")
+        index = build_vector_index(docs, Recording(dim=8), cache=cache)
+        assert sent == [docs[0].render_text, docs[1].render_text]
+        assert (cache.hits, cache.misses) == (0, 2)  # the repeat is not looked up again
+        assert index.vectors[0].tobytes() == index.vectors[2].tobytes()
 
     def test_row_order_follows_doc_order(self, tiny_docs):
         index = build_vector_index(tiny_docs, MockEmbedder(dim=8))
@@ -572,13 +595,13 @@ class TestPersistence:
 
     def test_unknown_doc_id_rejected(self, tiny_docs, tmp_path):
         keyword, vector, manifest = self._build(tiny_docs)
-        ghost = KeywordIndex({**keyword.entries, "ghost": [999]}, keyword.max_phrase_len)
+        ghost = {**keyword, "ghost": [999]}
         with pytest.raises(IndexFormatError, match="'ghost' lists 999, not the position"):
             save_index(ghost, vector, manifest, tiny_docs, tmp_path / "refused")
         assert not (tmp_path / "refused").exists()
 
         save_index(keyword, vector, manifest, tiny_docs, tmp_path)
-        (tmp_path / KEYWORD_FILE).write_text(json.dumps(ghost.entries), encoding="utf-8")
+        (tmp_path / KEYWORD_FILE).write_text(json.dumps(ghost), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="'ghost' lists 999, not the position"):
             load_index(tmp_path)
 
@@ -590,19 +613,19 @@ class TestPersistence:
             (lambda k, v, m, d: (k, v, replace(m, embedder_id="other"), d), "does not match"),
             (lambda k, v, m, d: (k, v, m, d[::-1]), "do not follow the documents in order"),
             (
-                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [999]}), v, m, d),
+                lambda k, v, m, d: ({**k, "ghost": [999]}, v, m, d),
                 f"{KEYWORD_FILE}: phrase 'ghost' lists 999, not the position of one of the 13 ",
             ),
             (
-                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [0, -1]}), v, m, d),
+                lambda k, v, m, d: ({**k, "ghost": [0, -1]}, v, m, d),
                 "'ghost' lists -1, not the position",
             ),
             (
-                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": ["d:0"]}), v, m, d),
+                lambda k, v, m, d: ({**k, "ghost": ["d:0"]}, v, m, d),
                 "'ghost' lists 'd:0', not the position",
             ),
             (
-                lambda k, v, m, d: (KeywordIndex({**k.entries, "ghost": [1.0]}), v, m, d),
+                lambda k, v, m, d: ({**k, "ghost": [1.0]}, v, m, d),
                 "'ghost' lists 1.0, not the position",
             ),
         ],

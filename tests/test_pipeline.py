@@ -7,7 +7,7 @@ import pytest
 
 from lexrag.backends import BackendError, MockEmbedder, MockGenerator
 from lexrag.corpus import Document, from_json
-from lexrag.index import IndexBundle, IndexManifest, KeywordIndex, VectorIndex
+from lexrag.index import IndexBundle, IndexManifest, VectorIndex
 from lexrag.pipeline import (
     DEFAULT_TEMPLATE,
     MAX_PARALLELISM,
@@ -98,7 +98,7 @@ class TestAssemblePrompt:
 
 
 def _empty_bundle():
-    keyword = KeywordIndex({})
+    keyword = {}
     vector = VectorIndex(
         dim=8, embedder_id="mock-embed-8", ids=[], vectors=np.zeros((0, 8), dtype=np.float32)
     )

@@ -14,7 +14,6 @@ from lexrag.index import (
     IndexBundle,
     IndexFormatError,
     IndexManifest,
-    KeywordIndex,
     VectorIndex,
     build_keyword_index,
     build_vector_index,
@@ -110,9 +109,7 @@ def _square_setup(keyword_entries=None):
         _dict_doc("d:2", "fire"),
         _dict_doc("d:3", "earth"),
     ]
-    kw = KeywordIndex(
-        entries=keyword_entries or {"water": [0], "sun": [1]}, max_phrase_len=1
-    )
+    kw = keyword_entries or {"water": [0], "sun": [1]}
     vec = VectorIndex(
         dim=2,
         embedder_id="fixed",
