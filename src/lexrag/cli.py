@@ -41,7 +41,6 @@ from .corpus import (
 from .index import (
     CACHE_FILE,
     EmbeddingCache,
-    IndexBuildError,
     IndexFormatError,
     IndexManifest,
     build_keyword_index,
@@ -458,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IngestError, IndexFormatError, OSError) as exc:
         print(f"lexrag: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, IndexBuildError, RetrievalError) as exc:
+    except (ValueError, RetrievalError) as exc:
         print(f"lexrag: validation error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -22,6 +22,7 @@ one JSON object of per-field arrays; ids are positional.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import sys
@@ -373,14 +374,11 @@ def _valid_column(column: list, types: set[type], values: set | None) -> bool:
 def _positional_ids(kinds: Sequence[str]) -> list[str]:
     """``d:<seq>`` for dictionary entries and ``x:<seq>`` for examples, with
     ``seq`` counted per kind in document order."""
-    seen = dict.fromkeys(_ID_PREFIX, 0)
-    ids = []
-    for kind in kinds:
-        if kind not in seen:
-            raise IngestError(f"unknown document kind {kind!r}")
-        ids.append(f"{_ID_PREFIX[kind]}:{seen[kind]}")
-        seen[kind] += 1
-    return ids
+    if not set(kinds) <= _ID_PREFIX.keys():
+        unknown = next(kind for kind in kinds if kind not in _ID_PREFIX)
+        raise IngestError(f"unknown document kind {unknown!r}")
+    seqs = {kind: itertools.count() for kind in _ID_PREFIX}
+    return [f"{_ID_PREFIX[kind]}:{next(seqs[kind])}" for kind in kinds]
 
 
 def _documents(columns: list[Sequence]) -> list[Document]:

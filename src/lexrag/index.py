@@ -43,13 +43,12 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import struct
 import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,8 +72,8 @@ VECTORS_FILE = "vectors.bin"
 CACHE_FILE = "cache/embeddings.jsonl"
 
 
-class IndexBuildError(Exception):
-    """Embedding or construction failure while building an index."""
+class IndexBuildError(ValueError):
+    """An unusable embedder reply, or a failure while building an index."""
 
 
 class IndexFormatError(Exception):
@@ -188,8 +187,8 @@ class EmbeddingCache:
     line is kept if it is an entry, and otherwise dropped (with a warning)
     and cut from the file, so the next append starts on a line of its own.
     A bad line anywhere else is an ``IndexFormatError``.  An entry is a
-    UTF-8 JSON object whose ``key`` is a string, ``dim`` an integer and
-    ``vector`` a list of ``dim`` finite numbers (bool is not a number here).
+    UTF-8 JSON object: ``key`` a string, ``dim`` an integer and ``vector`` a
+    list of ``dim`` numbers (not bools) whose norm is finite and not zero.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -237,8 +236,11 @@ class EmbeddingCache:
         if len(vector) != dim:
             raise ValueError("dim field disagrees with vector length")
         vector = list(map(float, vector))
-        if not all(map(math.isfinite, vector)):  # NaN and Infinity parse as JSON
+        squares = sum(v * v for v in vector)  # the build divides by its square root
+        if not squares < np.inf:  # NaN and Infinity parse as JSON; huge values overflow
             raise ValueError("vector must be finite")
+        if squares == 0.0:  # all zero, or so small that every square underflows
+            raise ValueError("vector must not be zero")
         self._entries[key] = vector
 
     def get(self, embedder_id: str, text: str) -> list[float] | None:
@@ -263,21 +265,32 @@ class EmbeddingCache:
                 fh.write(record + "\n")
 
 
-def _unit_rows(raw: Sequence[Sequence[float]], ids: Sequence[str], dim: int) -> np.ndarray:
-    """``raw`` scaled to unit rows; a zero or non-finite row is an IndexBuildError."""
-    matrix = np.asarray(raw, dtype=np.float64)
-    if matrix.shape != (len(ids), dim):
-        raise IndexBuildError(
-            f"embedder returned shape {matrix.shape}, expected ({len(ids)}, {dim})"
-        )
-    norms = np.linalg.norm(matrix, axis=1)
-    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
-    if bad.size:
-        fault = "zero" if norms[bad[0]] == 0.0 else "non-finite"
-        raise IndexBuildError(
-            f"embedder returned a {fault} vector for document {ids[bad[0]]!r}; cannot normalize"
-        )
-    return (matrix / norms[:, None]).astype(np.float32)
+def embed_chunks(
+    embed: Callable[[list[str]], list[list[float]]], texts: list[str]
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Embed ``texts`` with ``embed``, ``EMBED_BATCH_SIZE`` per request, and
+    yield each request's texts with their vectors as float64 rows.  Each
+    reply is checked before it is yielded: one vector per text, each as long
+    as the first reply's first vector, none zero or non-finite.  A reply that
+    fails is an ``IndexBuildError`` naming the fault and, for a bad vector,
+    its text."""
+    dim = None
+    for start in range(0, len(texts), EMBED_BATCH_SIZE):
+        chunk = texts[start : start + EMBED_BATCH_SIZE]
+        reply = embed(chunk)
+        if len(reply) != len(chunk):
+            raise IndexBuildError(f"embedder returned {len(reply)} vectors for {len(chunk)} texts")
+        dim = len(reply[0]) if dim is None else dim
+        for vector in reply:
+            if len(vector) != dim:
+                raise IndexBuildError(f"embedding dimension drifted from {dim} to {len(vector)}")
+        vectors = np.asarray(reply, dtype=np.float64)
+        norms = np.linalg.norm(vectors, axis=1).tolist()
+        bad = next((i for i, norm in enumerate(norms) if not 0.0 < norm < np.inf), None)  # NaN too
+        if bad is not None:
+            fault = "zero" if norms[bad] == 0.0 else "non-finite"
+            raise IndexBuildError(f"embedder returned a {fault} vector for {chunk[bad]!r}")
+        yield chunk, vectors
 
 
 def build_vector_index(
@@ -285,55 +298,33 @@ def build_vector_index(
     embedder: Embedder,
     cache: EmbeddingCache | None = None,
 ) -> VectorIndex:
-    """Embed each document's render_text (in document order), unit-normalize,
-    and assemble the vector index, ``EMBED_BATCH_SIZE`` texts per request.
-    Texts already in the cache are served from it and never reach the backend.
+    """Embed each document's render_text (in document order) through
+    :func:`embed_chunks`, unit-normalize, and assemble the vector index.
+    Texts already in the cache are served from it and never reach the
+    backend; each checked reply is cached as it arrives, so a failed build
+    keeps the replies before the failure.
     """
     if not docs:
         raise ValueError("cannot build a vector index from zero documents")
 
     texts = [doc.render_text for doc in docs]
-    raw: dict[str, list[float]] = {}
-    pending: dict[str, str] = {}  # text to embed -> id of its first document
-    for doc, text in zip(docs, texts):
-        if text in raw or text in pending:
-            continue
-        cached = cache.get(embedder.embedder_id, text) if cache is not None else None
-        if cached is not None:
-            raw[text] = cached
-        else:
-            pending[text] = doc.id
-
-    dim: int | None = None
-    queue = list(pending)
-    for start in range(0, len(queue), EMBED_BATCH_SIZE):
-        batch = queue[start : start + EMBED_BATCH_SIZE]
-        vectors = embedder.embed_texts(batch)
-        if len(vectors) != len(batch):
-            raise IndexBuildError(
-                f"embedder returned {len(vectors)} vectors for {len(batch)} texts"
-            )
-        dim = len(vectors[0]) if dim is None else dim
-        for vector in vectors:
-            if len(vector) != dim:
-                raise IndexBuildError(
-                    f"embedding dimension drifted from {dim} to {len(vector)} within one build"
-                )
-        # Check the batch before caching it, so that a bad vector is never cached.
-        _unit_rows(vectors, [pending[text] for text in batch], dim)
-        for text, vector in zip(batch, vectors):
-            raw[text] = list(map(float, vector))
+    raw = {  # each distinct text -> its vector, None until embedded
+        text: cache.get(embedder.embedder_id, text) if cache is not None else None
+        for text in dict.fromkeys(texts)
+    }
+    pending = [text for text, vector in raw.items() if vector is None]
+    for chunk, vectors in embed_chunks(embedder.embed_texts, pending):
+        for text, vector in zip(chunk, vectors.tolist()):
+            raw[text] = vector
             if cache is not None:
                 cache.put(embedder.embedder_id, text, vector)
 
     dims = {len(v) for v in raw.values()}
     if len(dims) != 1:
         raise IndexBuildError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    dim = dims.pop()
-
-    ids = [doc.id for doc in docs]
-    matrix = _unit_rows([raw[text] for text in texts], ids, dim)
-    return VectorIndex(dim=dim, embedder_id=embedder.embedder_id, ids=ids, vectors=matrix)
+    matrix = np.asarray([raw[text] for text in texts], dtype=np.float64)
+    unit = (matrix / np.linalg.norm(matrix, axis=1)[:, None]).astype(np.float32)
+    return VectorIndex(dims.pop(), embedder.embedder_id, [doc.id for doc in docs], unit)
 
 
 def vector_topk(

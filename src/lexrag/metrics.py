@@ -10,9 +10,9 @@
   (as revisited by Hyyrö, 2004): one big-int update per hypothesis token.
 * ``bertscore``: greedy max-cosine token matching over a pluggable token
   embedder; no IDF weighting, no baseline rescaling.  ``evaluate_set``
-  embeds each distinct token of its scored pairs once, in requests of
-  ``EMBED_BATCH_SIZE`` tokens, since a token's vector does not depend on
-  its sentence, into one vocabulary matrix whose rows each pair gathers.
+  embeds each distinct token of its scored pairs once, since a token's
+  vector does not depend on its sentence, through ``index.embed_chunks``,
+  into one vocabulary matrix whose rows each pair gathers.
 * ``human_eval_normalize``: mean over sentences of
   (fluency + grammaticality + faithfulness) / 15, mapping 0..5 expert scores
   to [0, 1].
@@ -38,7 +38,7 @@ import numpy as np
 
 from .backends import Embedder
 from .corpus import read_utf8
-from .index import EMBED_BATCH_SIZE
+from .index import embed_chunks
 
 BLEU_EPS = 1e-9
 BLEU_MAX_ORDER = 4
@@ -138,27 +138,13 @@ def rouge_l(hyp: Sequence[str], ref: Sequence[str]) -> tuple[float, float, float
 
 def _unit_token_vectors(tokens: Sequence[str], embedder: Embedder) -> TokenRows:
     """Each distinct token's row number, in first-seen order, and the float64
-    matrix whose rows are their unit-normalised embeddings, embedded
-    ``EMBED_BATCH_SIZE`` tokens per request."""
+    matrix whose rows are their unit-normalised embeddings, from the checked
+    replies of :func:`~lexrag.index.embed_chunks`."""
     unique = list(dict.fromkeys(tokens))
-    chunks = []
-    dim = None
-    for start in range(0, len(unique), EMBED_BATCH_SIZE):
-        chunk = unique[start : start + EMBED_BATCH_SIZE]
-        raw = embedder.embed_tokens(chunk)
-        if len(raw) != len(chunk):
-            raise ValueError(f"token embedder gave {len(raw)} vectors for {len(chunk)} tokens")
-        dim = len(raw[0]) if dim is None else dim
-        for vector in raw:
-            if len(vector) != dim:
-                raise ValueError(f"token embedder dimension drifted from {dim} to {len(vector)}")
-        vectors = np.asarray(raw, dtype=np.float64)
-        norms = np.linalg.norm(vectors, axis=1)
-        bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
-        if bad.size:
-            fault = "zero" if norms[bad[0]] == 0.0 else "non-finite"
-            raise ValueError(f"token embedder returned a {fault} vector")
-        chunks.append(vectors / norms[:, None])
+    chunks = [
+        vectors / np.linalg.norm(vectors, axis=1)[:, None]
+        for _, vectors in embed_chunks(embedder.embed_tokens, unique)
+    ]
     rows = {token: row for row, token in enumerate(unique)}
     return rows, np.concatenate(chunks) if chunks else np.empty((0, 0))
 

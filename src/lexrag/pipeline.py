@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .backends import BackendError, Embedder, Generator
 from .corpus import DICTIONARY_KIND, EXAMPLE_KIND
-from .index import IndexBundle
+from .index import IndexBuildError, IndexBundle
 from .retrieval import (
     PreparedQuery,
     RetrievalConfig,
@@ -198,9 +198,9 @@ def batch_translate(
     back to the vector phase are embedded together, up to
     ``EMBED_BATCH_SIZE`` per request (see :func:`prepare_queries`).  Vector
     top-K, prompt assembly and generation then run per query, on
-    ``parallelism`` threads, at most ``MAX_PARALLELISM``.  A backend or
-    retrieval failure on one item is recorded on that item (``error`` set,
-    empty output) and the batch continues.
+    ``parallelism`` threads, at most ``MAX_PARALLELISM``.  A backend,
+    embedder-reply or retrieval failure on one item is recorded on that item
+    (``error`` set, empty output) and the batch continues.
     """
     if not queries:
         raise ValueError("batch_translate requires at least one query")
@@ -221,7 +221,7 @@ def batch_translate(
                 target_lang,
                 item,
             )
-        except (BackendError, RetrievalError) as exc:
+        except (BackendError, IndexBuildError, RetrievalError) as exc:
             return TranslationRecord(
                 query=item.query,
                 results=[],

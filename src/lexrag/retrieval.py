@@ -23,7 +23,8 @@ import numpy as np
 
 from .backends import BackendError, Embedder
 from .corpus import Document, normalize_keyword
-from .index import EMBED_BATCH_SIZE, IndexBundle, keyword_lookup, vector_topk
+from .index import EMBED_BATCH_SIZE, IndexBuildError, IndexBundle, embed_chunks
+from .index import keyword_lookup, vector_topk
 
 KEYWORD = "keyword"
 VECTOR = "vector"
@@ -33,7 +34,7 @@ POLICY_FILL = "fill"
 
 
 class RetrievalError(Exception):
-    """Unusable query embedding, or an index embedded by another embedder."""
+    """A query embedding of the wrong dimension, or an index of another embedder."""
 
 
 @dataclass(frozen=True)
@@ -117,32 +118,21 @@ def _keyword_phase(query: str, indexes: IndexBundle, config: RetrievalConfig) ->
 def _embed_queries(
     embedder: Embedder, texts: list[str], dim: int
 ) -> dict[str, list[float] | Exception]:
-    """Unit embeddings of ``texts`` from one request.  If the request fails
-    with a ``BackendError``, each text is embedded on its own, so a failure
-    stays with the text that caused it.  A vector that is not ``dim`` long,
-    is zero or is not finite becomes a ``RetrievalError`` on its text."""
+    """Unit embeddings of ``texts`` (at most ``EMBED_BATCH_SIZE``) from one
+    request through :func:`embed_chunks`.  If the request fails, or its reply
+    fails a check, each text is embedded on its own, so a failure stays with
+    the text that caused it.  A reply whose dimension is not the index's is a
+    ``RetrievalError`` on every text at once."""
     try:
-        vectors = embedder.embed_texts(texts)
-        if len(vectors) != len(texts):
-            raise BackendError(f"embedder returned {len(vectors)} vectors for {len(texts)} queries")
-    except BackendError as exc:
+        ((_, vectors),) = embed_chunks(embedder.embed_texts, texts)
+    except (BackendError, IndexBuildError) as exc:
         if len(texts) == 1:
             return {texts[0]: exc}
         return {text: _embed_queries(embedder, [text], dim)[text] for text in texts}
-    embedded: dict[str, list[float] | Exception] = {}
-    for text, vector in zip(texts, vectors):
-        query_vec = np.asarray(vector, dtype=np.float64)
-        norm = float(np.linalg.norm(query_vec))
-        if query_vec.shape != (dim,):
-            embedded[text] = RetrievalError(
-                f"query dim {query_vec.shape} does not match index dim {dim}"
-            )
-        elif not 0.0 < norm < np.inf:  # NaN too
-            fault = "zero" if norm == 0.0 else "non-finite"
-            embedded[text] = RetrievalError(f"embedder returned a {fault} vector for the query")
-        else:
-            embedded[text] = (query_vec / norm).tolist()
-    return embedded
+    if vectors.shape[1] != dim:
+        error = RetrievalError(f"query dim {vectors.shape[1:]} does not match index dim {dim}")
+        return dict.fromkeys(texts, error)
+    return {text: (row / np.linalg.norm(row)).tolist() for text, row in zip(texts, vectors)}
 
 
 def prepare_queries(
@@ -157,7 +147,8 @@ def prepare_queries(
     A query needs the vector phase when it has no keyword hits under
     ``strict_fallback``, or fewer than ``k_total`` under ``fill``, and the
     vector index is not empty; on an index embedded by another embedder it
-    gets a ``RetrievalError`` instead.  Errors stay on their query.
+    gets a ``RetrievalError`` instead.  A failed request or reply is retried
+    one query at a time (:func:`_embed_queries`), so errors stay on their query.
     """
     vec_index = indexes.vector
     prepared: list[PreparedQuery] = []

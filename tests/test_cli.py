@@ -21,6 +21,7 @@ from lexrag.index import (
     MANIFEST_FILE,
     VECTORS_FILE,
     IndexFormatError,
+    cache_key,
     load_index,
 )
 from lexrag.retrieval import RetrievalConfig
@@ -340,7 +341,7 @@ class TestIndexBuildValidation:
         [
             ("zero", "zero vector"),
             ("drift", "dimension drifted from 8 to 9"),
-            ("nan", "non-finite vector for document 'd:0'"),
+            ("nan", "non-finite vector for 'w0 — t0'"),
             ("count", "embedder returned 31 vectors for 32 texts"),
         ],
     )
@@ -403,6 +404,99 @@ class TestIndexBuildValidation:
         for line in lines:
             vector = json.loads(line)["vector"]
             assert all(math.isfinite(v) for v in vector) and any(vector)
+
+    def test_zero_vector_in_cache_is_exit_1(self, tmp_path, capsys):
+        source = tmp_path / "d.jsonl"
+        source.write_text('{"headword":"water","target":"ᎠᎹ"}\n', encoding="utf-8")
+        out = tmp_path / "idx"
+        cache = out / CACHE_FILE
+        cache.parent.mkdir(parents=True)
+        good = {"key": "abc", "dim": 2, "vector": [0.6, 0.8]}
+        zero = {"key": cache_key("mock-embed-8", "water — ᎠᎹ"), "dim": 8, "vector": [0.0] * 8}
+        cache.write_text(f"{json.dumps(good)}\n{json.dumps(zero)}\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "index-build", "--dict", str(source), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"lexrag: error: {cache}:2: bad cache entry: vector must not be zero\n"
+        assert not (out / MANIFEST_FILE).exists()
+
+
+class _FaultyEmbedder(MockEmbedder):
+    """The dim-8 mock embedder, whose replies from request ``start`` on carry
+    ``fault``: a zero, NaN or infinite last vector, one vector too few or
+    too many, or vectors one dimension longer."""
+
+    def __init__(self, fault: str, start: int) -> None:
+        super().__init__(dim=8)
+        self.fault, self.start = fault, start
+
+    def embed_texts(self, texts):
+        vectors = super().embed_texts(texts)
+        if self.calls < self.start:
+            return vectors
+        if self.fault == "fewer":
+            return vectors[:-1]
+        if self.fault == "more":
+            return [*vectors, vectors[0]]
+        if self.fault == "dim":
+            return [[*vector, 0.5] for vector in vectors]
+        value = {"zero": 0.0, "nan": math.nan, "inf": math.inf}[self.fault]
+        return [*vectors[:-1], [value] * 8]
+
+
+class TestFaultyEmbedderContract:
+    """Whatever an embedder's reply gets wrong, and at whichever request,
+    each command that embeds fails with exit 65 and one ``lexrag:`` line."""
+
+    FAULTS = ("zero", "nan", "inf", "fewer", "more", "dim")
+
+    def test_every_fault_is_exit_65(self, built_index, tmp_path, capsys, monkeypatch):
+        # 70 texts or tokens: requests of 32, 32 and 6.
+        source = tmp_path / "d.jsonl"
+        source.write_text(
+            "".join(f'{{"headword":"w{i}","target":"t{i}"}}\n' for i in range(70)),
+            encoding="utf-8",
+        )
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("".join(chr(0x13A0 + i) for i in range(70)) + "\n", encoding="utf-8")
+        out = tmp_path / "idx-faulty"
+        commands = {
+            "index-build": (3, ["index-build", "--dict", str(source), "--out", str(out)]),
+            "evaluate": (3, [
+                "evaluate", "--hyp", str(hyp), "--ref", str(hyp),
+                "--metrics", "bertscore", "--tokenize", "codepoint",
+            ]),
+            "translate": (1, ["translate", "--index", str(built_index), "--text", "nothing here"]),
+        }
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            command=st.sampled_from(sorted(commands)),
+            fault=st.sampled_from(self.FAULTS),
+            data=st.data(),
+        )
+        def check(command, fault, data):
+            requests, argv = commands[command]
+            # A first reply one dimension longer sets the dimension of a
+            # build or a scoring run; only the index it is queried against
+            # makes it a fault.
+            first = 2 if fault == "dim" and command != "translate" else 1
+            start = data.draw(st.integers(first, requests), label="start")
+            shutil.rmtree(out, ignore_errors=True)
+            embedder = _FaultyEmbedder(fault, start)
+            monkeypatch.setattr(
+                "lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator())
+            )
+            code, stdout, err = run(capsys, *argv)
+            assert code == 65 and stdout == "", err
+            assert err.startswith("lexrag:") and len(err.splitlines()) == 1, err
+            assert embedder.calls == start
+            if command == "index-build":
+                assert not (out / MANIFEST_FILE).exists()
+                cache = out / CACHE_FILE
+                cached = cache.read_text(encoding="utf-8").splitlines() if cache.exists() else []
+                assert len(cached) == 32 * (start - 1)
+
+        check()
 
 
 class TestDamagedIndex:
@@ -798,7 +892,7 @@ class TestTranslate:
         assert err == "1/2 items failed\n"
 
 
-    def test_query_vector_count_mismatch_is_exit_2(self, built_index, capsys, monkeypatch):
+    def test_query_vector_count_mismatch_is_exit_65(self, built_index, capsys, monkeypatch):
         embedder = _embedder_named("mock-embed-8")
         embed_texts = embedder.embed_texts
         embedder.embed_texts = lambda texts: [*embed_texts(texts), *embed_texts(texts)]
@@ -806,8 +900,8 @@ class TestTranslate:
         code, out, err = run(
             capsys, "translate", "--index", str(built_index), "--text", "nothing here"
         )
-        assert code == 2 and out == ""
-        assert err == "lexrag: backend error: embedder returned 2 vectors for 1 queries\n"
+        assert code == 65 and out == ""
+        assert err == "lexrag: validation error: embedder returned 2 vectors for 1 texts\n"
 
     def test_index_of_another_embedder_is_exit_65(self, built_index, capsys, monkeypatch):
         embedder = _embedder_named("some-other-model")
@@ -1020,7 +1114,7 @@ class TestEvaluate:
             "--metrics", "bertscore", "--tokenize", "codepoint",
         )
         assert code == 65 and stdout == ""
-        assert err == "lexrag: validation error: token embedder dimension drifted from 8 to 16\n"
+        assert err == "lexrag: validation error: embedding dimension drifted from 8 to 16\n"
 
     def test_labels_embedded_in_json(self, tmp_path, capsys):
         hyp = tmp_path / "h.txt"

@@ -196,14 +196,14 @@ class TestBuildVectorIndex:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_vector_is_an_error(self, tiny_docs, value):
         embedder = _PoisonEmbedder(value, good_batches=0)
-        with pytest.raises(IndexBuildError, match="non-finite vector for document 'd:0'"):
+        with pytest.raises(IndexBuildError, match="non-finite vector for 'water — ᎠᎹ'"):
             build_vector_index(tiny_docs, embedder)
 
     @pytest.mark.parametrize("value", [0.0, float("nan")])
     def test_bad_vector_is_not_cached(self, tiny_docs, tmp_path, value, monkeypatch):
         monkeypatch.setattr("lexrag.index.EMBED_BATCH_SIZE", 2)
         path = tmp_path / "cache" / "embeddings.jsonl"
-        with pytest.raises(IndexBuildError, match="vector for document 'd:2'"):
+        with pytest.raises(IndexBuildError, match="vector for 'fire — ᎠᏥᎳ'"):
             build_vector_index(
                 tiny_docs,
                 _PoisonEmbedder(value, good_batches=1),
@@ -749,6 +749,17 @@ BAD_CACHE_LINES = [
     ),
     pytest.param(
         '{"key": "abc", "dim": 2, "vector": [1e999, 0]}', "vector must be finite", id="inf-value"
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [0, -0.0]}', "vector must not be zero", id="zero-vector"
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [1e-200, 0]}',
+        "vector must not be zero",
+        id="norm-underflows",
+    ),
+    pytest.param(
+        '{"key": "abc", "dim": 2, "vector": [1e200, 1]}', "vector must be finite", id="norm-overflows"
     ),
 ]
 

@@ -449,14 +449,14 @@ class TestEvaluateOnce:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_vector_rejected(self, value):
         embedder = _ConstantEmbedder(value)
-        with pytest.raises(ValueError, match="token embedder returned a non-finite vector"):
+        with pytest.raises(ValueError, match="embedder returned a non-finite vector for 'a'"):
             evaluate_set(["a b"], ["b c"], token_embedder=embedder)
 
     def test_vector_count_must_match_request(self):
         # An extra vector would shift every later token onto another's row.
         extra = lambda tokens: [*MockEmbedder(8).embed_tokens(tokens), [1.0] * 8]  # noqa: E731
         embedder = SimpleNamespace(embedder_id="extra", embed_tokens=extra)
-        with pytest.raises(ValueError, match="gave 4 vectors for 3 tokens"):
+        with pytest.raises(ValueError, match="returned 4 vectors for 3 texts"):
             evaluate_set(["a b"], ["b c"], token_embedder=embedder)
 
     @pytest.mark.parametrize(
@@ -470,7 +470,7 @@ class TestEvaluateOnce:
     def test_dimension_drift_rejected(self, dims, message):
         hyp = "".join(chr(0x13A0 + i) for i in range(40))
         embedder = _DriftingEmbedder(dims)
-        with pytest.raises(ValueError, match=f"token embedder dimension {message}$"):
+        with pytest.raises(ValueError, match=f"embedding dimension {message}$"):
             evaluate_set([hyp], [hyp], TokenizationPolicy.CODEPOINT, embedder)
 
     def test_direct_bertscore_matches_oracle(self):

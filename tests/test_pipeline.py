@@ -318,6 +318,34 @@ class TestBatchedFallback:
         assert [bool(record.error) for record in records] == [False, True, False]
         assert "zero vector" in records[1].error
 
+    def test_zero_vector_costs_one_request_per_query_of_its_chunk(self, tiny_bundle):
+        class _ZeroForOne(_CountingEmbedder):
+            def embed_texts(self, texts):
+                vectors = super().embed_texts(texts)
+                return [[0.0] * 8 if "ZERO" in t else v for t, v in zip(texts, vectors)]
+
+        others = _fallback_queries(4)
+        embedder = _ZeroForOne()
+        records = batch_translate(
+            [*others[:2], "ZERO qqzx", *others[2:]], tiny_bundle, embedder, MockGenerator()
+        )
+        assert len(embedder.requests) == 1 + 5
+        assert [bool(record.error) for record in records] == [False, False, True, False, False]
+        assert records[2].error == "embedder returned a zero vector for 'ZERO qqzx'"
+        clean = batch_translate(others, tiny_bundle, MockEmbedder(dim=8), MockGenerator())
+        assert _record_keys(records[:2] + records[3:]) == _record_keys(clean)
+
+    def test_wrong_dimension_costs_one_request_per_chunk(self, tiny_bundle):
+        embedder = _CountingEmbedder()
+        embedder._inner = MockEmbedder(dim=16)  # the index's embedder id, another dimension
+        queries = ["water"] + _fallback_queries(EMBED_BATCH_SIZE + 8)
+        records = batch_translate(queries, tiny_bundle, embedder, MockGenerator())
+        assert [len(request) for request in embedder.requests] == [EMBED_BATCH_SIZE, 8]
+        assert records[0].error is None and records[0].output == "ᎠᎹ"
+        for record in records[1:]:
+            assert record.error == "query dim (16,) does not match index dim 8"
+            assert record.output == ""
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_embedder_fails_only_fallback_items(self, tiny_bundle, value):
         class _NonFiniteEmbedder(_CountingEmbedder):
