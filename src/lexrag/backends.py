@@ -229,7 +229,7 @@ class HttpBackend:
                 if status == 200:
                     try:
                         return json.loads(body)
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:
                         raise BackendError(f"{url}: response is not JSON") from exc
                 text = body.decode("utf-8", errors="replace")[:200]
                 last_error = BackendError(f"{url}: HTTP {status}: {text}")

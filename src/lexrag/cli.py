@@ -218,7 +218,7 @@ def _read_batch_input(path: Path) -> tuple[list[str | None], list[str]]:
         try:
             obj = json.loads(line)
             item_id, source = obj["id"], obj["source"]
-        except (ValueError, KeyError, TypeError) as exc:  # bad JSON, or the int-digit limit
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # bad JSON, digits, depth
             raise IngestError(f"{path}:{lineno}: expected JSONL with id and source: {exc}") from exc
         if type(item_id) not in (str, int):  # rejects bool too
             raise IngestError(f"{path}:{lineno}: field 'id' must be a string or an integer")

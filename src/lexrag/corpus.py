@@ -10,11 +10,13 @@ Two input shapes are supported:
   order, no header row), told apart by the file's suffix.
 
 All ingested text is NFC-normalized, since syllabary codepoints come in
-composed and decomposed variants.  Both inputs are flattened into
-:class:`Document` records, the unit that both indexes and the prompt
-assembler operate on.
+composed and decomposed variants.  The loaders return document rows
+``(kind, source_text, target_text, definition)``: an entry is a dictionary
+row, and a parallel example or an entry's example pair an example row.
+:func:`to_documents` turns the rows into :class:`Document` records, the unit
+that both indexes and the prompt assembler operate on.
 
-A Document keeps only the fields retrieval and the prompt read; the loaders
+A row keeps only the fields retrieval and the prompt read; the loaders
 validate the other input fields but do not keep them.  Saved documents are
 one JSON object of per-field arrays; ids are positional.
 """
@@ -28,7 +30,7 @@ import logging
 import sys
 import typing
 import unicodedata
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -48,28 +50,6 @@ class IngestError(Exception):
 
 def nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
-
-
-@dataclass(frozen=True)
-class DictionaryEntry:
-    """One source-language headword with its target-language translation."""
-
-    headword: str
-    target: str
-    definition: str | None = None
-    part_of_speech: str | None = None
-    examples: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class ParallelExample:
-    """An aligned sentence pair used as retrieval context."""
-
-    source_text: str
-    target_text: str
-    source_lang: str
-    target_lang: str
-    provenance: str = ""
 
 
 class Document(NamedTuple):
@@ -149,11 +129,11 @@ def read_utf8(path: Path) -> str:
 
 
 def load_json(path: Path):
-    """The parsed JSON of a UTF-8 file; a decode or syntax error, or an
-    integer over Python's digit limit, names the file."""
+    """The parsed JSON of a UTF-8 file; a decode or syntax error, an integer
+    over Python's digit limit or nesting too deep names the file."""
     try:
         return json.loads(read_utf8(path))
-    except ValueError as exc:  # json.JSONDecodeError, or the int-digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, the int-digit limit, deep nesting
         raise IngestError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -236,20 +216,24 @@ def iter_lines(path: str | Path):
 def _json_object(line: str, where: str) -> dict:
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # json.JSONDecodeError, or the int-digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, the int-digit limit, deep nesting
         raise IngestError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise IngestError(f"{where}: expected a JSON object")
     return obj
 
 
-def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
-    """Read dictionary entries from a JSONL file, preserving line order.
+def load_dictionary(path: str | Path) -> list[tuple]:
+    """Document rows from a dictionary JSONL file: one dictionary row per
+    entry, in line order, then one example row per pair of the entries'
+    ``examples``, also in line order.  ``part_of_speech`` is checked, then
+    dropped.
 
     An empty file yields an empty list (with a warning) so keyword-only or
     example-only corpora remain possible.
     """
-    entries: list[DictionaryEntry] = []
+    rows: list[tuple] = []
+    example_rows: list[tuple] = []
     for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
         obj = _json_object(line, where)
@@ -263,83 +247,56 @@ def load_dictionary(path: str | Path) -> list[DictionaryEntry]:
         if not target:
             raise IngestError(f"{where}: target is empty")
 
-        raw_examples = obj.get("examples") or []
-        if not isinstance(raw_examples, list):
+        pairs = obj.get("examples") or []
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)
+            for pair in pairs
+        ):
             raise IngestError(f"{where}: examples must be a list of [source, target] pairs")
-        examples = []
-        for pair in raw_examples:
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(isinstance(p, str) for p in pair)
-            ):
-                raise IngestError(f"{where}: examples must be a list of [source, target] pairs")
-            examples.append((nfc(pair[0]), nfc(pair[1])))
+        for pair in pairs:
+            source, target_text = (nfc(text).strip() for text in pair)
+            if not source or not target_text:
+                raise IngestError(f"{where}: an example's source and target must be non-empty")
+            example_rows.append((EXAMPLE_KIND, source, target_text, None))
 
-        entries.append(
-            DictionaryEntry(
-                headword=headword,
-                target=target,
-                definition=_optional_str(obj, "definition", where),
-                part_of_speech=_optional_str(obj, "part_of_speech", where),
-                examples=tuple(examples),
-            )
-        )
-    if not entries:
+        definition = _optional_str(obj, "definition", where) or None
+        _optional_str(obj, "part_of_speech", where)
+        rows.append((DICTIONARY_KIND, headword, target, definition))
+    if not rows:
         logger.warning("dictionary file %s contained no entries", path)
-    return entries
+    return rows + example_rows
 
 
 _PARALLEL_FIELDS = ("source_text", "target_text", "source_lang", "target_lang")
 
 
-def _parallel_from_fields(
-    source_text: str,
-    target_text: str,
-    source_lang: str,
-    target_lang: str,
-    provenance: str,
-    where: str,
-) -> ParallelExample:
-    source_text = nfc(source_text).strip()
-    target_text = nfc(target_text).strip()
-    source_lang = nfc(source_lang).strip()
-    target_lang = nfc(target_lang).strip()
-    if not source_text or not target_text:
-        raise IngestError(f"{where}: source_text and target_text must be non-empty")
-    if not source_lang or not target_lang:
-        raise IngestError(f"{where}: language codes must be non-empty")
-    return ParallelExample(
-        source_text=source_text,
-        target_text=target_text,
-        source_lang=source_lang,
-        target_lang=target_lang,
-        provenance=nfc(provenance).strip(),
-    )
-
-
-def load_parallel(path: str | Path) -> list[ParallelExample]:
-    """Read aligned sentence pairs from headerless 5-column TSV if the file
-    name ends in ``.tsv`` (any case), and from JSONL otherwise."""
+def load_parallel(path: str | Path) -> list[tuple]:
+    """Example document rows, one per line, from headerless 5-column TSV if
+    the file name ends in ``.tsv`` (any case), and from JSONL otherwise.
+    The language codes and ``provenance`` are checked, then dropped."""
     tsv = Path(path).suffix.lower() == ".tsv"
-    examples: list[ParallelExample] = []
+    rows: list[tuple] = []
     for lineno, line in iter_lines(path):
         where = f"{path}:{lineno}"
         if tsv:
             columns = line.split("\t")
             if len(columns) != 5:
                 raise IngestError(f"{where}: expected 5 tab-separated columns, got {len(columns)}")
-            examples.append(_parallel_from_fields(*columns, where=where))
+            fields = columns[:4]
         else:
             obj = _json_object(line, where)
             fields = [_require_str(obj, name, where) for name in _PARALLEL_FIELDS]
-            provenance = obj.get("provenance", "")
-            if not isinstance(provenance, str):
+            if not isinstance(obj.get("provenance", ""), str):
                 raise IngestError(f"{where}: provenance must be a string")
-            examples.append(_parallel_from_fields(*fields, provenance, where=where))
-    if not examples:
+        source, target, source_lang, target_lang = (nfc(text).strip() for text in fields)
+        if not source or not target:
+            raise IngestError(f"{where}: source_text and target_text must be non-empty")
+        if not source_lang or not target_lang:
+            raise IngestError(f"{where}: language codes must be non-empty")
+        rows.append((EXAMPLE_KIND, source, target, None))
+    if not rows:
         logger.warning("parallel file %s contained no examples", path)
-    return examples
+    return rows
 
 
 def render_dictionary_text(headword: str, target: str, definition: str | None) -> str:
@@ -386,19 +343,14 @@ def _documents(columns: list[Sequence]) -> list[Document]:
     return list(map(Document._make, zip(_positional_ids(columns[0]), *columns)))
 
 
-def to_documents(
-    entries: list[DictionaryEntry],
-    examples: list[ParallelExample],
-) -> list[Document]:
-    """Flatten entries and examples into Documents, dictionary entries first,
-    with positional ids."""
+def to_documents(entries: list[tuple], examples: list[tuple]) -> list[Document]:
+    """Documents from the rows of :func:`load_dictionary` (``entries``) and
+    :func:`load_parallel` (``examples``), with positional ids: dictionary
+    rows first, then the parallel examples, then the dictionary's examples."""
     if not entries and not examples:
         raise IngestError("no input: need at least one dictionary entry or parallel example")
-    rows = [
-        (DICTIONARY_KIND, entry.headword, entry.target, entry.definition or None)
-        for entry in entries
-    ]
-    rows += [(EXAMPLE_KIND, ex.source_text, ex.target_text, None) for ex in examples]
+    # A stable sort: dictionary rows move ahead, every other order is kept.
+    rows = sorted([*examples, *entries], key=lambda row: row[0] != DICTIONARY_KIND)
     return _documents(list(zip(*rows)))
 
 

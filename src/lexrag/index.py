@@ -173,8 +173,8 @@ def cache_key(embedder_id: str, text: str) -> str:
 
 
 # What a cache line that is not an entry raises: OverflowError comes from
-# an integer too large for a float.
-_BAD_CACHE_LINE = (ValueError, KeyError, TypeError, OverflowError)
+# an integer too large for a float, RecursionError from JSON nested too deep.
+_BAD_CACHE_LINE = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
 class EmbeddingCache:
@@ -285,7 +285,8 @@ def embed_chunks(
             if len(vector) != dim:
                 raise IndexBuildError(f"embedding dimension drifted from {dim} to {len(vector)}")
         vectors = np.asarray(reply, dtype=np.float64)
-        norms = np.linalg.norm(vectors, axis=1).tolist()
+        with np.errstate(over="ignore"):  # a square past float range is refused below
+            norms = np.linalg.norm(vectors, axis=1).tolist()
         bad = next((i for i, norm in enumerate(norms) if not 0.0 < norm < np.inf), None)  # NaN too
         if bad is not None:
             fault = "zero" if norms[bad] == 0.0 else "non-finite"
@@ -344,7 +345,8 @@ def vector_topk(
     query = np.asarray(query_vec, dtype=np.float64)
     if query.shape != (index.dim,):
         raise ValueError(f"query dim {query.shape} does not match index dim {index.dim}")
-    norm = float(np.linalg.norm(query))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = float(np.linalg.norm(query))
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
         raise ValueError(f"query vector norm {norm:.6f} is not unit length")
     if k == 0 or index.count == 0:
@@ -488,7 +490,7 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         raise IndexFormatError(f"{root} is not an index directory (missing {MANIFEST_FILE})")
     try:
         manifest = from_json(IndexManifest, json.loads(manifest_path.read_text(encoding="utf-8")))
-    except ValueError as exc:  # a decode or JSON syntax error too
+    except (ValueError, RecursionError) as exc:  # a decode or JSON syntax error, or deep nesting
         raise IndexFormatError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if manifest.max_phrase_len < 1:
         raise IndexFormatError(
@@ -503,7 +505,7 @@ def load_index(index_dir: str | Path) -> IndexBundle:
 
     try:
         keyword = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # a decode, JSON syntax or int-digit limit error too
+    except (OSError, ValueError, RecursionError) as exc:  # decode, syntax, int-digit limit, depth
         raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
     # Each value must be a list (one C-level pass); the bundle checks the
     # positions in them.

@@ -133,7 +133,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 body = json.dumps({"error": "scripted"}).encode()
                 self.send_response(status)
             else:
-                body = json.dumps(self.server.respond(self.path, payload)).encode()
+                reply = self.server.respond(self.path, payload)  # bytes are sent as they are
+                body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
                 self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -299,8 +300,8 @@ class TestMalformedRepliesThroughMain:
     @pytest.mark.parametrize(
         "lengths, message",
         [
-            ([4] * 11, "embeddings response count 11 != input count 10"),
-            ([4] * 5 + [3] * 5, "embedding dimensions drifted within one response: [3, 4]"),
+            ([4] * 12, "embeddings response count 12 != input count 11"),
+            ([4] * 6 + [3] * 5, "embedding dimensions drifted within one response: [3, 4]"),
         ],
         ids=["count", "mixed_dims"],
     )
@@ -312,7 +313,7 @@ class TestMalformedRepliesThroughMain:
         build = ["index-build", "--dict", dictionary, "--out", out]
         err = self._main(capsys, stub_server, tmp_path, *build)
         assert err.endswith(f": {message}\n")
-        assert [len(r["payload"]["input"]) for r in stub_server.requests] == [10]
+        assert [len(r["payload"]["input"]) for r in stub_server.requests] == [11]
 
     NOT_A_STRING = "content is not a string"
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import struct
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from lexrag.index import (
     load_index,
 )
 from lexrag.retrieval import RetrievalConfig
+from test_backends import stub_server  # noqa: F401  (a fixture)
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
 
@@ -181,9 +185,9 @@ class TestIndexBuild:
             str(out),
         )
         assert code == 0
-        assert "indexed 13 documents" in stdout
+        assert "indexed 14 documents" in stdout
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["count"] == 13
+        assert manifest["count"] == 14
 
     def test_unknown_config_key_rejected(self, tmp_path, data_dir, capsys):
         config = tmp_path / "cfg.json"
@@ -267,7 +271,7 @@ class TestFailedIndexBuild:
         assert code == 2
         assert "embedding service unavailable" in err
         assert {name: (built_index / name).read_bytes() for name in INDEX_FILES} == before
-        assert load_index(built_index).manifest.count == 10
+        assert load_index(built_index).manifest.count == 11
 
     def test_new_dir_keeps_paid_embeddings(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "d.jsonl"
@@ -498,6 +502,22 @@ class TestFaultyEmbedderContract:
 
         check()
 
+    def test_overflowing_query_vector_is_exit_65(self, built_index, capsys, monkeypatch):
+        # Finite values whose squares overflow: numpy's overflow warning
+        # would print two more stderr lines ahead of the error.
+        embedder = MockEmbedder(dim=8)
+        monkeypatch.setattr(embedder, "embed_texts", lambda texts: [[1e200] * 8 for _ in texts])
+        monkeypatch.setattr(
+            "lexrag.cli.make_backends", lambda settings: (embedder, MockGenerator())
+        )
+        code, stdout, err = run(
+            capsys, "translate", "--index", str(built_index), "--text", "nothing here"
+        )
+        assert (code, stdout) == (65, "")
+        assert err == (
+            "lexrag: validation error: embedder returned a non-finite vector for 'nothing here'\n"
+        )
+
 
 class TestDamagedIndex:
     def test_nan_vector_is_exit_1(self, built_index, capsys):
@@ -524,7 +544,7 @@ class TestDamagedIndex:
         "posting, message",
         [
             (-1, "lists -1,"),
-            (10, "lists 10,"),
+            (11, "lists 11,"),
             (True, "lists True,"),
             (1.0, "lists 1.0,"),
             ("d:0", "lists 'd:0',"),
@@ -540,7 +560,7 @@ class TestDamagedIndex:
         code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
         assert (code, out) == (1, "")
         assert err.startswith("lexrag: error: ") and len(err.splitlines()) == 1
-        assert f"{KEYWORD_FILE}: phrase 'water' {message} not the position of one of the 10 " in err
+        assert f"{KEYWORD_FILE}: phrase 'water' {message} not the position of one of the 11 " in err
 
     @pytest.mark.parametrize("name", [KEYWORD_FILE, DOCS_FILE])
     def test_integer_over_digit_limit_is_exit_1(self, name, built_index, capsys):
@@ -1711,6 +1731,156 @@ class TestIntegerOverDigitLimit:
         assert err.startswith(f"lexrag: error: {bad}:2: ") and err.count("\n") == 1, err
 
 
+# Nested past the recursion limit, ``json.loads`` raises RecursionError.
+_NESTED = "[" * 100_000 + "]" * 100_000
+_TRANSLATE_X = ("translate", "--index", "{index}", "--text", "x")
+_BUILD_TINY = ("index-build", "--dict", "{data}/tiny_dict.jsonl", "--out")
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deeply to parse is exit 1 with one ``lexrag:`` line
+    naming the file, wherever lexrag reads JSON; in an HTTP reply, it is
+    exit 2.  The cache line is followed by the file's good lines."""
+
+    @pytest.mark.parametrize(
+        "argv, damaged",
+        [
+            (("index-build", "--dict", "{tmp}/d.jsonl", "--out", "{tmp}/new"), "{tmp}/d.jsonl"),
+            (("index-build", "--parallel", "{tmp}/p.jsonl", "--out", "{tmp}/new"), "{tmp}/p.jsonl"),
+            (("translate", "--index", "{index}", "--input", "{tmp}/in.jsonl"), "{tmp}/in.jsonl"),
+            ((*_TRANSLATE_X, "--config", "{tmp}/c.json"), "{tmp}/c.json"),
+            (("report", "{tmp}/m.json"), "{tmp}/m.json"),
+            (_TRANSLATE_X, "{index}/" + DOCS_FILE),
+            (_TRANSLATE_X, "{index}/" + MANIFEST_FILE),
+            (_TRANSLATE_X, "{index}/" + KEYWORD_FILE),
+            ((*_BUILD_TINY, "{index}"), "{index}/" + CACHE_FILE),
+            ((*_BUILD_TINY, "{tmp}/new", "--config", "{tmp}/http.json"), None),
+        ],
+        ids=[
+            "dict", "parallel", "translate-input", "config", "report", "docs", "manifest",
+            "keyword-index", "cache-line", "http-reply",
+        ],
+    )
+    def test_one_line_and_exit_code(
+        self, argv, damaged, built_index, data_dir, tmp_path, capsys, request
+    ):
+        values = {"tmp": tmp_path, "index": built_index, "data": data_dir}
+        if damaged is None:
+            server = request.getfixturevalue("stub_server")
+            server.respond = lambda path, payload: _NESTED.encode()
+            host, port = server.server_address
+            backend = {"provider": "http", "base_url": f"http://{host}:{port}"}
+            (tmp_path / "http.json").write_text(json.dumps({"backend": backend}), encoding="utf-8")
+        else:
+            path = Path(damaged.format(**values))
+            rest = path.read_text(encoding="utf-8") if path.name == Path(CACHE_FILE).name else ""
+            path.write_text(_NESTED + "\n" + rest, encoding="utf-8")
+        code, stdout, err = run(capsys, *(arg.format(**values) for arg in argv))
+        assert (code, stdout) == ((1, "") if damaged else (2, ""))
+        assert err.startswith("lexrag: ") and err.count("\n") == 1, err[:300]
+        if damaged:
+            assert damaged.format(**values) in err
+        else:
+            assert err.endswith("/embeddings: response is not JSON\n")
+
+
+_TEST_DATA = Path(__file__).parent / "data"
+_DICT_FIELDS = ("headword", "target", "definition", "part_of_speech", "examples")
+_PARALLEL_FIELDS = ("source_text", "target_text", "source_lang", "target_lang", "provenance")
+_BLANK = st.text(" \u00a0\u3000", min_size=0, max_size=3)  # empty or whitespace only
+_PUNCTUATION = st.text("?!.,'-«»…", min_size=1, max_size=4)
+_JSON_VALUES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(st.text(max_size=3), st.integers()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    _BLANK,
+    st.text(" \t\n\r\u2028", min_size=1, max_size=3),
+    _PUNCTUATION,
+)
+_PAIRS = st.one_of(
+    st.lists(st.text("ab ", max_size=3), max_size=4).filter(lambda pair: len(pair) != 2),
+    st.tuples(_BLANK, st.just("b")).map(list),
+    st.tuples(st.just("a"), _BLANK).map(list),
+)
+
+
+class TestDamagedCorpusContract:
+    """Whatever one damage does to a dictionary or parallel file, ``index-build``
+    either succeeds with an index that loads, or is exit 1 with one ``lexrag:``
+    line naming the damaged file.  A byte that is not UTF-8, a tab added or
+    removed in a TSV line and a bad dictionary example pair are always exit 1."""
+
+    DAMAGES = {
+        "tiny_dict.jsonl": ("cut", "delete", "set", "byte", "pair"),
+        "tiny_parallel.jsonl": ("cut", "delete", "set", "byte"),
+        "tiny_parallel.tsv": ("cut", "set", "byte", "tab"),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parallel=st.sampled_from(["tiny_parallel.jsonl", "tiny_parallel.tsv"]),
+        target=st.sampled_from([0, 1]),
+        data=st.data(),
+    )
+    def test_exit_0_or_1_naming_the_file(self, parallel, target, data):
+        names = ("tiny_dict.jsonl", parallel)
+        texts = [(_TEST_DATA / name).read_text(encoding="utf-8") for name in names]
+        damage = data.draw(st.sampled_from(self.DAMAGES[names[target]]), label="damage")
+        fatal = damage in ("byte", "tab", "pair")
+        lines = texts[target].splitlines()
+        row = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if names[target].endswith(".tsv") and damage == "set":
+            columns = lines[row].split("\t")
+            columns[data.draw(st.integers(0, 4), label="column")] = data.draw(_BLANK | _PUNCTUATION)
+            lines[row] = "\t".join(columns)
+        elif damage == "tab":
+            line = lines[row]
+            if data.draw(st.booleans(), label="add"):
+                at = data.draw(st.integers(0, len(line)), label="at")
+                lines[row] = line[:at] + "\t" + line[at:]
+            else:
+                at = data.draw(st.sampled_from([i for i, c in enumerate(line) if c == "\t"]))
+                lines[row] = line[:at] + line[at + 1 :]
+        elif damage in ("delete", "set", "pair"):
+            record = json.loads(lines[row])
+            if damage == "delete":
+                del record[data.draw(st.sampled_from(sorted(record)), label="key")]
+            elif damage == "set":
+                key = data.draw(st.sampled_from(_PARALLEL_FIELDS if target else _DICT_FIELDS))
+                record[key] = data.draw(_JSON_VALUES, label="value")
+            else:
+                record["examples"] = [["a", "b"], data.draw(_PAIRS, label="pair")]
+            lines[row] = json.dumps(record, ensure_ascii=False)
+        raw = [text.encode("utf-8") for text in texts]
+        raw[target] = "".join(line + "\n" for line in lines).encode("utf-8")
+        if damage == "cut":
+            raw[target] = raw[target][: data.draw(st.integers(0, len(raw[target])), label="cut")]
+        elif damage == "byte":
+            at = data.draw(st.integers(0, len(raw[target])), label="at")
+            byte = data.draw(st.sampled_from([b"\x80", b"\xbf", b"\xc0", b"\xf5", b"\xff"]))
+            raw[target] = raw[target][:at] + byte + raw[target][at:]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, name) for name in names]
+            for path, content in zip(paths, raw):
+                path.write_bytes(content)
+            config = write_config(Path(tmp, "lexrag.json"))
+            out = Path(tmp, "idx")
+            argv = ["index-build", "--dict", str(paths[0]), "--parallel", str(paths[1])]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", str(out), "--config", str(config)])
+            err = stderr.getvalue()
+            if code == 0 and not fatal:
+                assert load_index(out).manifest.count > 0
+            else:
+                assert code == 1, (code, err)
+                assert err.startswith("lexrag: error: ") and err.count("\n") == 1, err
+                assert str(paths[target]) in err, err
+
 
 _DICT = ("index-build", "--dict", "{tmp}/d.jsonl", "--out", "{tmp}/idx")
 _PARALLEL = ("index-build", "--parallel", "{tmp}/p.jsonl", "--out", "{tmp}/idx")
@@ -1770,6 +1940,10 @@ class TestErrorExits:
             (_DICT, _dict_line(target=" "), 1, "error: {tmp}/d.jsonl:1: target is empty"),
             (_DICT, _dict_line(examples="x"), 1, _EXAMPLES_MESSAGE),
             (_DICT, _dict_line(examples=[["x", "y"], ["z"]]), 1, _EXAMPLES_MESSAGE),
+            (
+                _DICT, _dict_line(examples=[["x", "y"], ["z", " \u3000"]]), 1,
+                "error: {tmp}/d.jsonl:1: an example's source and target must be non-empty",
+            ),
             (_PARALLEL, _parallel_line(source_text=" "), 1, _EMPTY_TEXT_MESSAGE),
             (_PARALLEL, _parallel_line(target_text=""), 1, _EMPTY_TEXT_MESSAGE),
             (
@@ -1805,9 +1979,10 @@ class TestErrorExits:
         ids=[
             "no-index", "template-missing", "blank-batch", "hyp-missing", "report-missing",
             "dict-not-object", "dict-definition-int", "dict-target-empty", "dict-examples-str",
-            "dict-example-pair", "parallel-source-empty", "parallel-target-empty",
-            "parallel-provenance-int", "report-unknown-field", "humaneval-header",
-            "humaneval-columns", "humaneval-score", "evaluate-metric", "max-in-flight-0",
+            "dict-example-pair", "dict-example-empty", "parallel-source-empty",
+            "parallel-target-empty", "parallel-provenance-int", "report-unknown-field",
+            "humaneval-header", "humaneval-columns", "humaneval-score", "evaluate-metric",
+            "max-in-flight-0",
         ],
     )
     def test_exit_code_and_one_line(

@@ -13,10 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexrag.corpus import (
-    DictionaryEntry,
     Document,
     IngestError,
-    ParallelExample,
     from_json,
     load_dictionary,
     load_documents,
@@ -38,7 +36,7 @@ class TestLoadDictionary:
     def test_direct_field_mapping(self, tmp_path):
         path = write(tmp_path, "d.jsonl", '{"headword":"water","target":"ᎠᎹ"}\n')
         entries = load_dictionary(path)
-        assert entries == [DictionaryEntry(headword="water", target="ᎠᎹ")]
+        assert entries == [("dictionary", "water", "ᎠᎹ", None)]
 
     def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
         path = write(tmp_path, "d.jsonl", "")
@@ -86,24 +84,20 @@ class TestLoadDictionary:
             "d.jsonl",
             '{"headword":"a","target":"1"}\n\n{"headword":"b","target":"2"}\n',
         )
-        assert [e.headword for e in load_dictionary(path)] == ["a", "b"]
+        assert [row[1] for row in load_dictionary(path)] == ["a", "b"]
 
     def test_nfc_normalization_applied(self, tmp_path):
         decomposed = "é"  # e + combining acute
         path = write(tmp_path, "d.jsonl", json.dumps({"headword": decomposed, "target": "x"}))
         entries = load_dictionary(path)
-        assert entries[0].headword == unicodedata.normalize("NFC", decomposed) == "é"
+        assert entries[0][1] == unicodedata.normalize("NFC", decomposed) == "é"
 
 
 class TestLoadParallel:
     def test_tsv_row(self, data_dir):
         examples = load_parallel(data_dir / "tiny_parallel.tsv")
-        assert examples[0] == ParallelExample(
-            source_text="For God so loved the world",
-            target_text="ᎾᏍᎩᏰᏃ ᏂᎦᎥᎩ ᎤᏁᎳᏅᎯ ᎤᎨᏳᏒᎩ ᎡᎶᎯ",
-            source_lang="en",
-            target_lang="chr",
-            provenance="NT",
+        assert examples[0] == (
+            "example", "For God so loved the world", "ᎾᏍᎩᏰᏃ ᏂᎦᎥᎩ ᎤᏁᎳᏅᎯ ᎤᎨᏳᏒᎩ ᎡᎶᎯ", None
         )
 
     def test_jsonl_matches_tsv(self, data_dir):
@@ -114,7 +108,7 @@ class TestLoadParallel:
     def test_three_line_file_in_order(self, data_dir):
         examples = load_parallel(data_dir / "tiny_parallel.tsv")
         assert len(examples) == 3
-        assert examples[2].source_text == "water is good"
+        assert examples[2][1] == "water is good"
 
     def test_missing_target_text(self, tmp_path):
         path = write(
@@ -137,7 +131,7 @@ class TestLoadParallel:
 
     def test_tsv_suffix_in_any_case(self, tmp_path):
         path = write(tmp_path, "p.TSV", "a\tb\ten\tchr\tsrc\n")
-        assert load_parallel(path) == [ParallelExample("a", "b", "en", "chr", "src")]
+        assert load_parallel(path) == [("example", "a", "b", None)]
 
     def test_other_suffix_is_jsonl(self, tmp_path):
         record = {
@@ -148,7 +142,7 @@ class TestLoadParallel:
             "provenance": "src",
         }
         path = write(tmp_path, "p.txt", json.dumps(record) + "\n")
-        assert load_parallel(path) == [ParallelExample("a", "b", "en", "chr", "src")]
+        assert load_parallel(path) == [("example", "a", "b", None)]
 
 
 class TestSplitLines:
@@ -161,10 +155,60 @@ class TestSplitLines:
         assert split_lines(text) == ["a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\x1dh\x1ei", "j", "k"]
 
 
+class TestDictionaryExamples:
+    """A dictionary entry's example pairs become example documents, after
+    the parallel examples, so no other document changes position."""
+
+    def test_tiny_corpus_gains_one_example_at_the_end(self, tiny_docs):
+        assert tiny_docs == [
+            Document("d:0", "dictionary", "water", "ᎠᎹ", None),
+            Document("d:1", "dictionary", "sun", "ᏅᏓ", "the star that lights the day"),
+            Document("d:2", "dictionary", "fire", "ᎠᏥᎳ", None),
+            Document("d:3", "dictionary", "dog", "ᎩᏟ", None),
+            Document("d:4", "dictionary", "earth", "ᎡᎶᎯ", None),
+            Document("d:5", "dictionary", "good", "ᎣᏍᏓ", None),
+            Document("d:6", "dictionary", "man", "ᎠᏍᎦᏯ", None),
+            Document("d:7", "dictionary", "woman", "ᎠᎨᏯ", None),
+            Document(
+                "d:8", "dictionary", "mountain lion", "ᏢᏓᏥ", "large wild cat of the uplands"
+            ),
+            Document("d:9", "dictionary", "bread", "ᎦᏚ", None),
+            Document("x:0", "example", "For God so loved the world", "ᎾᏍᎩᏰᏃ ᏂᎦᎥᎩ ᎤᏁᎳᏅᎯ ᎤᎨᏳᏒᎩ ᎡᎶᎯ"),
+            Document("x:1", "example", "the man saw the dog", "ᎠᏍᎦᏯ ᎩᏟ ᎤᎪᎮᎢ"),
+            Document("x:2", "example", "water is good", "ᎠᎹ ᎣᏍᏓ"),
+            Document("x:3", "example", "they baked bread", "ᎦᏚ ᎤᎾᏓᏛᏁᎢ", None),
+        ]
+
+    def test_dictionary_then_parallel_then_dictionary_examples(self, tmp_path):
+        dictionary = write(
+            tmp_path,
+            "d.jsonl",
+            '{"headword":"a","target":"1","examples":[[" a one ","1 1"]]}\n'
+            '{"headword":"b","target":"2"}\n'
+            '{"headword":"c","target":"3","examples":[["c\u0301 two","3 2"],["c three","3 3"]]}\n',
+        )
+        rows = load_dictionary(dictionary)
+        assert rows == [
+            ("dictionary", "a", "1", None),
+            ("dictionary", "b", "2", None),
+            ("dictionary", "c", "3", None),
+            ("example", "a one", "1 1", None),
+            ("example", "\u0107 two", "3 2", None),
+            ("example", "c three", "3 3", None),
+        ]
+        parallel = write(tmp_path, "p.tsv", "p one\tq one\ten\tchr\t\np two\tq two\ten\tchr\t\n")
+        docs = to_documents(rows, load_parallel(parallel))
+        assert [(d.id, d.source_text) for d in docs] == [
+            ("d:0", "a"), ("d:1", "b"), ("d:2", "c"),
+            ("x:0", "p one"), ("x:1", "p two"),
+            ("x:2", "a one"), ("x:3", "\u0107 two"), ("x:4", "c three"),
+        ]
+
+
 class TestToDocuments:
     def test_only_read_fields_are_kept(self):
-        entry = DictionaryEntry("sun", "ᏅᏓ", "day star", "noun", (("the sun", "ᏅᏓ"),))
-        example = ParallelExample("water is good", "ᎠᎹ ᎣᏍᏓ", "en", "chr", "NT")
+        entry = ("dictionary", "sun", "ᏅᏓ", "day star")
+        example = ("example", "water is good", "ᎠᎹ ᎣᏍᏓ", None)
         assert to_documents([entry], [example]) == [
             Document("d:0", "dictionary", "sun", "ᏅᏓ", "day star"),
             Document("x:0", "example", "water is good", "ᎠᎹ ᎣᏍᏓ", None),
@@ -174,27 +218,27 @@ class TestToDocuments:
         ]
 
     def test_ids_and_kinds(self):
-        entries = [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")]
-        examples = [ParallelExample("a b", "c", "en", "chr", "p")]
+        entries = [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "sun", "ᏅᏓ", None)]
+        examples = [("example", "a b", "c", None)]
         docs = to_documents(entries, examples)
         assert [d.id for d in docs] == ["d:0", "d:1", "x:0"]
         assert [d.kind for d in docs] == ["dictionary", "dictionary", "example"]
 
     def test_render_text_without_definition(self):
-        docs = to_documents([DictionaryEntry("water", "ᎠᎹ")], [])
+        docs = to_documents([("dictionary", "water", "ᎠᎹ", None)], [])
         assert docs[0].render_text == "water — ᎠᎹ"
 
     def test_render_text_with_definition(self):
-        docs = to_documents([DictionaryEntry("sun", "ᏅᏓ", definition="day star")], [])
+        docs = to_documents([("dictionary", "sun", "ᏅᏓ", "day star")], [])
         assert docs[0].render_text == "sun — ᏅᏓ — day star"
 
     def test_example_render_text(self):
-        docs = to_documents([], [ParallelExample("water is good", "ᎠᎹ ᎣᏍᏓ", "en", "chr")])
+        docs = to_documents([], [("example", "water is good", "ᎠᎹ ᎣᏍᏓ", None)])
         assert docs[0].render_text == "water is good ⇒ ᎠᎹ ᎣᏍᏓ"
 
     def test_deterministic(self, tiny_docs):
-        entries = [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")]
-        examples = [ParallelExample("a b", "c", "en", "chr", "p")]
+        entries = [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "sun", "ᏅᏓ", None)]
+        examples = [("example", "a b", "c", None)]
         assert to_documents(entries, examples) == to_documents(entries, examples)
 
     def test_empty_inputs_rejected(self):
@@ -295,7 +339,8 @@ class TestDocumentRoundTrip:
             load_documents(path)
 
     def test_null_definition_accepted(self, tmp_path):
-        docs = to_documents([DictionaryEntry("water", "ᎠᎹ", definition="")], [])
+        entry = write(tmp_path, "d.jsonl", '{"headword":"water","target":"ᎠᎹ","definition":""}\n')
+        docs = to_documents(load_dictionary(entry), [])
         assert docs[0].definition is None
         path = tmp_path / DOCS_FILE
         save_documents(docs, path)

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import lexrag
 from lexrag.backends import MockEmbedder
-from lexrag.corpus import DictionaryEntry, IngestError, ParallelExample, to_documents
+from lexrag.corpus import IngestError, to_documents
 from lexrag.index import (
     DOCS_FILE,
     FORMAT_VERSION,
@@ -33,6 +34,7 @@ from lexrag.index import (
     build_keyword_index,
     build_vector_index,
     cache_key,
+    embed_chunks,
     keyword_lookup,
     load_index,
     normalize_keyword,
@@ -72,19 +74,19 @@ class TestNormalizeKeyword:
 
 class TestKeywordIndex:
     def test_single_headword(self):
-        docs = to_documents([DictionaryEntry("water", "ᎠᎹ")], [])
+        docs = to_documents([("dictionary", "water", "ᎠᎹ", None)], [])
         index = build_keyword_index(docs)
         assert index == {"water": [0]}
 
     def test_shared_headword_collects_both_ids(self):
         docs = to_documents(
-            [DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("water", "water-2")], []
+            [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "water", "water-2", None)], []
         )
         index = build_keyword_index(docs)
         assert index["water"] == [0, 1]
 
     def test_example_source_unigrams(self):
-        docs = to_documents([], [ParallelExample("he loved the world", "…", "en", "chr")])
+        docs = to_documents([], [("example", "he loved the world", "…", None)])
         index = build_keyword_index(docs)
         assert index == {
             "he": [0],
@@ -94,7 +96,7 @@ class TestKeywordIndex:
         }
 
     def test_repeated_unigram_listed_once(self):
-        examples = [ParallelExample(text, "…", "en", "chr") for text in ("a b A", "b", "b a. b")]
+        examples = [("example", text, "…", None) for text in ("a b A", "b", "b a. b")]
         index = build_keyword_index(to_documents([], examples))
         assert index == {"a": [0, 2], "b": [0, 1, 2]}
 
@@ -166,7 +168,7 @@ class _ZeroEmbedder:
 
 class TestBuildVectorIndex:
     def test_single_doc_unit_norm(self):
-        docs = to_documents([DictionaryEntry("water", "ᎠᎹ")], [])
+        docs = to_documents([("dictionary", "water", "ᎠᎹ", None)], [])
         index = build_vector_index(docs, MockEmbedder(dim=8))
         assert index.count == 1
         assert abs(np.linalg.norm(index.vectors[0]) - 1.0) < 1e-4
@@ -199,6 +201,13 @@ class TestBuildVectorIndex:
         with pytest.raises(IndexBuildError, match="non-finite vector for 'water — ᎠᎹ'"):
             build_vector_index(tiny_docs, embedder)
 
+    def test_overflowing_vector_is_an_error_without_a_warning(self):
+        # Finite values whose squares overflow the norm.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndexBuildError, match="non-finite vector for 'a'"):
+                list(embed_chunks(lambda texts: [[1e200] * 8 for _ in texts], ["a"]))
+
     @pytest.mark.parametrize("value", [0.0, float("nan")])
     def test_bad_vector_is_not_cached(self, tiny_docs, tmp_path, value, monkeypatch):
         monkeypatch.setattr("lexrag.index.EMBED_BATCH_SIZE", 2)
@@ -216,8 +225,8 @@ class TestBuildVectorIndex:
         assert index.count == len(tiny_docs)
 
     def test_identical_render_texts_embedded_once(self, tmp_path):
-        same = ParallelExample("he loved", "ᎤᎨᏳᎯ", "en", "chr")
-        docs = to_documents([], [same, ParallelExample("she sang", "…", "en", "chr"), same])
+        same = ("example", "he loved", "ᎤᎨᏳᎯ", None)
+        docs = to_documents([], [same, ("example", "she sang", "…", None), same])
         sent = []
 
         class Recording(MockEmbedder):
@@ -290,6 +299,13 @@ class TestVectorTopK:
         index = _index_from_rows(THREE_ROWS)
         with pytest.raises(ValueError, match="unit"):
             vector_topk(index, [2.0, 0.0], 1)
+
+    def test_overflowing_query_rejected_without_a_warning(self):
+        index = _index_from_rows(THREE_ROWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would be an extra stderr line
+            with pytest.raises(ValueError, match="query vector norm inf is not unit length"):
+                vector_topk(index, [1e200, 1e200], 1)
 
     def test_tie_broken_by_ascending_row(self):
         # Rows 9 and 10 tie; their ids sort "x:10" first, their rows 9 first.
@@ -614,7 +630,7 @@ class TestPersistence:
             (lambda k, v, m, d: (k, v, m, d[::-1]), "do not follow the documents in order"),
             (
                 lambda k, v, m, d: ({**k, "ghost": [999]}, v, m, d),
-                f"{KEYWORD_FILE}: phrase 'ghost' lists 999, not the position of one of the 13 ",
+                f"{KEYWORD_FILE}: phrase 'ghost' lists 999, not the position of one of the 14 ",
             ),
             (
                 lambda k, v, m, d: ({**k, "ghost": [0, -1]}, v, m, d),
@@ -653,7 +669,7 @@ class TestPersistence:
     )
 )
 def test_headword_lookup_property(headwords):
-    entries = [DictionaryEntry(h, f"t-{h}") for h in headwords]
+    entries = [("dictionary", h, f"t-{h}", None) for h in headwords]
     docs = to_documents(entries, [])
     index = build_keyword_index(docs)
     for position, doc in enumerate(docs):
@@ -861,8 +877,9 @@ class TestFormatV2:
 
     @pytest.mark.parametrize("step", ["save_documents", "_write_vectors"])
     def test_failed_save_over_index_does_not_load(self, step, tmp_path, monkeypatch):
-        old = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])
-        new = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("fire", "ᎠᏥᎳ")], [])
+        water = ("dictionary", "water", "ᎠᎹ", None)
+        old = to_documents([water, ("dictionary", "sun", "ᏅᏓ", None)], [])
+        new = to_documents([water, ("dictionary", "fire", "ᎠᏥᎳ", None)], [])
         _saved_tiny_index(old, tmp_path)
 
         def crash(*args):
@@ -898,7 +915,8 @@ class TestFormatV3:
         assert VECTORS_HEADER.unpack(header)[1] == 5
 
     def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
-        docs = to_documents([DictionaryEntry("water", "ᎠᎹ"), DictionaryEntry("sun", "ᏅᏓ")], [])
+        entries = [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "sun", "ᏅᏓ", None)]
+        docs = to_documents(entries, [])
         _saved_tiny_index(docs, tmp_path)
         path = tmp_path / "vectors.bin"
         payload = bytearray(path.read_bytes())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexrag.backends import BackendError, MockEmbedder
-from lexrag.corpus import Document, ParallelExample, to_documents
+from lexrag.corpus import Document, to_documents
 from lexrag.index import (
     IndexBundle,
     IndexFormatError,
@@ -135,6 +135,14 @@ class TestRetrieve:
             ("d:5", 1.0, "keyword", "good"),
         ]
 
+    def test_dictionary_example_is_a_keyword_hit(self, tiny_bundle):
+        # "they baked bread" is the bread entry's example pair, not a parallel line.
+        results = retrieve("baked", tiny_bundle, MockEmbedder(dim=8))
+        assert [(r.doc.id, r.provenance, r.matched_phrase) for r in results] == [
+            ("x:3", "keyword", "baked")
+        ]
+        assert results[0].doc.target_text == "ᎦᏚ ᎤᎾᏓᏛᏁᎢ"
+
     def test_zero_keyword_hits_equals_vector_topk(self, tiny_bundle, mock_embedder):
         config = RetrievalConfig(k_vector=3, k_total=8)
         query = "completely unrelated nonsense"
@@ -182,7 +190,7 @@ class TestRetrieve:
 
     def test_vector_tie_follows_document_position(self):
         # x:9 and x:10 have one vector; id-text order would put x:10 first.
-        examples = [ParallelExample(f"word{i}", f"t{i}", "en", "chr") for i in range(11)]
+        examples = [("example", f"word{i}", f"t{i}", None) for i in range(11)]
         docs = to_documents([], examples)
         rows = [[0.0, 1.0]] * 9 + [[1.0, 0.0]] * 2
         vec = VectorIndex(2, "fixed", [doc.id for doc in docs], np.array(rows, dtype=np.float32))
@@ -215,7 +223,7 @@ class TestRetrieve:
 
     def test_one_phrase_hits_come_in_document_order(self):
         # x:2 before x:10, not in id-text order (x:10 before x:2)
-        examples = [ParallelExample(f"the word {i}", f"t{i}", "en", "chr") for i in range(12)]
+        examples = [("example", f"the word {i}", f"t{i}", None) for i in range(12)]
         docs = to_documents([], examples)
         kw = build_keyword_index(docs)
         vec = build_vector_index(docs, MockEmbedder(dim=8))
@@ -325,9 +333,7 @@ NORMALIZATION_QUERIES = [
 
 def keyword_phase_golden() -> list:
     """``retrieve`` on the tiny bundle for the batch input and the
-    normalization queries, as (doc_id, provenance, matched_phrase, score).
-    The golden file was written by the implementation that normalized every
-    phrase again inside ``keyword_lookup``."""
+    normalization queries, as (doc_id, provenance, matched_phrase, score)."""
     bundle = _shared_bundle()
     batch = (Path(__file__).parent / "data" / "batch_input.txt").read_text(encoding="utf-8")
     golden = []
