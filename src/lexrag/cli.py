@@ -35,6 +35,7 @@ from .corpus import (
     load_json,
     load_parallel,
     read_utf8,
+    refuse_lone_surrogates,
     split_lines,
     to_documents,
 )
@@ -224,6 +225,7 @@ def _read_batch_input(path: Path) -> tuple[list[str | None], list[str]]:
             raise IngestError(f"{path}:{lineno}: field 'id' must be a string or an integer")
         if not isinstance(source, str):
             raise IngestError(f"{path}:{lineno}: field 'source' must be a string")
+        refuse_lone_surrogates(line, obj, f"{path}:{lineno}")
         ids.append(str(item_id))
         queries.append(source)
     if not queries:
@@ -288,10 +290,10 @@ def _read_sentence_lines(path: Path) -> list[str]:
 
 def cmd_humaneval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    sheet = load_human_scores(args.scores)
-    models = {model: model for model in sheet.model_ids()} if args.per_model else {"all": None}
+    totals = load_human_scores(args.scores)
+    models = {model: model for model in totals} if args.per_model else {"all": None}
     rows = [
-        {"model": label, "human_eval": human_eval_normalize(sheet, model)}
+        {"model": label, "human_eval": human_eval_normalize(totals, model)}
         for label, model in models.items()
     ]
     if args.language:

@@ -17,16 +17,18 @@ row, and a parallel example or an entry's example pair an example row.
 that both indexes and the prompt assembler operate on.
 
 A row keeps only the fields retrieval and the prompt read; the loaders
-validate the other input fields but do not keep them.  Saved documents are
-one JSON object of per-field arrays; ids are positional.
+validate the other input fields but do not keep them.  Dictionary entries
+come first, so a document's kind is its position: saved documents are one
+JSON object holding the number of dictionary entries and per-field arrays,
+and ids (``d:0 ...``, then ``x:0 ...``) and kinds follow from position.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
+import re
 import sys
 import typing
 import unicodedata
@@ -53,9 +55,10 @@ def nfc(text: str) -> str:
 
 
 class Document(NamedTuple):
-    """Unified retrievable unit.  ``id`` follows from position and kind
-    (``d:<seq>``, ``x:<seq>``), and ``render_text``, the text that gets
-    embedded, from the other fields.
+    """Unified retrievable unit.  ``id`` and ``kind`` follow from position
+    (``d:<seq>`` for the leading dictionary entries, ``x:<seq>`` for the
+    examples after them), and ``render_text``, the text that gets embedded,
+    from the other fields.
 
     A NamedTuple, so that loading builds each one at the cost of a tuple:
     it is immutable and hashable, equals a plain tuple of the same values,
@@ -213,6 +216,24 @@ def iter_lines(path: str | Path):
             yield lineno, line
 
 
+# A JSON escape of a UTF-16 surrogate: the only way a line of decoded UTF-8
+# text can give a string that holds a lone one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def refuse_lone_surrogates(line: str, obj: dict, where: str) -> None:
+    """Refuse ``obj``, parsed from the JSON ``line``, if a field holds a lone
+    surrogate such as ``"\\ud800"``, which UTF-8 cannot encode: the error
+    names ``where`` and the field.  Only a line with a surrogate escape is
+    checked field by field."""
+    if _SURROGATE_ESCAPE.search(line):
+        for key, value in obj.items():
+            try:
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise IngestError(f"{where}: field {key!r} holds a lone surrogate") from None
+
+
 def _json_object(line: str, where: str) -> dict:
     try:
         obj = json.loads(line)
@@ -220,6 +241,7 @@ def _json_object(line: str, where: str) -> dict:
         raise IngestError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(obj, dict):
         raise IngestError(f"{where}: expected a JSON object")
+    refuse_lone_surrogates(line, obj, where)
     return obj
 
 
@@ -310,37 +332,24 @@ def render_example_text(source_text: str, target_text: str) -> str:
     return f"{source_text} ⇒ {target_text}"
 
 
-_ID_PREFIX = {DICTIONARY_KIND: "d", EXAMPLE_KIND: "x"}
-
-# The arrays of docs.json, a Document's fields after its id: what each of
-# their values must be, the types it may have and, for kind, the values.
+# The arrays of docs.json, a Document's fields after its id and kind: what
+# each of their values must be, and the types it may have.
 _DOC_COLUMNS = {
-    "kind": ("a document kind", {str}, {DICTIONARY_KIND, EXAMPLE_KIND}),
-    "source_text": ("a string", {str}, None),
-    "target_text": ("a string", {str}, None),
-    "definition": ("a string or null", {str, type(None)}, None),
+    "source_text": ("a string", {str}),
+    "target_text": ("a string", {str}),
+    "definition": ("a string or null", {str, type(None)}),
 }
+_DOCS_KEYS = ("dictionary_count", *_DOC_COLUMNS)
 
 
-def _valid_column(column: list, types: set[type], values: set | None) -> bool:
-    """Whether every value of ``column`` has one of ``types`` and, unless
-    ``values`` is None, is one of ``values``: one C-level pass each."""
-    return set(map(type, column)) <= types and (values is None or set(column) <= values)
-
-
-def _positional_ids(kinds: Sequence[str]) -> list[str]:
-    """``d:<seq>`` for dictionary entries and ``x:<seq>`` for examples, with
-    ``seq`` counted per kind in document order."""
-    if not set(kinds) <= _ID_PREFIX.keys():
-        unknown = next(kind for kind in kinds if kind not in _ID_PREFIX)
-        raise IngestError(f"unknown document kind {unknown!r}")
-    seqs = {kind: itertools.count() for kind in _ID_PREFIX}
-    return [f"{_ID_PREFIX[kind]}:{next(seqs[kind])}" for kind in kinds]
-
-
-def _documents(columns: list[Sequence]) -> list[Document]:
-    """Documents from the columns of ``_DOC_COLUMNS``, in that order."""
-    return list(map(Document._make, zip(_positional_ids(columns[0]), *columns)))
+def _documents(dictionary_count: int, columns: list[Sequence]) -> list[Document]:
+    """Documents from the columns of ``_DOC_COLUMNS``, in that order: the first
+    ``dictionary_count`` are dictionary entries ``d:0, d:1, ...``, the rest
+    examples ``x:0, x:1, ...``."""
+    examples = len(columns[0]) - dictionary_count
+    ids = [f"d:{seq}" for seq in range(dictionary_count)] + [f"x:{seq}" for seq in range(examples)]
+    kinds = [DICTIONARY_KIND] * dictionary_count + [EXAMPLE_KIND] * examples
+    return list(map(Document._make, zip(ids, kinds, *columns)))
 
 
 def to_documents(entries: list[tuple], examples: list[tuple]) -> list[Document]:
@@ -351,40 +360,51 @@ def to_documents(entries: list[tuple], examples: list[tuple]) -> list[Document]:
         raise IngestError("no input: need at least one dictionary entry or parallel example")
     # A stable sort: dictionary rows move ahead, every other order is kept.
     rows = sorted([*examples, *entries], key=lambda row: row[0] != DICTIONARY_KIND)
-    return _documents(list(zip(*rows)))
+    kinds, *columns = zip(*rows)
+    return _documents(kinds.count(DICTIONARY_KIND), columns)
 
 
 def save_documents(docs: list[Document], path: str | Path) -> None:
-    """Write Documents as one JSON object of per-field arrays (UTF-8).  Ids
-    are not written, so a document whose id is not the one its position
-    gives is rejected rather than renumbered."""
-    for seq, (doc, expected) in enumerate(zip(docs, _positional_ids([d.kind for d in docs]))):
-        if doc.id != expected:
-            raise IngestError(
-                f"document {seq} has id {doc.id!r}, but its position gives {expected!r}"
-            )
+    """Write Documents as one JSON object (UTF-8): the number of dictionary
+    entries, then per-field arrays.  Neither ids nor kinds are written, so a
+    list that is not its dictionary entries followed by its examples, each
+    with the id its position gives, is rejected rather than renumbered."""
     columns = {name: [getattr(doc, name) for doc in docs] for name in _DOC_COLUMNS}
-    text = json.dumps(columns, ensure_ascii=False, separators=(",", ":"))
+    dictionary_count = [doc.kind for doc in docs].count(DICTIONARY_KIND)
+    expected = _documents(dictionary_count, list(columns.values()))
+    if expected != docs:
+        seq, doc, want = next(
+            (seq, doc, want) for seq, (doc, want) in enumerate(zip(docs, expected)) if doc != want
+        )
+        raise IngestError(
+            f"document {seq} has id {doc.id!r} ({doc.kind}), but its position gives "
+            f"{want.id!r} ({want.kind})"
+        )
+    del expected  # not held while the JSON text is built, which sets a save's peak memory
+    data = {"dictionary_count": dictionary_count, **columns}
+    text = json.dumps(data, ensure_ascii=False, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_documents(path: str | Path) -> list[Document]:
     """Reload Documents written by :func:`save_documents`, checking the keys,
-    the array lengths and each value; ids follow from position and kind.
+    the array lengths, each value and the dictionary count; ids and kinds
+    follow from position.
 
-    Each column is checked in one C-level pass over its value types (and,
-    for ``kind``, its values); only a column that fails is scanned value by
-    value, for the position the error names."""
-    columns = load_json(Path(path))
-    if not isinstance(columns, dict) or columns.keys() != _DOC_COLUMNS.keys():
-        raise IngestError(f"{path}: expected an object with exactly the keys {tuple(_DOC_COLUMNS)}")
-    for name, (expected, types, values) in _DOC_COLUMNS.items():
-        column = columns[name]
-        if not isinstance(column, list) or len(column) != len(columns["kind"]):
-            raise IngestError(f"{path}: {name} is not an array as long as kind")
-        if not _valid_column(column, types, values):
-            position = next(
-                i for i, value in enumerate(column) if not _valid_column([value], types, values)
-            )
+    Each column is checked in one C-level pass over its value types; only a
+    column that fails is scanned value by value, for the position the error
+    names."""
+    data = load_json(Path(path))
+    if not isinstance(data, dict) or data.keys() != set(_DOCS_KEYS):
+        raise IngestError(f"{path}: expected an object with exactly the keys {_DOCS_KEYS}")
+    columns = [data[name] for name in _DOC_COLUMNS]
+    for column, (name, (expected, types)) in zip(columns, _DOC_COLUMNS.items()):
+        if not isinstance(column, list) or len(column) != len(columns[0]):
+            raise IngestError(f"{path}: {name} is not an array as long as source_text")
+        if not set(map(type, column)) <= types:
+            position = next(i for i, value in enumerate(column) if type(value) not in types)
             raise IngestError(f"{path}: {name}[{position}] is not {expected}")
-    return _documents([columns[name] for name in _DOC_COLUMNS])
+    dictionary_count = data["dictionary_count"]
+    if type(dictionary_count) is not int or not 0 <= dictionary_count <= len(columns[0]):
+        raise IngestError(f"{path}: dictionary_count is not an integer from 0 to {len(columns[0])}")
+    return _documents(dictionary_count, columns)

@@ -20,12 +20,14 @@ Index directory layout::
                         created_at / max_phrase_len / version
     keyword_index.json  normalized phrase -> ascending array of document
                         positions (indexes into docs.json), compact
-    docs.json           arrays kind / source_text / target_text / definition,
-                        one value per document; no ids or render texts
+    docs.json           dictionary_count, then arrays source_text / target_text /
+                        definition, one value per document: the first
+                        dictionary_count documents are dictionary entries,
+                        the rest examples; no ids, kinds or render texts
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=5), dim u32,
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=6), dim u32,
 count u64, then ``count × dim`` float32 values, one row per document in
 ``docs.json`` order.
 
@@ -59,7 +61,7 @@ from .corpus import load_documents, save_documents
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 5  # of both manifest.json and the vectors.bin header
+FORMAT_VERSION = 6  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request

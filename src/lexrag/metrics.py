@@ -182,88 +182,64 @@ def bertscore(
     return (precision, recall, f1)
 
 
-@dataclass(frozen=True)
-class HumanScoreRow:
-    sentence_id: str
-    model_id: str
-    fluency: int
-    grammaticality: int
-    faithfulness: int
-
-    def __post_init__(self) -> None:
-        for name in ("fluency", "grammaticality", "faithfulness"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= MAX_SUBSCORE:
-                raise ValueError(
-                    f"({self.sentence_id}, {self.model_id}): {name} must be an "
-                    f"integer in 0..{MAX_SUBSCORE}, got {value!r}"
-                )
+CSV_HEADER = ["sentence_id", "model_id", "fluency", "grammaticality", "faithfulness"]
 
 
-@dataclass
-class HumanScoreSheet:
-    """Per-sentence 0..5 expert scores for fluency, grammaticality and
-    faithfulness, one row per (sentence, model)."""
-
-    rows: list[HumanScoreRow]
-
-    def __post_init__(self) -> None:
-        seen: set[tuple[str, str]] = set()
-        for row in self.rows:
-            key = (row.sentence_id, row.model_id)
-            if key in seen:
-                raise ValueError(f"duplicate (sentence_id, model_id) row: {key}")
-            seen.add(key)
-
-    def model_ids(self) -> list[str]:
-        return list(dict.fromkeys(row.model_id for row in self.rows))
-
-
-CSV_HEADER = [f.name for f in fields(HumanScoreRow)]
-
-
-def load_human_scores(path: str | Path) -> HumanScoreSheet:
-    """Read a score sheet CSV with header sentence_id,model_id,fluency,
-    grammaticality,faithfulness.  Errors name the offending row."""
-    rows: list[HumanScoreRow] = []
+def load_human_scores(path: str | Path) -> dict[str, list[int]]:
+    """Each model's per-sentence score totals (fluency + grammaticality +
+    faithfulness), in row order, from a score sheet CSV with header
+    sentence_id,model_id,fluency,grammaticality,faithfulness: integer scores
+    0..5, one row per (sentence, model).  Errors name the offending line."""
+    totals: dict[str, list[int]] = {}
+    keys: list[tuple[str, str]] = []
     reader = csv.reader(io.StringIO(read_utf8(Path(path)), newline=""))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    for lineno, record in enumerate(reader, start=2):
-        if not record or record == [""]:
-            continue
-        if len(record) != len(CSV_HEADER):
-            raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns")
-        try:
-            scores = [int(value) for value in record[2:]]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: scores must be integers") from None
-        try:
-            rows.append(HumanScoreRow(record[0], record[1], *scores))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no score rows")
     try:
-        return HumanScoreSheet(rows)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        for record in reader:
+            where = f"{path}:{reader.line_num}"
+            if not record or record == [""]:
+                continue
+            if len(record) != len(CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(CSV_HEADER)} columns")
+            try:
+                scores = [int(value) for value in record[2:]]
+            except ValueError:
+                raise ValueError(f"{where}: scores must be integers") from None
+            for name, value in zip(CSV_HEADER[2:], scores):
+                if not 0 <= value <= MAX_SUBSCORE:
+                    raise ValueError(
+                        f"{where}: ({record[0]}, {record[1]}): {name} must be an "
+                        f"integer in 0..{MAX_SUBSCORE}, got {value!r}"
+                    )
+            keys.append((record[0], record[1]))
+            totals.setdefault(record[1], []).append(sum(scores))
+    except csv.Error as exc:  # a field past csv's size limit, or a NUL before Python 3.11
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not keys:
+        raise ValueError(f"{path}: no score rows")
+    seen: set[tuple[str, str]] = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{path}: duplicate (sentence_id, model_id) row: {key}")
+        seen.add(key)
+    return totals
 
 
-def human_eval_normalize(sheet: HumanScoreSheet, model_id: str | None) -> float:
+def human_eval_normalize(totals: dict[str, list[int]], model_id: str | None) -> float:
     """Mean over the model's sentences of (fluency + grammaticality +
     faithfulness) / 15; 0 means unusable throughout, 1 means perfect scores.
-    ``model_id=None`` pools every row of the sheet."""
-    totals = [
-        row.fluency + row.grammaticality + row.faithfulness
-        for row in sheet.rows
-        if model_id is None or row.model_id == model_id
-    ]
-    if not totals:
+    ``totals`` is what :func:`load_human_scores` returns; ``model_id=None``
+    pools every row of the sheet."""
+    if model_id is None:
+        rows = [total for model_totals in totals.values() for total in model_totals]
+    else:
+        rows = totals.get(model_id, [])
+    if not rows:
         raise ValueError(f"no rows for model {model_id!r}")
     denominator = MAX_SUBSCORE * DIMENSIONS_PER_SENTENCE
-    return fmean(total / denominator for total in totals)
+    return fmean(total / denominator for total in rows)
 
 
 ALL_METRICS = ("bleu", "rouge", "bertscore")

@@ -278,9 +278,11 @@ class TestHttpBackend:
 
 class TestMalformedRepliesThroughMain:
     """A reply of the wrong shape fails the command that asked for it with
-    exit 2 and one ``lexrag: backend error:`` line."""
+    exit 2 and one ``lexrag: backend error:`` line; an embeddings reply of
+    parseable vectors in the wrong number or of drifting dimension with exit
+    65 and one ``lexrag: validation error:`` line, as from any embedder."""
 
-    def _main(self, capsys, server, tmp_path, *argv) -> str:
+    def _main(self, capsys, server, tmp_path, *argv, code=2, error="backend error") -> str:
         host, port = server.server_address
         config = tmp_path / "http.json"
         backend = {
@@ -290,18 +292,18 @@ class TestMalformedRepliesThroughMain:
             "retry": {"max_attempts": 1},
         }
         config.write_text(json.dumps({"backend": backend}), encoding="utf-8")
-        code = main([*argv, "--config", str(config)])
+        got = main([*argv, "--config", str(config)])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("lexrag: backend error: ")
+        assert got == code and captured.out == ""
+        assert captured.err.startswith(f"lexrag: {error}: ")
         assert captured.err.count("\n") == 1
         return captured.err
 
     @pytest.mark.parametrize(
         "lengths, message",
         [
-            ([4] * 12, "embeddings response count 12 != input count 11"),
-            ([4] * 6 + [3] * 5, "embedding dimensions drifted within one response: [3, 4]"),
+            ([4] * 12, "embedder returned 12 vectors for 11 texts"),
+            ([4] * 6 + [3] * 5, "embedding dimension drifted from 4 to 3"),
         ],
         ids=["count", "mixed_dims"],
     )
@@ -311,8 +313,8 @@ class TestMalformedRepliesThroughMain:
         }
         dictionary, out = str(data_dir / "tiny_dict.jsonl"), str(tmp_path / "idx")
         build = ["index-build", "--dict", dictionary, "--out", out]
-        err = self._main(capsys, stub_server, tmp_path, *build)
-        assert err.endswith(f": {message}\n")
+        err = self._main(capsys, stub_server, tmp_path, *build, code=65, error="validation error")
+        assert err == f"lexrag: validation error: {message}\n"
         assert [len(r["payload"]["input"]) for r in stub_server.requests] == [11]
 
     NOT_A_STRING = "content is not a string"

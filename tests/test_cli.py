@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -11,12 +12,12 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexrag.backends import BackendConfig, BackendError, MockEmbedder, MockGenerator, RetryPolicy
 from lexrag.cli import AppConfig, load_config, main
-from lexrag.corpus import IngestError
+from lexrag.corpus import IngestError, split_lines
 from lexrag.index import (
     CACHE_FILE,
     DOCS_FILE,
@@ -294,7 +295,7 @@ class TestFailedIndexBuild:
 
     def test_v1_index_rejected_then_rebuilt_from_cache(self, built_index, data_dir, capsys):
         path = built_index / "manifest.json"
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
             code, out, err = run(
                 capsys, "translate", "--index", str(built_index), "--text", "water"
@@ -1882,10 +1883,121 @@ class TestDamagedCorpusContract:
                 assert str(paths[target]) in err, err
 
 
+_LONE_SURROGATES = st.text(st.characters(whitelist_categories=["Cs"]), min_size=1, max_size=2)
+_INSERTS = [b"\x80", b"\xbf", b"\xc0", b"\xf5", b"\xff", b"\x00", b'"', b"x" * 200_000]
+# One damage to a line file: cut at a byte; delete a key, column or line;
+# set a field (or a text line) to a JSON value; insert a byte that is not
+# UTF-8, a NUL, a stray quote or an over-long field.  Indexes wrap around.
+_LINE_DAMAGES = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("delete"), st.integers(0, 99), st.integers(0, 9)),
+    st.tuples(
+        st.just("set"), st.integers(0, 99), st.integers(0, 9), _JSON_VALUES | _LONE_SURROGATES
+    ),
+    st.tuples(st.just("insert"), st.integers(0, 2**20), st.sampled_from(_INSERTS)),
+)
+
+
+def _damaged_lines(records: list, damage) -> bytes:
+    """``records`` (JSON objects, CSV rows as lists of cells, or text lines)
+    as the bytes of a line file, with ``damage`` done to them.  A lone
+    surrogate is written as a JSON escape, or as the bytes UTF-8 refuses."""
+    kind, *args = damage
+    records = [copy.copy(record) for record in records]
+    if kind in ("delete", "set"):
+        row = args[0] % len(records)
+        record = records[row]
+        value = args[2] if kind == "set" else None
+        text = value if isinstance(value, str) else json.dumps(value)
+        if isinstance(record, str):  # a text line is its one field
+            if kind == "delete":
+                del records[row]
+            else:
+                records[row] = text
+        else:
+            key = (sorted(record) if isinstance(record, dict) else range(len(record)))[
+                args[1] % len(record)
+            ]
+            if kind == "delete":
+                del record[key]
+            else:
+                record[key] = value if isinstance(record, dict) else text
+    lines = [
+        json.dumps(record) if isinstance(record, dict)
+        else ",".join(record) if isinstance(record, list)
+        else record
+        for record in records
+    ]
+    raw = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+    if kind == "cut":
+        raw = raw[: args[0] % (len(raw) + 1)]
+    elif kind == "insert":
+        at = args[0] % (len(raw) + 1)
+        raw = raw[:at] + args[1] + raw[at:]
+    return raw
+
+
+def _one_error_line(code: int, stdout: str, err: str) -> None:
+    assert code in (1, 65) and stdout == "", (code, err[:300])
+    assert err.startswith("lexrag: ") and err.count("\n") == 1, err[:300]
+
+
+class TestDamagedInputContract:
+    """Whatever one damage does to a ``translate --input`` file (JSONL or
+    plain text) or a ``humaneval`` score sheet, the command exits 0, 1 or 65
+    with no traceback.  Exit 0 means one record per non-blank input line (or
+    a score per model); exits 1 and 65 mean exactly one ``lexrag:`` line."""
+
+    SOURCES = (_TEST_DATA / "batch_input.txt").read_text(encoding="utf-8").splitlines()
+
+    def test_translate_input(self, built_index, tmp_path, capsys):
+        config = write_config(tmp_path / "mock.json")
+        jsonl = [{"id": i if i % 2 else f"s{i}", "source": s} for i, s in enumerate(self.SOURCES)]
+
+        @settings(max_examples=150, deadline=None)
+        @given(suffix=st.sampled_from([".jsonl", ".txt"]), damage=_LINE_DAMAGES)
+        @example(suffix=".jsonl", damage=("set", 1, 1, "w\ud800"))
+        @example(suffix=".jsonl", damage=("set", 2, 0, "\udfff"))
+        def check(suffix, damage):
+            path = tmp_path / f"in{suffix}"
+            raw = _damaged_lines(jsonl if suffix == ".jsonl" else self.SOURCES, damage)
+            path.write_bytes(raw)
+            argv = ["translate", "--index", str(built_index), "--input", str(path)]
+            code, stdout, err = run(capsys, *argv, "--config", str(config))
+            if code != 0:
+                _one_error_line(code, stdout, err)
+                return
+            lines = split_lines(raw.decode("utf-8"))
+            assert stdout.count("\n") == sum(1 for line in lines if line.strip()), err
+
+        check()
+
+    def test_humaneval_sheet(self, tmp_path, capsys):
+        config = write_config(tmp_path / "mock.json")
+        text = (_TEST_DATA / "human_scores_tibetan.csv").read_text(encoding="utf-8")
+        rows = [line.split(",") for line in text.splitlines()]
+
+        @settings(max_examples=150, deadline=None)
+        @given(damage=_LINE_DAMAGES)
+        @example(damage=("insert", len(text) - 3, b"x" * 200_000))
+        @example(damage=("set", 1, 1, "m" * 200_000))
+        def check(damage):
+            path = tmp_path / "scores.csv"
+            path.write_bytes(_damaged_lines(rows, damage))
+            code, stdout, err = run(capsys, "humaneval", "--scores", str(path), "--config", str(config))
+            if code != 0:
+                _one_error_line(code, stdout, err)
+                return
+            assert err == "" and json.loads(stdout), err
+
+        check()
+
+
 _DICT = ("index-build", "--dict", "{tmp}/d.jsonl", "--out", "{tmp}/idx")
 _PARALLEL = ("index-build", "--parallel", "{tmp}/p.jsonl", "--out", "{tmp}/idx")
 _EVALUATE_AB = ("evaluate", "--hyp", "{tmp}/h.txt", "--ref", "{tmp}/r.txt")
 _HUMANEVAL_S = ("humaneval", "--scores", "{tmp}/s.csv")
+_BATCH = ("translate", "--index", "{index}", "--input", "{tmp}/in.jsonl")
 _PAIR_FILES = {"h.txt": "a b\n", "r.txt": "a c\n"}
 _SHEET_HEADER = "sentence_id,model_id,fluency,grammaticality,faithfulness\n"
 _EXAMPLES_MESSAGE = "error: {tmp}/d.jsonl:1: examples must be a list of [source, target] pairs"
@@ -1967,6 +2079,26 @@ class TestErrorExits:
                 "validation error: {tmp}/s.csv:2: scores must be integers",
             ),
             (
+                _HUMANEVAL_S, {"s.csv": _SHEET_HEADER + "s1,m1,3,4,2\ns2," + "x" * 200_000 + ",1,1,1\n"},
+                65, "validation error: {tmp}/s.csv:3: field larger than field limit (131072)",
+            ),
+            (
+                _DICT, _dict_line(definition="a\ud800"), 1,
+                "error: {tmp}/d.jsonl:1: field 'definition' holds a lone surrogate",
+            ),
+            (
+                _PARALLEL, _parallel_line(target_text="\udc00b"), 1,
+                "error: {tmp}/p.jsonl:1: field 'target_text' holds a lone surrogate",
+            ),
+            (
+                _BATCH, {"in.jsonl": '{"id": 1, "source": "water"}\n{"id": 2, "source": "w\\ud800"}\n'},
+                1, "error: {tmp}/in.jsonl:2: field 'source' holds a lone surrogate",
+            ),
+            (
+                _BATCH, {"in.jsonl": '{"id": "i\\udfff", "source": "water"}\n'},
+                1, "error: {tmp}/in.jsonl:1: field 'id' holds a lone surrogate",
+            ),
+            (
                 (*_EVALUATE_AB, "--metrics", "bleu,bogus"), _PAIR_FILES, 65,
                 "validation error: unknown metrics: ['bogus']",
             ),
@@ -1981,8 +2113,9 @@ class TestErrorExits:
             "dict-not-object", "dict-definition-int", "dict-target-empty", "dict-examples-str",
             "dict-example-pair", "dict-example-empty", "parallel-source-empty",
             "parallel-target-empty", "parallel-provenance-int", "report-unknown-field",
-            "humaneval-header", "humaneval-columns", "humaneval-score", "evaluate-metric",
-            "max-in-flight-0",
+            "humaneval-header", "humaneval-columns", "humaneval-score", "humaneval-long-field",
+            "dict-surrogate", "parallel-surrogate", "batch-surrogate-source", "batch-surrogate-id",
+            "evaluate-metric", "max-in-flight-0",
         ],
     )
     def test_exit_code_and_one_line(

@@ -4,12 +4,14 @@ import json
 import logging
 import math
 import re
+import tempfile
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lexrag.corpus import (
@@ -85,6 +87,10 @@ class TestLoadDictionary:
             '{"headword":"a","target":"1"}\n\n{"headword":"b","target":"2"}\n',
         )
         assert [row[1] for row in load_dictionary(path)] == ["a", "b"]
+
+    def test_escaped_surrogate_pair_loads(self, tmp_path):
+        path = write(tmp_path, "d.jsonl", '{"headword": "w\\ud83d\\ude00", "target": "x"}\n')
+        assert load_dictionary(path) == [("dictionary", "w\U0001f600", "x", None)]
 
     def test_nfc_normalization_applied(self, tmp_path):
         decomposed = "é"  # e + combining acute
@@ -252,11 +258,11 @@ class TestToDocuments:
 
 
 class TestDocumentRoundTrip:
-    """docs.json is one object of four equal-length columns.  Errors name the
-    column and the document's position in it, which is what the ``line`` of
-    the older test names now stands for."""
+    """docs.json is one object: the dictionary count, then three equal-length
+    columns.  Errors name the column and the document's position in it, which
+    is what the ``line`` of the older test names now stands for."""
 
-    COLUMNS = ["kind", "source_text", "target_text", "definition"]
+    KEYS = ["dictionary_count", "source_text", "target_text", "definition"]
 
     @staticmethod
     def _damaged(tiny_docs, tmp_path, damage):
@@ -271,6 +277,32 @@ class TestDocumentRoundTrip:
         path = tmp_path / DOCS_FILE
         save_documents(tiny_docs, path)
         assert load_documents(path) == tiny_docs
+
+    _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    _ROW = st.tuples(
+        st.sampled_from(["dictionary", "example"]), _TEXT, _TEXT, st.none() | _TEXT
+    )
+
+    @given(
+        entries=st.lists(_ROW, max_size=6),
+        examples=st.lists(_ROW.map(lambda row: ("example", *row[1:])), max_size=6),
+        data=st.data(),
+    )
+    def test_to_documents_round_trips_and_any_other_order_is_refused(
+        self, entries, examples, data
+    ):
+        assume(entries or examples)
+        docs = to_documents(entries, examples)
+        other = data.draw(st.permutations(docs), label="order")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, DOCS_FILE)
+            save_documents(docs, path)
+            assert load_documents(path) == docs
+            path.unlink()
+            if other != docs:
+                with pytest.raises(IngestError, match="but its position gives"):
+                    save_documents(other, path)
+                assert not path.exists()
 
     def test_tampered_render_text_rejected(self, tiny_docs, tmp_path):
         """A file that also carries ``id`` and ``render_text`` columns."""
@@ -294,20 +326,27 @@ class TestDocumentRoundTrip:
         path = tmp_path / DOCS_FILE
         save_documents(tiny_docs, path)
         columns = json.loads(path.read_text(encoding="utf-8"))
-        assert list(columns) == self.COLUMNS
+        assert list(columns) == self.KEYS
+        assert columns.pop("dictionary_count") == 10
         assert all(len(column) == len(tiny_docs) for column in columns.values())
         assert columns["definition"][1] == "the star that lights the day"
-        kinds_and_definitions = set(zip(columns["kind"], columns["definition"]))
-        assert {d for k, d in kinds_and_definitions if k == "example"} == {None}
+        assert set(columns["definition"][10:]) == {None}
         loaded = load_documents(path)
         assert [d.id for d in loaded] == [d.id for d in tiny_docs]
         assert [d.render_text for d in loaded] == [d.render_text for d in tiny_docs]
 
     def test_ids_follow_position_per_kind(self, tmp_path):
-        kinds = ["example", "dictionary", "example", "dictionary"]
-        columns = {"kind": kinds, "source_text": ["a"] * 4, "target_text": ["b"] * 4}
-        path = write(tmp_path, DOCS_FILE, json.dumps({**columns, "definition": [None] * 4}))
-        assert [d.id for d in load_documents(path)] == ["x:0", "d:0", "x:1", "d:1"]
+        columns = {"source_text": ["a"] * 4, "target_text": ["b"] * 4, "definition": [None] * 4}
+        path = write(tmp_path, DOCS_FILE, json.dumps({"dictionary_count": 2, **columns}))
+        docs = load_documents(path)
+        assert [(d.id, d.kind) for d in docs] == [
+            ("d:0", "dictionary"), ("d:1", "dictionary"), ("x:0", "example"), ("x:1", "example")
+        ]
+        interleaved = [docs[2], docs[0], docs[3], docs[1]]
+        message = r"document 0 has id 'x:0' \(example\), but its position gives 'd:0' \(dictionary\)"
+        with pytest.raises(IngestError, match=message):
+            save_documents(interleaved, tmp_path / "other.json")
+        assert not (tmp_path / "other.json").exists()
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -316,8 +355,10 @@ class TestDocumentRoundTrip:
             ("target_text", None, r"target_text\[2\] is not a string"),
             ("definition", 1, r"definition\[2\] is not a string or null"),
             ("definition", ["a"], r"definition\[2\] is not a string or null"),
-            ("kind", ["dictionary"], r"kind\[2\] is not a document kind"),
-            ("kind", "gloss", r"kind\[2\] is not a document kind"),
+            ("dictionary_count", True, "dictionary_count is not an integer from 0 to 14"),
+            ("dictionary_count", 15, "dictionary_count is not an integer from 0 to 14"),
+            ("dictionary_count", -1, "dictionary_count is not an integer from 0 to 14"),
+            ("dictionary_count", 10.0, "dictionary_count is not an integer from 0 to 14"),
             ("id", "d:0", "expected an object with exactly the keys"),
         ],
         ids=[
@@ -325,14 +366,19 @@ class TestDocumentRoundTrip:
             "target-null",
             "definition-int",
             "definition-list",
-            "kind-list",
-            "kind-unknown",
+            "count-bool",
+            "count-over",
+            "count-negative",
+            "count-float",
             "extra-id",
         ],
     )
     def test_malformed_field_names_line(self, tiny_docs, tmp_path, column, value, message):
         def damage(columns):
-            columns.setdefault(column, [None] * len(tiny_docs))[2] = value
+            if column == "dictionary_count":
+                columns[column] = value
+            else:
+                columns.setdefault(column, [None] * len(tiny_docs))[2] = value
 
         path = self._damaged(tiny_docs, tmp_path, damage)
         with pytest.raises(IngestError, match=rf"docs\.json: {message}"):
@@ -347,13 +393,15 @@ class TestDocumentRoundTrip:
         assert json.loads(path.read_text(encoding="utf-8"))["definition"] == [None]
         assert load_documents(path) == docs
 
-    @pytest.mark.parametrize("key", COLUMNS)
+    @pytest.mark.parametrize("key", KEYS)
     def test_missing_key_names_line(self, tiny_docs, tmp_path, key):
         path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.pop(key))
         with pytest.raises(IngestError, match=r"docs\.json: expected an object with exactly"):
             load_documents(path)
 
-    @pytest.mark.parametrize("column, named", [("kind", "source_text"), ("definition", "definition")])
+    @pytest.mark.parametrize(
+        "column, named", [("source_text", "target_text"), ("definition", "definition")]
+    )
     def test_columns_of_unequal_length_rejected(self, tiny_docs, tmp_path, column, named):
         path = self._damaged(tiny_docs, tmp_path, lambda columns: columns[column].pop())
         with pytest.raises(IngestError, match=rf"docs\.json: {named} is not an array as long"):
@@ -365,8 +413,8 @@ class TestDocumentRoundTrip:
             load_documents(path)
 
     def test_column_that_is_not_an_array_rejected(self, tiny_docs, tmp_path):
-        path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.update(kind="example"))
-        with pytest.raises(IngestError, match=r"docs\.json: kind is not an array as long"):
+        path = self._damaged(tiny_docs, tmp_path, lambda columns: columns.update(target_text="b"))
+        with pytest.raises(IngestError, match=r"docs\.json: target_text is not an array as long"):
             load_documents(path)
 
 

@@ -862,8 +862,10 @@ class TestFormatV2:
         _saved_tiny_index(tiny_docs, tmp_path)
         docs_path = tmp_path / DOCS_FILE
         columns = json.loads(docs_path.read_text(encoding="utf-8"))
+        count = columns.pop("dictionary_count")
+        columns = {name: column[:-1] for name, column in columns.items()}
         docs_path.write_text(
-            json.dumps({name: column[:-1] for name, column in columns.items()}), encoding="utf-8"
+            json.dumps({"dictionary_count": count, **columns}), encoding="utf-8"
         )
         with pytest.raises(IndexFormatError, match="rows for"):
             load_index(tmp_path)
@@ -900,19 +902,21 @@ class TestFormatV2:
 
 class TestFormatV3:
     """The docs file stores neither ids nor render texts (since v3; in v4 it is
-    one object of four columns); vectors must be finite."""
+    one object of four columns, in v6 the dictionary count and three columns);
+    vectors must be finite."""
 
     def test_docs_lines_hold_four_keys_and_round_trip(self, tiny_docs, tmp_path):
         bundle = _saved_tiny_index(tiny_docs, tmp_path)
         columns = json.loads((tmp_path / DOCS_FILE).read_text(encoding="utf-8"))
-        assert sorted(columns) == ["definition", "kind", "source_text", "target_text"]
+        assert list(columns) == ["dictionary_count", "source_text", "target_text", "definition"]
+        assert columns.pop("dictionary_count") == 10
         assert {len(column) for column in columns.values()} == {len(tiny_docs)}
         assert bundle.docs == tiny_docs
         assert [d.render_text for d in bundle.docs] == [d.render_text for d in tiny_docs]
         manifest = json.loads((tmp_path / MANIFEST_FILE).read_text())
-        assert manifest["version"] == FORMAT_VERSION == 5
+        assert manifest["version"] == FORMAT_VERSION == 6
         header = (tmp_path / VECTORS_FILE).read_bytes()[: VECTORS_HEADER.size]
-        assert VECTORS_HEADER.unpack(header)[1] == 5
+        assert VECTORS_HEADER.unpack(header)[1] == 6
 
     def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
         entries = [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "sun", "ᏅᏓ", None)]

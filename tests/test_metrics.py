@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
 from collections import Counter
 from pathlib import Path
 from statistics import fmean
@@ -18,8 +19,7 @@ from lexrag.index import EMBED_BATCH_SIZE
 from lexrag.metrics import (
     BLEU_EPS,
     BLEU_MAX_ORDER,
-    HumanScoreRow,
-    HumanScoreSheet,
+    CSV_HEADER,
     TokenizationPolicy,
     bertscore,
     bleu,
@@ -173,7 +173,11 @@ class TestBertScore:
 
 
 def _sheet(rows):
-    return HumanScoreSheet([HumanScoreRow(*row) for row in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scores.csv")
+        lines = [",".join(map(str, row)) + "\n" for row in [CSV_HEADER, *rows]]
+        path.write_text("".join(lines), encoding="utf-8")
+        return load_human_scores(path)
 
 
 class TestHumanEval:
