@@ -77,10 +77,25 @@ def _round3(value: float) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
+def _load_json(path: Path):
+    """``load_json(path)``, refusing a field that holds a lone surrogate (in
+    the object, or in an object of the list, that the file holds) with a
+    ``ValueError`` naming the file and the field: output could not encode it."""
+    data = load_json(path)
+    for obj in data if isinstance(data, list) else [data]:
+        if isinstance(obj, dict):
+            try:
+                refuse_lone_surrogates(json.dumps(obj), obj, str(path))
+            except IngestError as exc:
+                raise ValueError(str(exc)) from None
+    return data
+
+
 def _load(cls, path: Path):
     """Dataclass ``cls`` from the JSON object in ``path``; a bad value's error names the file."""
+    data = _load_json(path)
     try:
-        return from_json(cls, load_json(path))
+        return from_json(cls, data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -340,7 +355,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = Path(file_name)
         if not path.is_file():
             raise IngestError(f"metrics file not found: {path}")
-        data = load_json(path)
+        data = _load_json(path)
         rows = data if isinstance(data, list) else [data]
         for row in rows:
             if not isinstance(row, dict) or "language" not in row or "model" not in row:

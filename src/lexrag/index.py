@@ -6,13 +6,15 @@ and a vector store of unit-normalized embeddings queried by cosine
 similarity (dot product, since rows are unit vectors).  Top-K is
 exact and flat, in two passes.  A float32 product screens every row and
 gives the k-th best screen score; its proven error bound then rules out
-every block of ``SCORE_BLOCK_ROWS`` rows that cannot reach the k-th float64
-score.  Only the remaining blocks are scored in float64, so no query
-allocates a float64 copy of the matrix (25 MB at 3,000 x 1,536).  Among
-their rows, ``np.partition`` finds the k-th best score, and only the rows
-scoring at least that much (ties at the boundary included) are sorted by
-(-score, row), a row being a document's position, as a keyword posting is.
-The result, every score bit included, equals a full float64 sort of every row.
+every row that cannot reach the k-th float64 score.  The screen runs on a
+batch of queries at once, so the matrix is read once per batch; it holds
+``count`` x 4 bytes per query (2.5 MB for 32 queries over 20,000 rows).
+The 8-row groups holding a remaining row are scored in float64, one query
+at a time and at most ``SCORE_BLOCK_ROWS`` rows per product, so no query
+allocates a float64 copy of the matrix (25 MB at 3,000 x 1,536).  They are
+sorted by (-score, row), a row being a document's position, as a keyword
+posting is.  The result, every score bit included, equals a full float64
+sort of every row.
 
 Index directory layout::
 
@@ -65,7 +67,7 @@ FORMAT_VERSION = 6  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
-SCORE_BLOCK_ROWS = 256  # rows scored in float64 at a time; a multiple of 8
+SCORE_BLOCK_ROWS = 256  # most rows one float64 product scores; a multiple of 8
 
 MANIFEST_FILE = "manifest.json"
 KEYWORD_FILE = "keyword_index.json"
@@ -330,59 +332,93 @@ def build_vector_index(
     return VectorIndex(dims.pop(), embedder.embedder_id, [doc.id for doc in docs], unit)
 
 
+def screen_rows(
+    index: VectorIndex, queries: Sequence[Sequence[float]], k: int
+) -> list[np.ndarray]:
+    """For each of a batch of unit queries, the ascending rows to score in
+    float64 for its top ``k``: every row that can rank, ties included, with
+    the rest of its 8-row group.  The first pass of :func:`vector_topk`.
+
+    One float32 product screens every row for every query, so the matrix is
+    read once per batch; the screen holds ``count`` float32 scores per query.
+    With ``k >= count`` every row is kept.  Anything but a non-empty batch
+    of unit vectors of the index's dimension is refused."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    batch = np.asarray(queries, dtype=np.float64)
+    if batch.ndim != 2 or not batch.size:
+        raise ValueError("queries must be a non-empty 2-D batch of vectors, one row per query")
+    if batch.shape[1] != index.dim:
+        raise ValueError(f"query dim {batch.shape[1:]} does not match index dim {index.dim}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = np.linalg.norm(batch, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN too
+    if bad.size:
+        raise ValueError(f"query vector norm {norms[bad[0]]:.6f} is not unit length")
+    count = index.count
+    if k == 0 or count == 0:
+        return [np.arange(0) for _ in batch]
+    if k >= count:
+        return [np.arange(count) for _ in batch]
+    # The product writes through a transposed view, so that row j, query j's
+    # screen scores, is contiguous: taking them as columns of a (count, m)
+    # screen made a batch of 32 queries over 20,000 x 64 rows twice as slow.
+    screen = np.empty((len(batch), count), dtype=np.float32)
+    np.matmul(index.vectors, batch.astype(np.float32).T, out=screen.T)
+    # A float32 dot product of unit vectors, summed in any order (so a
+    # matrix product may block its sums as it likes), is within
+    # (dim + 1) * 2**-24 of the exact one (to first order, for dim far below
+    # 2**24): 2**-24 for rounding the query, dim * 2**-24 for the sum, each
+    # times sum|x_i q_i| <= |x| |q| ~ 1.  ``bound`` doubles that, to cover
+    # the norm tolerance, second-order terms, underflow and the float64
+    # rounding of the scores.  At least k rows screen at or above
+    # kth_screen, so the k-th float64 score is at least kth_screen - bound,
+    # and any row that can rank, ties included, screens at or above
+    # kth_screen - 2 * bound.  (Comparing in float32 drops no row: no
+    # float32 lies between that threshold and its rounding up.)
+    bound = (index.dim + 2) * 2.0**-23
+    selected = []
+    for scores in screen:
+        kth_screen = float(np.partition(scores, count - k)[count - k])
+        groups = np.zeros(-(-count // 8), dtype=bool)
+        groups[np.flatnonzero(scores >= kth_screen - 2 * bound) // 8] = True
+        if count % 8 == 1 and count > 1:  # a lone last row goes with the group before it
+            groups[-2:] = groups[-2:].any()
+        selected.append(np.flatnonzero(np.repeat(groups, 8)[:count]))
+    return selected
+
+
 def vector_topk(
-    index: VectorIndex, query_vec: Sequence[float], k: int
+    index: VectorIndex,
+    query_vec: Sequence[float],
+    k: int,
+    rows: np.ndarray | None = None,
 ) -> list[tuple[int, float]]:
     """Exact cosine top-K as (row, score) pairs: float64 dot products with the
     unit query, descending, score ties by ascending row (document position).
 
     Two passes, and no float64 copy of the whole matrix: a float32 product
-    screens every row, then only the ``SCORE_BLOCK_ROWS``-row blocks holding
-    a row that can reach the k-th score are scored in float64.  Only the rows
-    of those blocks scoring at least the k-th best are sorted; every row tied
-    at that boundary is among them, so the ranking, scores included, equals
-    a float64 sort of all rows.  With ``k >= count`` every block is scored."""
+    screens every row (:func:`screen_rows`), then only the 8-row groups
+    holding a row that can reach the k-th score are scored in float64 and
+    sorted.  Every row tied at that boundary is among them, so the ranking,
+    scores included, equals a float64 sort of all rows.  ``rows`` is what
+    :func:`screen_rows` gave for this query and this k, for a caller that
+    screened a whole batch (the query is then taken as that call checked
+    it); without them the query is checked and screened here."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    query = np.asarray(query_vec, dtype=np.float64)
-    if query.shape != (index.dim,):
-        raise ValueError(f"query dim {query.shape} does not match index dim {index.dim}")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        norm = float(np.linalg.norm(query))
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # also rejects NaN
-        raise ValueError(f"query vector norm {norm:.6f} is not unit length")
-    if k == 0 or index.count == 0:
+    if rows is None:
+        (rows,) = screen_rows(index, [query_vec], k)
+    if k == 0 or not rows.size:  # also an empty index
         return []
-    count = index.count
-    # Blocks start on a multiple of 8 rows and end on one or at the last row,
-    # so BLAS gives each row the float64 bits of the full product.  A lone
-    # last row joins the block before it: numpy scores a one-row block with a
-    # dot product, which sums in another order.
-    starts = range(0, max(count - 1, 1), SCORE_BLOCK_ROWS)
-    spans = list(zip(starts, [*starts[1:], count]))
-    if k < count:
-        screen = index.vectors @ query.astype(np.float32)
-        kth_screen = float(np.partition(screen, count - k)[count - k])
-        # A float32 dot product of unit vectors, summed in any order, is
-        # within (dim + 1) * 2**-24 of the exact one (to first order, for dim
-        # far below 2**24): 2**-24 for rounding the query, dim * 2**-24 for
-        # the sum, each times sum|x_i q_i| <= |x| |q| ~ 1.  ``bound`` doubles
-        # that, to cover the norm tolerance, second-order terms, underflow
-        # and the float64 rounding of the scores.  At least k rows screen at
-        # or above kth_screen, so the k-th float64 score is at least
-        # kth_screen - bound, and any row that can rank, ties included,
-        # screens at or above kth_screen - 2 * bound.  (Comparing in float32
-        # drops no block: no float32 lies between that threshold and its
-        # rounding up.)
-        bound = (index.dim + 2) * 2.0**-23
-        block_max = np.maximum.reduceat(screen, starts)
-        spans = [spans[i] for i in np.flatnonzero(block_max >= kth_screen - 2 * bound)]
-    scores = np.concatenate([index.vectors[s:e].astype(np.float64) @ query for s, e in spans])
-    rows = np.concatenate([np.arange(s, e) for s, e in spans])
-    if k < scores.size:
-        kth = np.partition(scores, scores.size - k)[scores.size - k]
-        keep = np.flatnonzero(scores >= kth)
-        scores, rows = scores[keep], rows[keep]
+    query = np.asarray(query_vec, dtype=np.float64)
+    # Each product takes at most SCORE_BLOCK_ROWS rows, in whole 8-row groups
+    # but for the last rows of the index, so BLAS gives each row the float64
+    # bits of the full product; none takes one row alone (unless the index
+    # has one row), which numpy would score with a dot product, summing in
+    # another order.
+    parts = np.split(rows, range(SCORE_BLOCK_ROWS, rows.size - 1, SCORE_BLOCK_ROWS))
+    scores = np.concatenate([index.vectors[part].astype(np.float64) @ query for part in parts])
     order = np.lexsort((rows, -scores))[:k]
     return list(zip(rows[order].tolist(), scores[order].tolist()))
 

@@ -196,11 +196,12 @@ def batch_translate(
 
     The keyword phase runs for every query first, and the queries that fall
     back to the vector phase are embedded together, up to
-    ``EMBED_BATCH_SIZE`` per request (see :func:`prepare_queries`).  Vector
-    top-K, prompt assembly and generation then run per query, on
-    ``parallelism`` threads, at most ``MAX_PARALLELISM``.  A backend,
-    embedder-reply or retrieval failure on one item is recorded on that item
-    (``error`` set, empty output) and the batch continues.
+    ``EMBED_BATCH_SIZE`` per request, and each request's queries share one
+    float32 screen of the vector matrix (see :func:`prepare_queries`).  The
+    float64 pass of vector top-K, prompt assembly and generation then run per
+    query, on ``parallelism`` threads, at most ``MAX_PARALLELISM``.  A
+    backend, embedder-reply or retrieval failure on one item is recorded on
+    that item (``error`` set, empty output) and the batch continues.
     """
     if not queries:
         raise ValueError("batch_translate requires at least one query")

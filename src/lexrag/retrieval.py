@@ -7,10 +7,14 @@ vector query embeds the whole query sentence, not individual terms.
 
 A batch runs the keyword phase for every query first (:func:`prepare_queries`),
 so the queries that fall back to the vector phase are embedded together, up to
-``EMBED_BATCH_SIZE`` per request; :func:`retrieve` then finishes each query.
-A single query is a batch of one.  Both take the whole :class:`IndexBundle`,
-whose construction checked that every keyword posting is a document's
-position and that vector row i is document i.
+``EMBED_BATCH_SIZE`` per request, and each request's queries share one float32
+screen of the vector matrix (:func:`screen_rows`), which reads the matrix
+once for all of them (``count`` x 4 bytes per query: 2.5 MB for 32 queries
+over 20,000 rows).  :func:`retrieve` then finishes each query: the float64
+pass of :func:`vector_topk` over its screened rows, and the merge.  A single
+query is a batch of one.  Both take the whole :class:`IndexBundle`, whose
+construction checked that every keyword posting is a document's position and
+that vector row i is document i.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from .backends import BackendError, Embedder
 from .corpus import Document, normalize_keyword
 from .index import EMBED_BATCH_SIZE, IndexBuildError, IndexBundle, embed_chunks
-from .index import keyword_lookup, vector_topk
+from .index import keyword_lookup, screen_rows, vector_topk
 
 KEYWORD = "keyword"
 VECTOR = "vector"
@@ -90,13 +94,15 @@ def extract_query_terms(query: str, max_phrase_len: int) -> list[str]:
 class PreparedQuery:
     """A query after the keyword phase: its at most ``k_total`` keyword hits
     (position -> first matching phrase, in rank order), the unit embedding
-    the vector phase will use (``None`` when it does not run), or the error
-    that stopped that phase.  ``prepare_ms`` is the time spent on it, with
-    the whole embedding request."""
+    the vector phase will use (``None`` when it does not run) with the rows
+    its screen kept (see :func:`screen_rows`), or the error that stopped
+    that phase.  ``prepare_ms`` is the time spent on it, with the whole
+    embedding request and the whole screen of its chunk."""
 
     query: str
     keyword: dict[int, str]
-    embedding: list[float] | None = None
+    embedding: np.ndarray | None = None
+    rows: np.ndarray | None = None
     error: Exception | None = None
     prepare_ms: float = 0.0
 
@@ -117,7 +123,7 @@ def _keyword_phase(query: str, indexes: IndexBundle, config: RetrievalConfig) ->
 
 def _embed_queries(
     embedder: Embedder, texts: list[str], dim: int
-) -> dict[str, list[float] | Exception]:
+) -> dict[str, np.ndarray | Exception]:
     """Unit embeddings of ``texts`` (at most ``EMBED_BATCH_SIZE``) from one
     request through :func:`embed_chunks`.  If the request fails, or its reply
     fails a check, each text is embedded on its own, so a failure stays with
@@ -132,7 +138,7 @@ def _embed_queries(
     if vectors.shape[1] != dim:
         error = RetrievalError(f"query dim {vectors.shape[1:]} does not match index dim {dim}")
         return dict.fromkeys(texts, error)
-    return {text: (row / np.linalg.norm(row)).tolist() for text, row in zip(texts, vectors)}
+    return {text: row / np.linalg.norm(row) for text, row in zip(texts, vectors)}
 
 
 def prepare_queries(
@@ -142,7 +148,8 @@ def prepare_queries(
     config: RetrievalConfig = RetrievalConfig(),
 ) -> list[PreparedQuery]:
     """Run the keyword phase on ``indexes`` once per query, then embed the
-    distinct queries needing the vector phase, ``EMBED_BATCH_SIZE`` per request.
+    distinct queries needing the vector phase, ``EMBED_BATCH_SIZE`` per
+    request, and screen each request's queries together (:func:`screen_rows`).
 
     A query needs the vector phase when it has no keyword hits under
     ``strict_fallback``, or fewer than ``k_total`` under ``fill``, and the
@@ -178,13 +185,17 @@ def prepare_queries(
         embedded = _embed_queries(
             embedder, pending[start : start + EMBED_BATCH_SIZE], vec_index.dim
         )
+        vectors = {text: vec for text, vec in embedded.items() if not isinstance(vec, Exception)}
+        if vectors:
+            screened = screen_rows(vec_index, list(vectors.values()), config.k_vector)
+            rows = dict(zip(vectors, screened))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         for text, vector in embedded.items():
             for item in fallback[text]:
                 if isinstance(vector, Exception):
                     item.error = vector
                 else:
-                    item.embedding = vector
+                    item.embedding, item.rows = vector, rows[text]
                 item.prepare_ms += elapsed_ms
     return prepared
 
@@ -217,7 +228,7 @@ def retrieve(
         for row, phrase in prepared.keyword.items()
     ]
     if prepared.embedding is not None:
-        ranked = vector_topk(indexes.vector, prepared.embedding, config.k_vector)
+        ranked = vector_topk(indexes.vector, prepared.embedding, config.k_vector, prepared.rows)
         fresh = [(row, score) for row, score in ranked if row not in prepared.keyword]
         results += [
             RetrievalResult(indexes.docs[row], score, VECTOR)

@@ -1944,9 +1944,11 @@ def _one_error_line(code: int, stdout: str, err: str) -> None:
 
 class TestDamagedInputContract:
     """Whatever one damage does to a ``translate --input`` file (JSONL or
-    plain text) or a ``humaneval`` score sheet, the command exits 0, 1 or 65
-    with no traceback.  Exit 0 means one record per non-blank input line (or
-    a score per model); exits 1 and 65 mean exactly one ``lexrag:`` line."""
+    plain text), a ``humaneval`` score sheet, an ``evaluate`` hypothesis or
+    reference file or a ``report`` metrics JSON, the command exits 0, 1 or
+    65 with no traceback.  Exit 0 means one record per non-blank input line
+    (or a score per model, a report of every line pair, a merged table);
+    exits 1 and 65 mean exactly one ``lexrag:`` line."""
 
     SOURCES = (_TEST_DATA / "batch_input.txt").read_text(encoding="utf-8").splitlines()
 
@@ -1992,12 +1994,60 @@ class TestDamagedInputContract:
 
         check()
 
+    def test_evaluate_pair_files(self, tmp_path, capsys):
+        config = write_config(tmp_path / "mock.json")
+        lines = {
+            name: (_TEST_DATA / f"metric_fixture_{name}.txt").read_text(encoding="utf-8")
+            for name in ("hyps", "refs")
+        }
+
+        @settings(max_examples=100, deadline=None)
+        @given(target=st.sampled_from(sorted(lines)), damage=_LINE_DAMAGES)
+        @example(target="refs", damage=("insert", 40, b"x" * 200_000))
+        def check(target, damage):
+            for name, text in lines.items():
+                raw = _damaged_lines(text.splitlines(), damage) if name == target else text.encode()
+                (tmp_path / f"{name}.txt").write_bytes(raw)
+            hyp, ref = tmp_path / "hyps.txt", tmp_path / "refs.txt"
+            argv = ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--config", str(config)]
+            code, stdout, err = run(capsys, *argv)
+            if code != 0:
+                _one_error_line(code, stdout, err)
+                return
+            hyps = split_lines(hyp.read_bytes().decode("utf-8"))
+            assert err == "" and json.loads(stdout)["n_sentences"] == len(hyps), err
+
+        check()
+
+    def test_report_json(self, tmp_path, capsys):
+        config = write_config(tmp_path / "mock.json")
+        rows = []
+        for name in ("report_machine_alpha.json", "report_machine_beta.json", "report_human.json"):
+            data = json.loads((_TEST_DATA / name).read_text(encoding="utf-8"))
+            rows += data if isinstance(data, list) else [data]
+
+        @settings(max_examples=150, deadline=None)
+        @given(damage=_LINE_DAMAGES)
+        @example(damage=("set", 0, 4, "L\ud800"))  # the first row's language
+        @example(damage=("set", 3, 2, "\udfff"))  # the last row's model
+        def check(damage):
+            path = tmp_path / "report.json"
+            path.write_bytes(b"[" + b",".join(_damaged_lines(rows, damage).splitlines()) + b"]")
+            code, stdout, err = run(capsys, "report", str(path), "--config", str(config))
+            if code != 0:
+                _one_error_line(code, stdout, err)
+                return
+            assert err == "" and isinstance(json.loads(stdout), list), err
+
+        check()
+
 
 _DICT = ("index-build", "--dict", "{tmp}/d.jsonl", "--out", "{tmp}/idx")
 _PARALLEL = ("index-build", "--parallel", "{tmp}/p.jsonl", "--out", "{tmp}/idx")
 _EVALUATE_AB = ("evaluate", "--hyp", "{tmp}/h.txt", "--ref", "{tmp}/r.txt")
 _HUMANEVAL_S = ("humaneval", "--scores", "{tmp}/s.csv")
 _BATCH = ("translate", "--index", "{index}", "--input", "{tmp}/in.jsonl")
+_TEXT = ("translate", "--index", "{index}", "--text", "water")
 _PAIR_FILES = {"h.txt": "a b\n", "r.txt": "a c\n"}
 _SHEET_HEADER = "sentence_id,model_id,fluency,grammaticality,faithfulness\n"
 _EXAMPLES_MESSAGE = "error: {tmp}/d.jsonl:1: examples must be a list of [source, target] pairs"
@@ -2099,6 +2149,20 @@ class TestErrorExits:
                 1, "error: {tmp}/in.jsonl:1: field 'id' holds a lone surrogate",
             ),
             (
+                (*_TEXT, "--config", "{tmp}/c.json"), {"c.json": '{"source_lang": "E\\ud800"}'},
+                65, "validation error: {tmp}/c.json: field 'source_lang' holds a lone surrogate",
+            ),
+            (
+                (*_TEXT, "--config", "{tmp}/c.json"),
+                {"c.json": '{"template": "t.json"}', "t.json": '{"preamble": "P\\udfff"}'},
+                65, "validation error: t.json: field 'preamble' holds a lone surrogate",
+            ),
+            (
+                ("report", "{tmp}/m.json"),
+                {"m.json": '[{"language": "L\\ud800", "model": "m", "bleu": 0.5}]'},
+                65, "validation error: {tmp}/m.json: field 'language' holds a lone surrogate",
+            ),
+            (
                 (*_EVALUATE_AB, "--metrics", "bleu,bogus"), _PAIR_FILES, 65,
                 "validation error: unknown metrics: ['bogus']",
             ),
@@ -2115,6 +2179,7 @@ class TestErrorExits:
             "parallel-target-empty", "parallel-provenance-int", "report-unknown-field",
             "humaneval-header", "humaneval-columns", "humaneval-score", "humaneval-long-field",
             "dict-surrogate", "parallel-surrogate", "batch-surrogate-source", "batch-surrogate-id",
+            "config-surrogate", "template-surrogate", "report-surrogate",
             "evaluate-metric", "max-in-flight-0",
         ],
     )

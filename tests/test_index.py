@@ -39,6 +39,7 @@ from lexrag.index import (
     load_index,
     normalize_keyword,
     save_index,
+    screen_rows,
     vector_topk,
 )
 from lexrag.retrieval import extract_query_terms
@@ -307,6 +308,17 @@ class TestVectorTopK:
             with pytest.raises(ValueError, match="query vector norm inf is not unit length"):
                 vector_topk(index, [1e200, 1e200], 1)
 
+    @pytest.mark.parametrize("queries", [[1.0, 0.0], []], ids=["flat-query", "empty"])
+    def test_screen_refuses_what_is_not_a_batch(self, queries):
+        index = _index_from_rows(THREE_ROWS)
+        with pytest.raises(ValueError, match="must be a non-empty 2-D batch of vectors"):
+            screen_rows(index, queries, 1)
+
+    def test_screen_refuses_a_non_unit_query_of_a_batch(self):
+        index = _index_from_rows(THREE_ROWS)
+        with pytest.raises(ValueError, match="norm 2.000000 is not unit length"):
+            screen_rows(index, [[1.0, 0.0], [2.0, 0.0]], 1)
+
     def test_tie_broken_by_ascending_row(self):
         # Rows 9 and 10 tie; their ids sort "x:10" first, their rows 9 first.
         rows = [(f"x:{i}", [0.0, 1.0] if i < 9 else [1.0, 0.0]) for i in range(11)]
@@ -395,7 +407,36 @@ def _near_tie_index_and_query(draw):
     return index, query.tolist(), k
 
 
+@st.composite
+def _near_tie_index_and_batch(draw):
+    """The index of ``_near_tie_index_and_query`` with a batch of 1 to 40
+    unit queries, each its planted query (whose near-ties it meets, so
+    likely more than once), another random query or a stored row, and
+    distinct values of k from 0 to count + 3."""
+    index, query, _ = draw(_near_tie_index_and_query())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["planted", "random", "row"]), min_size=1, max_size=40))
+    batch = [
+        query if kind == "planted"
+        else _unit(rng.standard_normal(index.dim)).tolist() if kind == "random"
+        else _unit(index.vectors[rng.integers(index.count)]).tolist()
+        for kind in kinds
+    ]
+    count = index.count
+    ks = st.sampled_from([0, 1, 5, count - 1, count, count + 3])
+    return index, batch, draw(st.lists(ks, min_size=1, max_size=3, unique=True))
+
+
 class TestPartitionTopK:
+    @settings(max_examples=40, deadline=None)
+    @given(_near_tie_index_and_batch())
+    def test_batch_screen_equals_full_sort_of_each_query(self, case):
+        index, batch, ks = case
+        for k in ks:
+            screened = screen_rows(index, batch, k)
+            got = [vector_topk(index, q, k, rows) for q, rows in zip(batch, screened)]
+            assert got == [_full_sort_topk(index, q, k) for q in batch]
+
     @settings(max_examples=300, deadline=None)
     @given(_tied_index_and_query())
     def test_equals_full_sort_under_ties(self, case):
@@ -439,6 +480,18 @@ class TestPartitionTopK:
         assert [row for row, _ in got] == [5, 0, 1]
         assert got == _full_sort_topk(index, [1.0, 0.0], 3)
 
+    @pytest.mark.parametrize("count", [2, 9, 17, SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1])
+    def test_lone_last_row_is_scored_with_the_group_before_it(self, count):
+        # count % 8 == 1 or count == 2: the best row is the last one, alone in its 8-row group
+        rng = np.random.default_rng(count)
+        rows = [(f"r{i}", _unit(rng.standard_normal(16)).tolist()) for i in range(count)]
+        query = rows[-1][1]
+        index = _index_from_rows(rows)
+        (screened,) = screen_rows(index, [query], 1)
+        assert screened.size >= 2 and screened[-1] == count - 1
+        for k in (1, 3):
+            assert vector_topk(index, query, k) == _full_sort_topk(index, query, k)
+
     def test_nan_query_rejected(self):
         index = _index_from_rows(THREE_ROWS)
         with pytest.raises(ValueError, match="unit"):
@@ -447,7 +500,8 @@ class TestPartitionTopK:
 
 # Runs vector_topk on seeded matrices whose full product OpenBLAS splits
 # across threads (above about 460,000 elements), with duplicate rows that
-# tie; prints one SHA-256 per call over its rows and float.hex scores.  With
+# tie; prints one SHA-256 over the rows and float.hex scores of each query's
+# ranking, screened on its own and as one batch of all three queries.  With
 # one row more than a multiple of 16, two threads split a product of all rows
 # off an 8-row boundary, which changes the bits of some of its rows; score
 # blocks of 4,096 rows fail this test.
@@ -455,7 +509,7 @@ _TOPK_SIZES = ((3000, 1536), (9000, 384), (20000, 64), (3001, 1536), (9001, 384)
 _TOPK_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
-from lexrag.index import VectorIndex, vector_topk
+from lexrag.index import VectorIndex, screen_rows, vector_topk
 digests = []
 for count, dim in json.loads(sys.argv[1]):
     rng = np.random.default_rng(count)
@@ -464,11 +518,14 @@ for count, dim in json.loads(sys.argv[1]):
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     ids = [f"d:{i}" for i in rng.permutation(count)]
     index = VectorIndex(dim, "e", ids, rows.astype(np.float32))
-    for _ in range(3):
-        query = rng.standard_normal(dim)
-        query /= np.linalg.norm(query)
-        for k in (5, count + 1):
-            ranked = [(row, score.hex()) for row, score in vector_topk(index, query, k)]
+    queries = rng.standard_normal((3, dim))
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    for k in (5, count + 1):
+        rankings = [vector_topk(index, query, k) for query in queries]
+        for query, rows in zip(queries, screen_rows(index, queries, k)):
+            rankings.append(vector_topk(index, query, k, rows))
+        for ranking in rankings:
+            ranked = [(row, score.hex()) for row, score in ranking]
             digests.append(hashlib.sha256(json.dumps(ranked).encode()).hexdigest())
 json.dump(digests, sys.stdout)
 """
@@ -494,7 +551,9 @@ def test_topk_bits_do_not_depend_on_blas_threads():
     """Each float64 score block stays below OpenBLAS's split point, so top-K
     ids and score bits are the same on one BLAS thread and on two."""
     one = _topk_digests(1)
-    assert len(one) == 6 * len(_TOPK_SIZES)
+    assert len(one) == 12 * len(_TOPK_SIZES)
+    for singles in range(0, len(one), 6):  # the batch repeats each query's own ranking
+        assert one[singles + 3 : singles + 6] == one[singles : singles + 3]
     assert _topk_digests(2) == one
 
 

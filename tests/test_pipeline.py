@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from lexrag import retrieval
 from lexrag.backends import BackendError, MockEmbedder, MockGenerator
 from lexrag.corpus import Document, from_json
-from lexrag.index import IndexBundle, IndexManifest, VectorIndex
+from lexrag.index import EMBED_BATCH_SIZE, IndexBundle, IndexManifest, VectorIndex, screen_rows
 from lexrag.pipeline import (
     DEFAULT_TEMPLATE,
     MAX_PARALLELISM,
@@ -16,7 +17,6 @@ from lexrag.pipeline import (
     batch_translate,
     translate,
 )
-from lexrag.index import EMBED_BATCH_SIZE
 from lexrag.retrieval import RetrievalConfig, RetrievalResult
 
 
@@ -282,12 +282,24 @@ class TestBatchedFallback:
 
     @pytest.mark.parametrize("policy", ["strict_fallback", "fill"])
     @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_batch_equals_single_query_records(self, tiny_bundle, policy, parallelism):
+    def test_batch_equals_single_query_records(
+        self, tiny_bundle, policy, parallelism, monkeypatch
+    ):
+        sizes = []  # of the batches screened together
+
+        def counted(index, queries, k):
+            sizes.append(len(queries))
+            return screen_rows(index, queries, k)
+
+        monkeypatch.setattr(retrieval, "screen_rows", counted)
         config = RetrievalConfig(policy=policy, max_phrase_len=2)
         embedder, generator = MockEmbedder(dim=8), MockGenerator()
         batch = batch_translate(
             MIXED_BATCH, tiny_bundle, embedder, generator, config, parallelism=parallelism
         )
+        # 70 distinct fallback queries, and under fill 4 keyword queries more
+        last = 6 if policy == "strict_fallback" else 10
+        assert sizes == [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, last]
         single = [translate(q, tiny_bundle, embedder, generator, config) for q in MIXED_BATCH]
         assert _record_keys(batch) == _record_keys(single)
 
