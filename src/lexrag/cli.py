@@ -457,6 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every character str.splitlines breaks at, mapped to its escape, so that an
+# error message quoting an outside value stays one ``lexrag:`` line.
+_LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"lexrag: {kind}: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -466,17 +476,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"lexrag: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("error", exc, EXIT_USAGE)
     except BackendError as exc:
-        print(f"lexrag: backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+        return _fail("backend error", exc, EXIT_BACKEND)
     except (IngestError, IndexFormatError, OSError) as exc:
-        print(f"lexrag: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("error", exc, EXIT_IO)
     except (ValueError, RetrievalError) as exc:
-        print(f"lexrag: validation error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("validation error", exc, EXIT_DATA)
 
 
 if __name__ == "__main__":

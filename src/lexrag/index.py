@@ -3,7 +3,9 @@
 A corpus is indexed twice: a plain dict from normalized phrase to ascending
 document positions, the same object in memory as in ``keyword_index.json``,
 and a vector store of unit-normalized embeddings queried by cosine
-similarity (dot product, since rows are unit vectors).  Top-K is
+similarity (dot product, since rows are unit vectors).  The build writes
+each chunk of embeddings into the float32 matrix as it arrives, so its peak
+is about that matrix plus one chunk of replies.  Top-K is
 exact and flat, in two passes.  A float32 product screens every row and
 gives the k-th best screen score; its proven error bound then rules out
 every row that cannot reach the k-th float64 score.  The screen runs on a
@@ -184,7 +186,9 @@ _BAD_CACHE_LINE = (ValueError, KeyError, TypeError, OverflowError, RecursionErro
 class EmbeddingCache:
     """Append-only JSONL cache of raw embedder output, keyed by the SHA-256
     of (embedder_id, text).  Backend calls are billable and slow; the cache
-    makes rebuilds reproducible and free after the first run.
+    makes rebuilds reproducible and free after the first run.  Each entry is
+    held as a float64 array (8 bytes a value, not a Python float's 32), and
+    :meth:`get` returns it as a list of Python floats.
 
     Reads are lock-free once loaded; appends are serialized.  A crash during
     an append can leave a final line without its newline: on load, such a
@@ -197,7 +201,7 @@ class EmbeddingCache:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._entries: dict[str, list[float]] = {}
+        self._entries: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -245,7 +249,7 @@ class EmbeddingCache:
             raise ValueError("vector must be finite")
         if squares == 0.0:  # all zero, or so small that every square underflows
             raise ValueError("vector must not be zero")
-        self._entries[key] = vector
+        self._entries[key] = np.array(vector)
 
     def get(self, embedder_id: str, text: str) -> list[float] | None:
         vector = self._entries.get(cache_key(embedder_id, text))
@@ -253,20 +257,31 @@ class EmbeddingCache:
             self.misses += 1
             return None
         self.hits += 1
-        return vector
+        return vector.tolist()
 
-    def put(self, embedder_id: str, text: str, vector: Sequence[float]) -> None:
-        key = cache_key(embedder_id, text)
-        record = json.dumps(
-            {"key": key, "dim": len(vector), "vector": list(map(float, vector))}
-        )
+    def put(
+        self, embedder_id: str, texts: Sequence[str], vectors: Sequence[Sequence[float]]
+    ) -> None:
+        """Add one reply chunk, ``vectors[i]`` being the embedding of
+        ``texts[i]``: the texts not cached yet are appended under one lock,
+        with one open and one write of their lines."""
+        vectors = np.array(vectors, dtype=np.float64)  # a copy: no caller can change an entry
+        keys = [cache_key(embedder_id, text) for text in texts]
+        records = [
+            json.dumps({"key": key, "dim": len(vector), "vector": vector})
+            for key, vector in zip(keys, vectors.tolist())
+        ]
         with self._lock:
-            if key in self._entries:
+            new: dict[str, tuple[np.ndarray, str]] = {}
+            for key, vector, record in zip(keys, vectors, records):
+                if key not in self._entries:
+                    new.setdefault(key, (vector, record))
+            if not new:
                 return
-            self._entries[key] = list(map(float, vector))
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(record + "\n")
+                fh.write("".join(record + "\n" for _, record in new.values()))
+            self._entries.update((key, vector) for key, (vector, _) in new.items())
 
 
 def embed_chunks(
@@ -308,28 +323,51 @@ def build_vector_index(
     Texts already in the cache are served from it and never reach the
     backend; each checked reply is cached as it arrives, so a failed build
     keeps the replies before the failure.
-    """
+
+    The float32 matrix is written chunk by chunk: each distinct text has a
+    row, and each chunk of ``EMBED_BATCH_SIZE`` cache hits, then each reply,
+    is normalized in float64 and written into its rows as it comes.  So the
+    build holds the matrix and one chunk, never a Python float per value or
+    a float64 copy of the matrix.  A chunk whose dimension differs from the
+    vectors before it stops the build."""
     if not docs:
         raise ValueError("cannot build a vector index from zero documents")
 
     texts = [doc.render_text for doc in docs]
-    raw = {  # each distinct text -> its vector, None until embedded
-        text: cache.get(embedder.embedder_id, text) if cache is not None else None
-        for text in dict.fromkeys(texts)
-    }
-    pending = [text for text, vector in raw.items() if vector is None]
-    for chunk, vectors in embed_chunks(embedder.embed_texts, pending):
-        for text, vector in zip(chunk, vectors.tolist()):
-            raw[text] = vector
-            if cache is not None:
-                cache.put(embedder.embedder_id, text, vector)
+    rows = dict(zip(dict.fromkeys(texts), itertools.count()))  # distinct text -> its row
+    unit = None  # allocated once the first vector gives the dimension
 
-    dims = {len(v) for v in raw.values()}
-    if len(dims) != 1:
-        raise IndexBuildError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    matrix = np.asarray([raw[text] for text in texts], dtype=np.float64)
-    unit = (matrix / np.linalg.norm(matrix, axis=1)[:, None]).astype(np.float32)
-    return VectorIndex(dims.pop(), embedder.embedder_id, [doc.id for doc in docs], unit)
+    def place(chunk_rows: list[int], vectors: Sequence[Sequence[float]]) -> None:
+        nonlocal unit
+        dims = set(map(len, vectors)) | ({unit.shape[1]} if unit is not None else set())
+        if len(dims) != 1:
+            raise IndexBuildError(f"inconsistent embedding dimensions: {sorted(dims)}")
+        if unit is None:
+            unit = np.empty((len(rows), dims.pop()), dtype=np.float32)
+        matrix = np.asarray(vectors, dtype=np.float64)
+        unit[chunk_rows] = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+
+    pending, hit_rows, hits = [], [], []
+    for text, row in rows.items():
+        vector = cache.get(embedder.embedder_id, text) if cache is not None else None
+        if vector is None:
+            pending.append(text)
+            continue
+        hit_rows.append(row)
+        hits.append(vector)
+        if len(hits) == EMBED_BATCH_SIZE:
+            place(hit_rows, hits)
+            hit_rows, hits = [], []
+    if hits:
+        place(hit_rows, hits)
+    for chunk, vectors in embed_chunks(embedder.embed_texts, pending):
+        if cache is not None:
+            cache.put(embedder.embedder_id, chunk, vectors)
+        place([rows[text] for text in chunk], vectors)
+
+    if len(rows) < len(texts):  # a text repeats: give each document its text's row
+        unit = unit[[rows[text] for text in texts]]
+    return VectorIndex(unit.shape[1], embedder.embedder_id, [doc.id for doc in docs], unit)
 
 
 def screen_rows(
@@ -469,7 +507,7 @@ class IndexBundle:
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
     with path.open("wb") as fh:
         fh.write(VECTORS_HEADER.pack(MAGIC, FORMAT_VERSION, vector.dim, vector.count))
-        fh.write(np.ascontiguousarray(vector.vectors, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(vector.vectors, dtype="<f4")))
 
 
 def _read_vectors(path: Path, embedder_id: str, ids: list[str]) -> VectorIndex:

@@ -2192,3 +2192,29 @@ class TestErrorExits:
         got, stdout, err = run(capsys, *(arg.format(**values) for arg in argv))
         assert (got, stdout) == (code, "")
         assert err == f"lexrag: {message.format(**values)}\n"
+
+    def test_line_break_in_a_quoted_name_stays_on_the_one_line(
+        self, built_index, tmp_path, capsys
+    ):
+        # Each character str.splitlines breaks at, in a config's template name.
+        breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        config = tmp_path / "c.json"
+        argv = (
+            "translate", "--index", str(built_index), "--text", "water", "--config", str(config)
+        )
+
+        names = st.text(st.sampled_from("ab0" + breaks), min_size=1)
+
+        @settings(max_examples=60, deadline=None)
+        @given(names.filter(lambda name: set(name) & set(breaks)))
+        def check(name):
+            plain = "".join("_" if c in breaks else c for c in name)
+            config.write_text(json.dumps({"template": plain}), encoding="utf-8")
+            expected, _, _ = run(capsys, *argv)
+            config.write_text(json.dumps({"template": name}), encoding="utf-8")
+            code, stdout, err = run(capsys, *argv)
+            assert code == expected == 1 and stdout == ""
+            assert err.startswith("lexrag: error: template file not found: ")
+            assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+        check()

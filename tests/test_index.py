@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,28 @@ class _ZeroEmbedder:
         return [[0.0] * 8 for _ in texts]
 
 
+class _ScaledEmbedder:
+    """A fixed vector per text, drawn from the text's SHA-256, of any length
+    and spread over many magnitudes, as raw lists like an HTTP reply's."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.embedder_id = f"scaled-{dim}"
+        self.sent = []
+
+    def vector(self, text):
+        rng = np.random.default_rng(list(hashlib.sha256(text.encode()).digest()))
+        return (rng.standard_normal(self.dim) * 10.0 ** rng.uniform(-30, 30)).tolist()
+
+    def embed_texts(self, texts):
+        self.sent.extend(texts)
+        return [self.vector(text) for text in texts]
+
+
+def _examples(sources):
+    return to_documents([], [("example", source, "t", None) for source in sources])
+
+
 class TestBuildVectorIndex:
     def test_single_doc_unit_norm(self):
         docs = to_documents([("dictionary", "water", "ᎠᎹ", None)], [])
@@ -244,6 +270,70 @@ class TestBuildVectorIndex:
     def test_row_order_follows_doc_order(self, tiny_docs):
         index = build_vector_index(tiny_docs, MockEmbedder(dim=8))
         assert index.ids == [doc.id for doc in tiny_docs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.one_of(st.integers(1, 70), st.sampled_from([383, 384, 1535, 1536])),
+        distinct=st.builds(
+            lambda chunks, offset: max(1, 32 * chunks + offset),
+            st.integers(0, 3),
+            st.integers(-2, 2),
+        ),
+        data=st.data(),
+    )
+    def test_matrix_equals_whole_float64_normalization(self, dim, distinct, data):
+        # The float64 matrix of every document's vector, normalized at once
+        # and then cast, is what the build wrote before it went chunk by chunk.
+        sources = [f"s{i}" for i in range(distinct)]
+        picks = data.draw(st.lists(st.integers(0, distinct - 1), max_size=distinct // 2))
+        docs = _examples(sources + [sources[i] for i in picks])
+        texts = [doc.render_text for doc in docs]
+        warm = data.draw(st.sets(st.sampled_from(texts[:distinct])))
+        embedder = _ScaledEmbedder(dim)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "embeddings.jsonl"
+            if warm:
+                EmbeddingCache(path).put(
+                    embedder.embedder_id, sorted(warm), [embedder.vector(t) for t in sorted(warm)]
+                )
+            cache = EmbeddingCache(path)
+            index = build_vector_index(docs, embedder, cache=cache)
+            assert len(path.read_text(encoding="utf-8").splitlines()) == distinct
+        matrix = np.asarray([embedder.vector(text) for text in texts], dtype=np.float64)
+        expected = (matrix / np.linalg.norm(matrix, axis=1)[:, None]).astype(np.float32)
+        assert index.vectors.tobytes() == expected.tobytes()
+        assert embedder.sent == [text for text in texts[:distinct] if text not in warm]
+        assert (cache.hits, cache.misses) == (len(warm), distinct - len(warm))
+
+    def test_peak_memory_is_about_the_float32_matrix(self):
+        # 2,000 texts at the dimension of text-embedding-ada-002: the build
+        # holds the float32 matrix and one chunk of replies, where a list of
+        # Python floats per vector and float64 copies took 13 times the matrix.
+        embedder = _ScaledEmbedder(1536)
+        docs = _examples([f"s{i}" for i in range(2000)])
+        tracemalloc.start()
+        try:
+            index = build_vector_index(docs, embedder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * index.vectors.nbytes + 4 * 2**20
+
+    def test_dimension_conflict_stops_at_its_chunk_and_keeps_replies(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("lexrag.index.EMBED_BATCH_SIZE", 2)
+        docs = _examples([f"s{i}" for i in range(7)])
+        texts = [doc.render_text for doc in docs]
+        path = tmp_path / "embeddings.jsonl"
+        EmbeddingCache(path).put("scaled-16", texts[:1], [[1.0] * 8])  # a stale dim-8 entry
+        embedder = _ScaledEmbedder(16)
+        with pytest.raises(IndexBuildError, match=r"inconsistent embedding dimensions: \[8, 16\]"):
+            build_vector_index(docs, embedder, cache=EmbeddingCache(path))
+        assert embedder.sent == texts[1:3]  # the first reply, not all three requests
+        reloaded = EmbeddingCache(path)
+        cached = {text: len(v) for text in texts if (v := reloaded.get("scaled-16", text))}
+        assert cached == {texts[0]: 8, texts[1]: 16, texts[2]: 16}
 
 
 def _unit(v):
@@ -741,8 +831,7 @@ class TestEmbeddingCacheTornTail:
     def _cache_file(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
         cache = EmbeddingCache(path)
-        cache.put("e", "one", [1.0, 0.0])
-        cache.put("e", "two", [0.0, 1.0])
+        cache.put("e", ["one", "two"], [[1.0, 0.0], [0.0, 1.0]])
         return path
 
     def test_torn_last_line_dropped_and_cut_from_file(self, tmp_path, caplog):
@@ -759,7 +848,7 @@ class TestEmbeddingCacheTornTail:
     def test_put_after_torn_tail_reloads(self, tmp_path):
         path = self._cache_file(tmp_path)
         path.write_bytes(path.read_bytes() + b'{"key": "abc", "dim": 2, "vec')
-        EmbeddingCache(path).put("e", "three", [0.6, 0.8])
+        EmbeddingCache(path).put("e", ["three"], [[0.6, 0.8]])
         reloaded = EmbeddingCache(path)
         assert reloaded.get("e", "one") == [1.0, 0.0]
         assert reloaded.get("e", "three") == [0.6, 0.8]
@@ -768,7 +857,7 @@ class TestEmbeddingCacheTornTail:
     def test_whole_last_line_without_newline_kept(self, tmp_path):
         path = self._cache_file(tmp_path)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        EmbeddingCache(path).put("e", "three", [0.6, 0.8])
+        EmbeddingCache(path).put("e", ["three"], [[0.6, 0.8]])
         reloaded = EmbeddingCache(path)
         assert reloaded.get("e", "two") == [0.0, 1.0]
         assert reloaded.get("e", "three") == [0.6, 0.8]
@@ -853,7 +942,7 @@ class TestEmbeddingCacheEntries:
     @pytest.mark.parametrize("line, reason", BAD_CACHE_LINES)
     def test_wrong_type_last_line_without_newline_dropped(self, line, reason, tmp_path, caplog):
         path = tmp_path / "embeddings.jsonl"
-        EmbeddingCache(path).put("e", "one", [1.0, 0.0])
+        EmbeddingCache(path).put("e", ["one"], [[1.0, 0.0]])
         complete = path.read_bytes()
         path.write_bytes(complete + line.encode())
         with caplog.at_level("WARNING", logger="lexrag.index"):
@@ -864,7 +953,7 @@ class TestEmbeddingCacheEntries:
 
     def test_non_utf8_line_is_bad_entry(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        EmbeddingCache(path).put("e", "one", [1.0, 0.0])
+        EmbeddingCache(path).put("e", ["one"], [[1.0, 0.0]])
         path.write_bytes(path.read_bytes() + b'{"key": "\xff"}\n')
         with pytest.raises(IndexFormatError, match=":2: bad cache entry: 'utf-8' codec"):
             EmbeddingCache(path)
