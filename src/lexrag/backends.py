@@ -9,12 +9,15 @@ chat-completion / embeddings wire format:
 * ``POST {base_url}/chat/completions`` with a single user message, answered
   by ``{"choices": [{"message": {"content": ...}}]}``
 
-The API key is read from the environment variable named in the config and is
-never stored in configuration files.
+The HTTP client sends each request through ``http.client`` on a connection
+of its own, closed after the reply.  The API key is read from the
+environment variable named in the config and is never stored in
+configuration files.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import json
@@ -23,6 +26,7 @@ import os
 import random
 import threading
 import time
+import urllib.error
 import urllib.parse
 import urllib.request
 from collections import Counter
@@ -152,13 +156,29 @@ class MockGenerator:
         return GenerationResult(text=text, model_id=self.model_id)
 
 
-# No redirect or error handler: every reply, 3xx to 5xx included, comes back
-# from ``open`` as a response, so a redirect is never followed and the
-# ``Authorization`` header is never re-sent to a ``Location`` host.
-_OPENER = urllib.request.OpenerDirector()
-_OPENER.add_handler(urllib.request.ProxyHandler())
-_OPENER.add_handler(urllib.request.HTTPHandler())
-_OPENER.add_handler(urllib.request.HTTPSHandler())
+def _proxy_route(base_url: str) -> tuple[tuple[str, str] | None, dict[str, str]]:
+    """The proxy that urllib's ``ProxyHandler`` would use for ``base_url``
+    (from ``HTTP_PROXY``/``HTTPS_PROXY``, unless ``NO_PROXY`` names the
+    host) as its scheme and ``host:port``, or ``None``; and its
+    ``Proxy-Authorization`` header when the proxy URL has a user and a
+    password."""
+    try:
+        parts = urllib.parse.urlsplit(base_url)
+    except ValueError:  # each call reports it
+        return None, {}
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    host = urllib.parse.unquote(parts.netloc)
+    if not proxy or (host and urllib.request.proxy_bypass(host)):
+        return None, {}
+    scheme, sep, rest = proxy.partition("://")
+    authority = rest.split("/", 1)[0] if sep else proxy
+    userinfo, _, hostport = authority.rpartition("@")
+    user, _, password = userinfo.partition(":")
+    headers = {}
+    if user and password:
+        credentials = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+    return (scheme if sep else parts.scheme, urllib.parse.unquote(hostport)), headers
 
 
 class HttpBackend:
@@ -173,7 +193,9 @@ class HttpBackend:
     ``Retry-After`` in seconds sleeps that long instead, capped at
     ``timeout_s``.  At most ``max_in_flight`` requests are on the
     wire at any moment, enforced with a semaphore, so the client is safe to
-    call from multiple threads.
+    call from multiple threads.  Each request opens an ``http.client``
+    connection and closes it after the reply.  The proxy (``HTTP_PROXY``,
+    ``HTTPS_PROXY``, ``NO_PROXY``) is read when the client is built.
 
     Counters: ``calls`` (logical requests), ``attempts`` (requests sent),
     ``retry_statuses`` (attempts that failed in a retryable way, by HTTP
@@ -191,24 +213,55 @@ class HttpBackend:
         self._rng = random.Random()
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(config.max_in_flight)
+        self._proxy, self._proxy_headers = _proxy_route(config.base_url)
 
     def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         key = os.environ.get(self.config.api_key_env, "") if self.config.api_key_env else ""
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _send(self, url: str, data: bytes) -> tuple[int, bytes, str | None]:
-        """One POST: the status, the body and the ``Retry-After`` header of
-        whatever reply came back; transport failures raise."""
-        request = urllib.request.Request(url, data=data, headers=self._headers(), method="POST")
-        with _OPENER.open(request, timeout=self.config.timeout_s) as response:
-            return response.status, response.read(), response.headers.get("Retry-After")
+    def _open(self, url: urllib.parse.SplitResult) -> http.client.HTTPConnection:
+        """A new connection for ``url``, direct or through the proxy."""
+        host = urllib.parse.unquote(url.netloc)
+        if not host:
+            raise urllib.error.URLError("no host given")
+        proxy_scheme, proxy_host = self._proxy or ("", host)
+        tls = "https" in (url.scheme, proxy_scheme)
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        conn = connection(proxy_host, timeout=self.config.timeout_s)
+        if self._proxy is not None and url.scheme == "https":  # CONNECT, then TLS to the host
+            conn.set_tunnel(host, headers=self._proxy_headers)
+        return conn
+
+    def _send(self, url: urllib.parse.SplitResult, data: bytes) -> tuple[int, bytes, str | None]:
+        """One POST on a new connection: the status, the body and the
+        ``Retry-After`` header of whatever reply came back (``http.client``
+        follows no redirect, so ``Authorization`` never reaches a
+        ``Location`` host); transport failures raise, and, as in urllib, an
+        ``OSError`` while connecting or sending is a ``URLError``."""
+        headers = self._headers()
+        if self._proxy is not None and url.scheme == "http":  # absolute form, to the proxy
+            target = urllib.parse.urlunsplit(url._replace(fragment=""))
+            headers.update(self._proxy_headers)
+        else:
+            target = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
+        conn = self._open(url)
+        try:
+            try:
+                conn.request("POST", target, data, headers)
+            except OSError as exc:
+                raise urllib.error.URLError(exc) from exc
+            with conn.getresponse() as response:
+                return response.status, response.read(), response.headers.get("Retry-After")
+        finally:
+            conn.close()
 
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https"):
             raise BackendError(f"{url}: base_url must be an http:// or https:// URL")
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         retry = self.config.retry
@@ -221,7 +274,7 @@ class HttpBackend:
                 self.attempts += 1
             try:
                 with self._slots:
-                    status, body, retry_after = self._send(url, data)
+                    status, body, retry_after = self._send(parts, data)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 outcome: int | str = "transport"
                 last_error = exc

@@ -209,21 +209,24 @@ class EmbeddingCache:
             self._load(self.path)
 
     def _load(self, path: Path) -> None:
-        data = path.read_bytes()
-        complete = data.rfind(b"\n") + 1
-        lines = data[:complete].splitlines()
-        for lineno, line in enumerate(lines, 1):
-            try:
-                self._add_line(line.decode("utf-8"))
-            except _BAD_CACHE_LINE as exc:
-                raise IndexFormatError(f"{path}:{lineno}: bad cache entry: {exc}") from exc
-        tail = data[complete:]
-        if not tail:
-            return
+        """Read the file a line at a time, so that only the entries are
+        held, never the file."""
+        complete = 0  # bytes up to the end of the last line read in full
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.endswith(b"\n"):
+                    break  # a last line without its newline: checked below
+                try:
+                    self._add_line(line.decode("utf-8"))
+                except _BAD_CACHE_LINE as exc:
+                    raise IndexFormatError(f"{path}:{lineno}: bad cache entry: {exc}") from exc
+                complete += len(line)
+            else:
+                return
         try:
-            self._add_line(tail.decode("utf-8"))
+            self._add_line(line.decode("utf-8"))
         except _BAD_CACHE_LINE as exc:
-            logger.warning("%s:%d: dropping torn last cache line (%s)", path, len(lines) + 1, exc)
+            logger.warning("%s:%d: dropping torn last cache line (%s)", path, lineno, exc)
             with path.open("r+b") as fh:
                 fh.truncate(complete)
         else:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import base64
+import contextlib
+import gc
 import json
 import math
 import random
@@ -7,6 +10,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -125,6 +129,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                         "path": self.path,
                         "payload": payload,
                         "auth": self.headers.get("Authorization"),
+                        "proxy_auth": self.headers.get("Proxy-Authorization"),
+                        "connection": self.headers.get("Connection"),
                     }
                 )
                 script = self.server.script
@@ -158,9 +164,33 @@ def _default_respond(path, payload):
     }
 
 
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+class _KeepOpenHandler(_ScriptedHandler):
+    """Speaks HTTP/1.1 and keeps each connection open after its reply,
+    whatever the request says, until the client closes it; counts the
+    connections accepted and those still open."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # a connection the client leaves open ends here
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        with self.server.lock:
+            self.server.open -= 1
+        super().finish()
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = False
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.lock = threading.Lock()
     server.requests = []
     server.script = []
@@ -168,6 +198,7 @@ def stub_server():
     server.peak_in_flight = 0
     server.handler_delay = 0.0
     server.respond = _default_respond
+    server.connections = server.open = 0
     # A short poll interval keeps shutdown, which waits for one poll, fast.
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -177,6 +208,18 @@ def stub_server():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def stub_server():
+    with _serving(_ScriptedHandler) as server:
+        yield server
+
+
+@pytest.fixture
+def keep_open_server():
+    with _serving(_KeepOpenHandler) as server:
+        yield server
 
 
 def _config(server, **overrides) -> BackendConfig:
@@ -355,11 +398,13 @@ OK_CHAT = _reply(200, json.dumps({"choices": [{"message": {"content": "ok"}}]}).
 class _RawServer:
     """A loopback server speaking raw bytes: each connection gets the next
     scripted reply, sent as is, and is then closed; a float in the script
-    means wait that many seconds and close without replying.  The body of
-    every request received is kept in ``bodies``."""
+    means wait that many seconds and close without replying.  The head and
+    the body of every request received are kept in ``heads`` and
+    ``bodies``."""
 
     def __init__(self, script) -> None:
         self.script = list(script)
+        self.heads: list[bytes] = []
         self.bodies: list[bytes] = []
         self._stop = threading.Event()
         self._sock = socket.create_server(("127.0.0.1", 0))
@@ -376,7 +421,9 @@ class _RawServer:
                 continue
             with conn:
                 conn.settimeout(5.0)
-                self.bodies.append(self._read_body(conn))
+                head, body = self._read_request(conn)
+                self.heads.append(head)
+                self.bodies.append(body)
                 reply = self.script.pop(0) if self.script else OK_CHAT
                 if isinstance(reply, float):
                     self._stop.wait(reply)
@@ -384,7 +431,7 @@ class _RawServer:
                     conn.sendall(reply)
 
     @staticmethod
-    def _read_body(conn: socket.socket) -> bytes:
+    def _read_request(conn: socket.socket) -> tuple[bytes, bytes]:
         data = b""
         while b"\r\n\r\n" not in data:
             data += conn.recv(65536)
@@ -396,7 +443,7 @@ class _RawServer:
                 length = int(value)
         while len(body) < length:
             body += conn.recv(65536)
-        return body
+        return head, body
 
     def close(self) -> None:
         self._stop.set()
@@ -480,7 +527,7 @@ class TestTransportContract:
         assert len(server.bodies) == 1
         assert elsewhere.bodies == []
 
-    @pytest.mark.parametrize("base_url", ["file:///nonexistent", "localhost:9/v1"])
+    @pytest.mark.parametrize("base_url", ["file:///nonexistent", "localhost:9/v1", "http:///v1"])
     def test_url_that_is_not_http(self, base_url):
         backend = HttpBackend(
             BackendConfig(base_url=base_url, retry=RetryPolicy(max_attempts=2, initial_backoff_ms=1))
@@ -598,3 +645,90 @@ def test_counters_under_concurrent_calls(stub_server):
     assert backend.calls == 80
     assert backend.attempts == len(stub_server.requests) == 140
     assert backend.retry_statuses == Counter({429: 30, 503: 30})
+
+
+def _wait_until(condition) -> None:
+    deadline = time.monotonic() + 5
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert condition()
+
+
+class TestConnectionPerRequest:
+    """Against a server that keeps every connection open until the client
+    closes it."""
+
+    def test_each_attempt_opens_and_closes_its_connection(self, keep_open_server):
+        keep_open_server.script = [503]
+        backend = HttpBackend(_config(keep_open_server))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for text in ("x", "y"):
+                assert backend.generate(text).text == "ᎠᎹ ᎤᏓᏅᏘ"
+                _wait_until(lambda: keep_open_server.open == 0)
+            assert backend.attempts == 3
+            del backend
+            gc.collect()
+        assert keep_open_server.connections == len(keep_open_server.requests) == 3
+        assert [r["connection"] for r in keep_open_server.requests] == ["close"] * 3
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears every proxy variable; returns a setter for one of them."""
+    for name in ("http", "https", "all", "no"):
+        monkeypatch.delenv(f"{name}_proxy", raising=False)
+        monkeypatch.delenv(f"{name.upper()}_PROXY", raising=False)
+    return monkeypatch.setenv
+
+
+class TestProxy:
+    """``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY`` are read when the
+    client is built, as urllib's ``ProxyHandler`` read them."""
+
+    @pytest.mark.parametrize("userinfo, header", [("", None), ("lex:s%40cret@", "lex:s@cret")])
+    def test_http_request_goes_to_proxy_in_absolute_form(
+        self, stub_server, proxy_env, userinfo, header
+    ):
+        host, port = stub_server.server_address
+        proxy_env("HTTP_PROXY", f"http://{userinfo}{host}:{port}")
+        # Nothing listens on port 9: only the proxy can answer.
+        backend = HttpBackend(BackendConfig(base_url="http://127.0.0.1:9/v1", api_key_env=""))
+        assert backend.generate("x").text == "ᎠᎹ ᎤᏓᏅᏘ"
+        [request] = stub_server.requests
+        assert request["path"] == "http://127.0.0.1:9/v1/chat/completions"
+        expected = header and "Basic " + base64.b64encode(header.encode()).decode()
+        assert request["proxy_auth"] == expected
+
+    def test_no_proxy_host_goes_direct(self, stub_server, raw_server, proxy_env):
+        proxy = raw_server()
+        proxy_env("HTTP_PROXY", proxy.base_url)
+        proxy_env("NO_PROXY", "127.0.0.1")
+        backend = HttpBackend(_config(stub_server))
+        backend.generate("x")
+        assert [r["path"] for r in stub_server.requests] == ["/chat/completions"]
+        assert proxy.heads == []
+
+    def test_proxy_read_when_client_is_built(self, stub_server, raw_server, proxy_env):
+        backend = HttpBackend(_config(stub_server))
+        proxy_env("HTTP_PROXY", raw_server().base_url)
+        backend.generate("x")
+        assert len(stub_server.requests) == 1
+
+    def test_https_request_tunnels_through_proxy(self, raw_server, proxy_env):
+        proxy = raw_server(_reply(403))
+        proxy_env("HTTPS_PROXY", proxy.base_url.replace("://", "://lex:secret@"))
+        backend = HttpBackend(
+            BackendConfig(
+                base_url="https://127.0.0.1:9/v1",
+                retry=RetryPolicy(max_attempts=1),
+                timeout_s=5.0,
+            )
+        )
+        with pytest.raises(BackendError, match="Tunnel connection failed: 403"):
+            backend.generate("x")
+        [head] = proxy.heads
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"CONNECT 127.0.0.1:9 HTTP/1.0"
+        assert b"Proxy-Authorization: Basic " + base64.b64encode(b"lex:secret") in lines

@@ -876,6 +876,22 @@ class TestEmbeddingCacheTornTail:
             EmbeddingCache(path)
 
 
+def test_cache_load_holds_the_entries_not_the_file(tmp_path):
+    # Reading the file whole, then a copy of it and its list of lines, held
+    # about five times what the loaded entries keep.
+    path = tmp_path / "embeddings.jsonl"
+    vectors = np.random.default_rng(0).standard_normal((2000, 64))
+    EmbeddingCache(path).put("e", [f"text {i}" for i in range(2000)], vectors)
+    tracemalloc.start()
+    try:
+        cache = EmbeddingCache(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.get("e", "text 1999") == vectors[1999].tolist()
+    assert peak < 1.5 * kept
+
+
 # Cache lines that are not entries, and what their error says.
 BAD_CACHE_LINES = [
     pytest.param(
