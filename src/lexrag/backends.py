@@ -9,10 +9,10 @@ chat-completion / embeddings wire format:
 * ``POST {base_url}/chat/completions`` with a single user message, answered
   by ``{"choices": [{"message": {"content": ...}}]}``
 
-The HTTP client sends each request through ``http.client`` on a connection
-of its own, closed after the reply.  The API key is read from the
-environment variable named in the config and is never stored in
-configuration files.
+The HTTP client fixes its route to ``base_url`` when it is built and sends
+each request through ``http.client`` on a connection of its own, closed
+after the reply.  The API key is read from the environment variable named
+in the config and is never stored in configuration files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import os
 import random
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from collections import Counter
@@ -156,29 +155,43 @@ class MockGenerator:
         return GenerationResult(text=text, model_id=self.model_id)
 
 
-def _proxy_route(base_url: str) -> tuple[tuple[str, str] | None, dict[str, str]]:
-    """The proxy that urllib's ``ProxyHandler`` would use for ``base_url``
-    (from ``HTTP_PROXY``/``HTTPS_PROXY``, unless ``NO_PROXY`` names the
-    host) as its scheme and ``host:port``, or ``None``; and its
-    ``Proxy-Authorization`` header when the proxy URL has a user and a
-    password."""
+def _route(base_url: str) -> tuple | None:
+    """How every request to ``base_url`` travels: the ``http.client``
+    connection class, the host to connect to, the host to tunnel to with
+    ``CONNECT`` (or ``None``), the request-target prefix and the proxy's
+    headers.  The proxy is the one urllib's ``ProxyHandler`` would use
+    (``HTTP_PROXY``/``HTTPS_PROXY``, unless ``NO_PROXY`` names the host),
+    with ``Proxy-Authorization`` when its URL has a user and a password.
+    ``None`` when ``base_url`` is not ``http(s)://`` with a host and a
+    numeric port."""
     try:
-        parts = urllib.parse.urlsplit(base_url)
-    except ValueError:  # each call reports it
-        return None, {}
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    host = urllib.parse.unquote(parts.netloc)
-    if not proxy or (host and urllib.request.proxy_bypass(host)):
-        return None, {}
+        url = urllib.parse.urlsplit(base_url.rstrip("/"))
+        url.port  # raises ValueError unless the port is a number in range
+    except ValueError:
+        return None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        return None
+    host = urllib.parse.unquote(url.netloc)
+    prefix = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
+    connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        return connection, host, None, prefix, {}
     scheme, sep, rest = proxy.partition("://")
     authority = rest.split("/", 1)[0] if sep else proxy
-    userinfo, _, hostport = authority.rpartition("@")
+    userinfo, _, proxy_host = authority.rpartition("@")
     user, _, password = userinfo.partition(":")
     headers = {}
     if user and password:
         credentials = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
         headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
-    return (scheme if sep else parts.scheme, urllib.parse.unquote(hostport)), headers
+    proxy_host = urllib.parse.unquote(proxy_host)
+    if url.scheme == "https":  # CONNECT, then TLS to the host
+        return connection, proxy_host, host, prefix, headers
+    if sep and scheme == "https":  # TLS to the proxy itself
+        connection = http.client.HTTPSConnection
+    absolute = urllib.parse.urlunsplit(url._replace(fragment=""))  # the form a proxy takes
+    return connection, proxy_host, None, absolute, headers
 
 
 class HttpBackend:
@@ -194,8 +207,9 @@ class HttpBackend:
     ``timeout_s``.  At most ``max_in_flight`` requests are on the
     wire at any moment, enforced with a semaphore, so the client is safe to
     call from multiple threads.  Each request opens an ``http.client``
-    connection and closes it after the reply.  The proxy (``HTTP_PROXY``,
-    ``HTTPS_PROXY``, ``NO_PROXY``) is read when the client is built.
+    connection and closes it after the reply.  The route, with the proxy of
+    ``HTTP_PROXY``, ``HTTPS_PROXY`` and ``NO_PROXY``, is fixed when the client
+    is built; a ``base_url`` that has none fails each call before any attempt.
 
     Counters: ``calls`` (logical requests), ``attempts`` (requests sent),
     ``retry_statuses`` (attempts that failed in a retryable way, by HTTP
@@ -213,46 +227,25 @@ class HttpBackend:
         self._rng = random.Random()
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(config.max_in_flight)
-        self._proxy, self._proxy_headers = _proxy_route(config.base_url)
+        self._route = _route(config.base_url)
 
-    def _headers(self) -> dict[str, str]:
+    def _send(self, endpoint: str, data: bytes) -> tuple[int, bytes, str | None]:
+        """One POST on a new connection along the route: the status, the body
+        and the ``Retry-After`` header of whatever reply came back
+        (``http.client`` follows no redirect, so ``Authorization`` never
+        reaches a ``Location`` host); transport failures raise."""
+        connection, host, tunnel, prefix, proxy_headers = self._route
         headers = {"Content-Type": "application/json", "Connection": "close"}
         key = os.environ.get(self.config.api_key_env, "") if self.config.api_key_env else ""
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        return headers
-
-    def _open(self, url: urllib.parse.SplitResult) -> http.client.HTTPConnection:
-        """A new connection for ``url``, direct or through the proxy."""
-        host = urllib.parse.unquote(url.netloc)
-        if not host:
-            raise urllib.error.URLError("no host given")
-        proxy_scheme, proxy_host = self._proxy or ("", host)
-        tls = "https" in (url.scheme, proxy_scheme)
-        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
-        conn = connection(proxy_host, timeout=self.config.timeout_s)
-        if self._proxy is not None and url.scheme == "https":  # CONNECT, then TLS to the host
-            conn.set_tunnel(host, headers=self._proxy_headers)
-        return conn
-
-    def _send(self, url: urllib.parse.SplitResult, data: bytes) -> tuple[int, bytes, str | None]:
-        """One POST on a new connection: the status, the body and the
-        ``Retry-After`` header of whatever reply came back (``http.client``
-        follows no redirect, so ``Authorization`` never reaches a
-        ``Location`` host); transport failures raise, and, as in urllib, an
-        ``OSError`` while connecting or sending is a ``URLError``."""
-        headers = self._headers()
-        if self._proxy is not None and url.scheme == "http":  # absolute form, to the proxy
-            target = urllib.parse.urlunsplit(url._replace(fragment=""))
-            headers.update(self._proxy_headers)
+        conn = connection(host, timeout=self.config.timeout_s)
+        if tunnel is None:
+            headers.update(proxy_headers)
         else:
-            target = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
-        conn = self._open(url)
+            conn.set_tunnel(tunnel, headers=proxy_headers)
         try:
-            try:
-                conn.request("POST", target, data, headers)
-            except OSError as exc:
-                raise urllib.error.URLError(exc) from exc
+            conn.request("POST", prefix + endpoint, data, headers)
             with conn.getresponse() as response:
                 return response.status, response.read(), response.headers.get("Retry-After")
         finally:
@@ -260,9 +253,10 @@ class HttpBackend:
 
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https"):
-            raise BackendError(f"{url}: base_url must be an http:// or https:// URL")
+        if self._route is None:
+            raise BackendError(
+                f"{url}: base_url must be an http:// or https:// URL with a host and a valid port"
+            )
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         retry = self.config.retry
         ceiling_s = retry.initial_backoff_ms / 1000.0
@@ -274,7 +268,7 @@ class HttpBackend:
                 self.attempts += 1
             try:
                 with self._slots:
-                    status, body, retry_after = self._send(parts, data)
+                    status, body, retry_after = self._send(endpoint, data)
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 outcome: int | str = "transport"
                 last_error = exc
@@ -313,10 +307,13 @@ class HttpBackend:
         payload = {"model": self.config.embed_model_id, "input": list(texts)}
         body = self._post("/embeddings", payload)
         try:
-            vectors = [list(map(float, item["embedding"])) for item in body["data"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            vectors = [item["embedding"] for item in body["data"]]
+            for vector in vectors:
+                if type(vector) is not list or not set(map(type, vector)) <= {int, float}:
+                    raise ValueError("embedding must be a list of numbers")
+            return [list(map(float, vector)) for vector in vectors]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(f"malformed embeddings response: {exc}") from exc
-        return vectors
 
     def embed_tokens(self, tokens: Sequence[str]) -> list[list[float]]:
         if not tokens:

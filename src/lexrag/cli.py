@@ -12,9 +12,11 @@ which use the deterministic mock backends and therefore run offline.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -191,11 +193,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     template = config.prompt_template()
     source_lang = args.source_lang or config.source_lang
     target_lang = args.target_lang or config.target_lang
-    # Phrase extraction mirrors what the index actually holds.
-    retrieval_config = replace(
-        config.retrieval, max_phrase_len=bundle.manifest.max_phrase_len
-    )
-    setup = (bundle, embedder, generator, retrieval_config, template, source_lang, target_lang)
+    setup = (bundle, embedder, generator, config.retrieval, template, source_lang, target_lang)
 
     if args.text is not None:
         print(translate(args.text, *setup).output)
@@ -258,18 +256,20 @@ def _emit(text: str, output: str | None) -> None:
 
 def _render(fmt: str, payload, header: list[str], rows) -> str:
     """``payload`` as indented JSON, or ``rows`` under ``header`` as CSV
-    (cells as ``str`` gives them) or as a markdown table (floats to 3
-    decimals).  ``rows`` is consumed only for CSV and markdown."""
+    (cells as ``str`` gives them, quoted where they hold a comma, a quote or
+    a line break) or as a markdown table (floats to 3 decimals).  ``rows``
+    is consumed only for CSV and markdown."""
     if fmt == "json":
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
-    else:
-        lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
-        lines += [
-            "| " + " | ".join(_round3(c) if isinstance(c, float) else str(c) for c in row) + " |"
-            for row in rows
-        ]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        return out.getvalue()
+    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+    lines += [
+        "| " + " | ".join(_round3(c) if isinstance(c, float) else str(c) for c in row) + " |"
+        for row in rows
+    ]
     return "".join(line + "\n" for line in lines)
 
 

@@ -111,9 +111,11 @@ def _keyword_phase(query: str, indexes: IndexBundle, config: RetrievalConfig) ->
     """Exact keyword hits in rank order, each document position mapped to the
     first phrase that hit it: the extracted phrases in order, each phrase's
     positions ascending.  The walk ends as soon as it holds ``k_total``,
-    however many documents a common word is posted under."""
+    however many documents a common word is posted under.  No phrase is
+    longer than the index's longest key (``manifest.max_phrase_len``)."""
     matched: dict[int, str] = {}
-    for phrase in extract_query_terms(query, config.max_phrase_len):
+    max_phrase_len = min(config.max_phrase_len, indexes.manifest.max_phrase_len)
+    for phrase in extract_query_terms(query, max_phrase_len):
         for position in keyword_lookup(indexes.keyword, phrase):
             matched.setdefault(position, phrase)
             if len(matched) >= config.k_total:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import gc
+import http.client
 import json
 import math
 import random
@@ -545,6 +546,67 @@ class TestTransportContract:
             "messages": [{"role": "user", "content": prompt}],
         }
         assert server.bodies == [json.dumps(payload).encode()]
+
+
+
+class TestUnusableBaseUrl:
+    """A ``base_url`` with no host, a port that is not a number, or one that
+    ``urlsplit`` rejects fails each call at once: no attempt, no backoff
+    sleep, no connection."""
+
+    URLS = ["http:///v1", "http://127.0.0.1:abc/v1", "http://[::1/v1"]
+
+    @pytest.fixture
+    def no_wait_no_connect(self, monkeypatch):
+        events: list = []
+        monkeypatch.setattr(time, "sleep", events.append)
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", lambda conn: events.append(conn))
+        return events
+
+    @pytest.mark.parametrize("base_url", URLS)
+    def test_fails_before_any_attempt(self, base_url, no_wait_no_connect):
+        retry = RetryPolicy(max_attempts=3, initial_backoff_ms=1000)
+        backend = HttpBackend(BackendConfig(base_url=base_url, retry=retry))
+        with pytest.raises(BackendError, match="base_url must be an http:// or https:// URL"):
+            backend.generate("x")
+        assert backend.calls == backend.attempts == 0
+        assert no_wait_no_connect == []
+
+    @pytest.mark.parametrize("base_url", URLS)
+    def test_cli_exit_2(self, base_url, no_wait_no_connect, data_dir, tmp_path, capsys):
+        backend = {"provider": "http", "base_url": base_url, "retry": {"initial_backoff_ms": 1000}}
+        config = tmp_path / "http.json"
+        config.write_text(json.dumps({"backend": backend}), encoding="utf-8")
+        dictionary, out = str(data_dir / "tiny_dict.jsonl"), str(tmp_path / "idx")
+        assert main(["index-build", "--dict", dictionary, "--out", out, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lexrag: backend error: ")
+        assert captured.err.count("\n") == 1
+        assert no_wait_no_connect == []
+
+
+def test_refused_connection_quotes_the_socket_error():
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    retry = RetryPolicy(max_attempts=1)
+    backend = HttpBackend(BackendConfig(base_url=f"http://127.0.0.1:{port}", retry=retry))
+    with pytest.raises(BackendError) as caught:
+        backend.generate("x")
+    cause = caught.value.__cause__
+    assert isinstance(cause, ConnectionRefusedError)
+    assert str(caught.value).endswith(f"failed after 1 attempts: {cause}")
+    assert "urlopen error" not in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "value", [b"true", b'"0.5"', b"1" + b"0" * 400], ids=["bool", "string", "huge_int"]
+)
+def test_embedding_value_that_is_not_a_json_number(raw_server, value):
+    body = b'{"data": [{"embedding": [0.5, ' + value + b"]}]}"
+    server = raw_server(_reply(200, body))
+    with pytest.raises(BackendError, match="malformed embeddings response"):
+        _raw_backend(server).embed_texts(["a"])
+    assert len(server.bodies) == 1
 
 
 class _TopOfRange:

@@ -1684,6 +1684,30 @@ class TestReportValues:
             assert stdout.endswith(last[fmt] + "\n")
 
 
+
+class TestCsvQuoting:
+    """A CSV cell holding a comma or a quote is quoted, so each row keeps
+    the header's columns."""
+
+    LABEL = 'gpt-4o, "rag"'
+    QUOTED = '"gpt-4o, ""rag"""'
+
+    def test_evaluate(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("ᎠᎹ\n", encoding="utf-8")
+        argv = ["--hyp", str(hyp), "--ref", str(hyp), "--metrics", "bleu", "--model", self.LABEL]
+        code, stdout, _ = run(capsys, "evaluate", *argv, "--language", "chr", "--format", "csv")
+        assert code == 0
+        assert stdout == f"language,model,n_sentences,bleu\nchr,{self.QUOTED},1,1.0\n"
+
+    def test_report(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"language": "chr", "model": self.LABEL, "bleu": 1}), encoding="utf-8")
+        code, stdout, _ = run(capsys, "report", str(path), "--format", "csv")
+        assert code == 0
+        assert stdout.splitlines()[1] == f"chr,{self.QUOTED},1.000,-,-,-,-,-"
+
+
 class TestNonUtf8Files:
     """A file that is not valid UTF-8 is exit 1 with one line naming it."""
 
