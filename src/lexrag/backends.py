@@ -24,6 +24,7 @@ import json
 import math
 import os
 import random
+import re
 import threading
 import time
 import urllib.parse
@@ -162,14 +163,14 @@ def _route(base_url: str) -> tuple | None:
     headers.  The proxy is the one urllib's ``ProxyHandler`` would use
     (``HTTP_PROXY``/``HTTPS_PROXY``, unless ``NO_PROXY`` names the host),
     with ``Proxy-Authorization`` when its URL has a user and a password.
-    ``None`` when ``base_url`` is not ``http(s)://`` with a host and a
-    numeric port."""
+    ``None`` when ``base_url`` is not ``http(s)://`` with a host, a numeric
+    port and no user info: a user in the host would only fail to resolve."""
     try:
         url = urllib.parse.urlsplit(base_url.rstrip("/"))
         url.port  # raises ValueError unless the port is a number in range
     except ValueError:
         return None
-    if url.scheme not in ("http", "https") or not url.hostname:
+    if url.scheme not in ("http", "https") or not url.hostname or "@" in url.netloc:
         return None
     host = urllib.parse.unquote(url.netloc)
     prefix = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
@@ -254,8 +255,10 @@ class HttpBackend:
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + endpoint
         if self._route is None:
+            shown = re.sub(r"//[^/?#]*@", "//***@", url)  # the user info may hold a password
             raise BackendError(
-                f"{url}: base_url must be an http:// or https:// URL with a host and a valid port"
+                f"{shown}: base_url must be an http:// or https:// URL with a host, a valid port "
+                "and no user info"
             )
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         retry = self.config.retry

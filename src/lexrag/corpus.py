@@ -13,8 +13,8 @@ All ingested text is NFC-normalized, since syllabary codepoints come in
 composed and decomposed variants.  The loaders return document rows
 ``(kind, source_text, target_text, definition)``: an entry is a dictionary
 row, and a parallel example or an entry's example pair an example row.
-:func:`to_documents` turns the rows into :class:`Document` records, the unit
-that both indexes and the prompt assembler operate on.
+:func:`to_documents` turns the rows into :class:`Documents`, columns that
+build each :class:`Document`, the unit indexes and prompts use, when read.
 
 A row keeps only the fields retrieval and the prompt read; the loaders
 validate the other input fields but do not keep them.  Dictionary entries
@@ -32,10 +32,12 @@ import re
 import sys
 import typing
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -60,9 +62,9 @@ class Document(NamedTuple):
     examples after them), and ``render_text``, the text that gets embedded,
     from the other fields.
 
-    A NamedTuple, so that loading builds each one at the cost of a tuple:
-    it is immutable and hashable, equals a plain tuple of the same values,
-    unpacks, and lists its field names in ``_fields``."""
+    A NamedTuple, the cheapest immutable record to build: it is hashable,
+    equals a plain tuple of the same values, unpacks, and lists its field
+    names in ``_fields``."""
 
     id: str
     kind: str
@@ -342,17 +344,71 @@ _DOC_COLUMNS = {
 _DOCS_KEYS = ("dictionary_count", *_DOC_COLUMNS)
 
 
-def _documents(dictionary_count: int, columns: list[Sequence]) -> list[Document]:
-    """Documents from the columns of ``_DOC_COLUMNS``, in that order: the first
-    ``dictionary_count`` are dictionary entries ``d:0, d:1, ...``, the rest
-    examples ``x:0, x:1, ...``."""
-    examples = len(columns[0]) - dictionary_count
-    ids = [f"d:{seq}" for seq in range(dictionary_count)] + [f"x:{seq}" for seq in range(examples)]
-    kinds = [DICTIONARY_KIND] * dictionary_count + [EXAMPLE_KIND] * examples
-    return list(map(Document._make, zip(ids, kinds, *columns)))
+class DocumentIds(Sequence):
+    """The ids of ``count`` documents, the first ``dictionary_count`` of them
+    dictionary entries (``d:0, d:1, ...``, then ``x:0, x:1, ...``), made when
+    read.  Equal to a list of the same ids, and to a view of the same counts."""
+
+    def __init__(self, dictionary_count: int, count: int) -> None:
+        self.dictionary_count, self.count = dictionary_count, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, position):
+        position = range(self.count)[position]  # IndexError past either end
+        if isinstance(position, range):  # a slice
+            return [self[i] for i in position]
+        seq = position - self.dictionary_count
+        return f"x:{seq}" if seq >= 0 else f"d:{position}"
+
+    def __iter__(self):
+        examples = range(self.count - self.dictionary_count)
+        return chain(map("d:{}".format, range(self.dictionary_count)), map("x:{}".format, examples))
+
+    def __eq__(self, other):
+        if isinstance(other, DocumentIds):
+            return (self.dictionary_count, self.count) == (other.dictionary_count, other.count)
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
-def to_documents(entries: list[tuple], examples: list[tuple]) -> list[Document]:
+class Documents(Sequence):
+    """Read-only Documents kept as the lists of ``_DOC_COLUMNS``, the first
+    ``dictionary_count`` dictionary entries, with their :class:`DocumentIds`.
+    A position's Document is built when first read, and that one is handed
+    out after it (threads that race build equal ones); ``built`` lists those
+    built so far, ``None`` elsewhere.  Equal to a list, or another
+    Documents, of the same Documents."""
+
+    def __init__(self, dictionary_count: int, columns: list[list]) -> None:
+        self.dictionary_count, self.columns = dictionary_count, columns
+        self.ids = DocumentIds(dictionary_count, len(columns[0]))
+        self.built: list[Document | None] = [None] * len(columns[0])
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, position):
+        position = range(len(self))[position]  # IndexError past either end
+        if isinstance(position, range):  # a slice
+            return [self[i] for i in position]
+        doc = self.built[position]
+        if doc is None:
+            kind = DICTIONARY_KIND if position < self.dictionary_count else EXAMPLE_KIND
+            columns = (column[position] for column in self.columns)
+            doc = self.built[position] = Document(self.ids[position], kind, *columns)
+        return doc
+
+    def __iter__(self):  # builds each afresh and keeps none, for a build's passes
+        kinds = [DICTIONARY_KIND] * self.dictionary_count
+        kinds += [EXAMPLE_KIND] * (len(self) - self.dictionary_count)
+        return map(Document._make, zip(self.ids, kinds, *self.columns))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Documents)) else NotImplemented
+
+
+def to_documents(entries: list[tuple], examples: list[tuple]) -> Documents:
     """Documents from the rows of :func:`load_dictionary` (``entries``) and
     :func:`load_parallel` (``examples``), with positional ids: dictionary
     rows first, then the parallel examples, then the dictionary's examples."""
@@ -361,35 +417,34 @@ def to_documents(entries: list[tuple], examples: list[tuple]) -> list[Document]:
     # A stable sort: dictionary rows move ahead, every other order is kept.
     rows = sorted([*examples, *entries], key=lambda row: row[0] != DICTIONARY_KIND)
     kinds, *columns = zip(*rows)
-    return _documents(kinds.count(DICTIONARY_KIND), columns)
+    return Documents(kinds.count(DICTIONARY_KIND), [list(column) for column in columns])
 
 
-def save_documents(docs: list[Document], path: str | Path) -> None:
+def save_documents(docs: Sequence[Document], path: str | Path) -> None:
     """Write Documents as one JSON object (UTF-8): the number of dictionary
-    entries, then per-field arrays.  Neither ids nor kinds are written, so a
-    list that is not its dictionary entries followed by its examples, each
-    with the id its position gives, is rejected rather than renumbered."""
-    columns = {name: [getattr(doc, name) for doc in docs] for name in _DOC_COLUMNS}
-    dictionary_count = [doc.kind for doc in docs].count(DICTIONARY_KIND)
-    expected = _documents(dictionary_count, list(columns.values()))
-    if expected != docs:
-        seq, doc, want = next(
-            (seq, doc, want) for seq, (doc, want) in enumerate(zip(docs, expected)) if doc != want
-        )
-        raise IngestError(
-            f"document {seq} has id {doc.id!r} ({doc.kind}), but its position gives "
-            f"{want.id!r} ({want.kind})"
-        )
-    del expected  # not held while the JSON text is built, which sets a save's peak memory
-    data = {"dictionary_count": dictionary_count, **columns}
+    entries, then per-field arrays, taken as they are from a
+    :class:`Documents`.  Neither ids nor kinds are written, so any other
+    sequence that is not its dictionary entries followed by its examples,
+    each with the id its position gives, is rejected rather than renumbered."""
+    if not isinstance(docs, Documents):
+        columns = [[getattr(doc, name) for doc in docs] for name in _DOC_COLUMNS]
+        expected = Documents([doc.kind for doc in docs].count(DICTIONARY_KIND), columns)
+        for seq, (doc, want) in enumerate(zip(docs, expected)):
+            if doc != want:
+                raise IngestError(
+                    f"document {seq} has id {doc.id!r} ({doc.kind}), but its position gives "
+                    f"{want.id!r} ({want.kind})"
+                )
+        docs = expected
+    data = {"dictionary_count": docs.dictionary_count, **dict(zip(_DOC_COLUMNS, docs.columns))}
     text = json.dumps(data, ensure_ascii=False, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_documents(path: str | Path) -> list[Document]:
+def load_documents(path: str | Path) -> Documents:
     """Reload Documents written by :func:`save_documents`, checking the keys,
     the array lengths, each value and the dictionary count; ids and kinds
-    follow from position.
+    follow from position, and no Document is built.
 
     Each column is checked in one C-level pass over its value types; only a
     column that fails is scanned value by value, for the position the error
@@ -407,4 +462,4 @@ def load_documents(path: str | Path) -> list[Document]:
     dictionary_count = data["dictionary_count"]
     if type(dictionary_count) is not int or not 0 <= dictionary_count <= len(columns[0]):
         raise IngestError(f"{path}: dictionary_count is not an integer from 0 to {len(columns[0])}")
-    return _documents(dictionary_count, columns)
+    return Documents(dictionary_count, columns)

@@ -40,7 +40,9 @@ manifest commits the other files: a save that raises or is killed part-way
 leaves a directory that ``load_index`` rejects, never one that loads.
 Each file is checked by ``load_index``; the keyword postings, and how the
 files fit together, only by :class:`IndexBundle`, which ``save_index``
-builds before writing anything.
+builds before writing anything.  A load keeps the ``docs.json`` columns and
+builds no Document or id: a Document is built when its position first
+reaches a result.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .backends import Embedder
-from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, from_json, normalize_keyword
-from .corpus import load_documents, save_documents
+from .corpus import DICTIONARY_KIND, MAX_PHRASE_LEN, Document, Documents, from_json
+from .corpus import load_documents, normalize_keyword, save_documents
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +124,7 @@ class VectorIndex:
 
     dim: int
     embedder_id: str
-    ids: list[str]
+    ids: Sequence[str]
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
@@ -370,7 +372,12 @@ def build_vector_index(
 
     if len(rows) < len(texts):  # a text repeats: give each document its text's row
         unit = unit[[rows[text] for text in texts]]
-    return VectorIndex(unit.shape[1], embedder.embedder_id, [doc.id for doc in docs], unit)
+    return VectorIndex(unit.shape[1], embedder.embedder_id, _ids(docs), unit)
+
+
+def _ids(docs: Sequence[Document]) -> Sequence[str]:
+    """The ids of ``docs``; of :class:`Documents`, their view, which makes none."""
+    return docs.ids if isinstance(docs, Documents) else [doc.id for doc in docs]
 
 
 def screen_rows(
@@ -467,17 +474,19 @@ def vector_topk(
 @dataclass
 class IndexBundle:
     """One index, as saved and loaded; ``keyword`` is the phrase -> positions
-    dict of ``keyword_index.json``.  Construction checks its parts against
-    each other, here only: the manifest describes the vectors, whose rows
-    follow the documents, and every keyword posting is the position of a
-    document.  The postings take three C-level passes, over their types,
-    for their ``min`` and for their ``max``; only a bundle that fails one is
-    scanned, for the phrase and the value to name."""
+    dict of ``keyword_index.json``; loaded ``docs`` are the columns of
+    ``docs.json``, which build a Document when its position first reaches a
+    result.  Construction checks its parts against each other, here only:
+    the manifest describes the vectors, whose rows follow the documents (at
+    load, two id views compared by their counts), and every keyword posting
+    is the position of a document.  The postings take three C-level passes,
+    over their types, for their ``min`` and for their ``max``; only a bundle
+    that fails one is scanned, for the phrase and the value to name."""
 
     keyword: dict[str, list[int]]
     vector: VectorIndex
     manifest: IndexManifest
-    docs: list[Document]
+    docs: Sequence[Document]
 
     def __post_init__(self) -> None:
         described = (self.manifest.count, self.manifest.dim, self.manifest.embedder_id)
@@ -486,7 +495,7 @@ class IndexBundle:
             raise IndexFormatError(
                 f"manifest count, dim, embedder_id {described} does not match vectors {stored}"
             )
-        if self.vector.ids != [doc.id for doc in self.docs]:
+        if self.vector.ids != _ids(self.docs):
             raise IndexFormatError("vector index ids do not follow the documents in order")
         count, entries = len(self.docs), self.keyword
         postings = itertools.chain.from_iterable
@@ -513,7 +522,7 @@ def _write_vectors(path: Path, vector: VectorIndex) -> None:
         fh.write(memoryview(np.ascontiguousarray(vector.vectors, dtype="<f4")))
 
 
-def _read_vectors(path: Path, embedder_id: str, ids: list[str]) -> VectorIndex:
+def _read_vectors(path: Path, embedder_id: str, ids: Sequence[str]) -> VectorIndex:
     """The rows of ``vectors.bin``, one per id of ``ids`` (the documents)."""
     data = path.read_bytes()
     if len(data) < VECTORS_HEADER.size:
@@ -546,7 +555,7 @@ def save_index(
 ) -> None:
     """Persist one index directory: keyword map, docs and vectors, then the
     manifest, which is removed first so that only a finished save loads."""
-    IndexBundle(keyword, vector, manifest, list(docs))
+    IndexBundle(keyword, vector, manifest, docs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
@@ -555,7 +564,7 @@ def save_index(
         + "\n",
         encoding="utf-8",
     )
-    save_documents(list(docs), out / DOCS_FILE)
+    save_documents(docs, out / DOCS_FILE)
     _write_vectors(out / VECTORS_FILE, vector)
     manifest_text = json.dumps(asdict(manifest), indent=2) + "\n"
     (out / MANIFEST_FILE).write_text(manifest_text, encoding="utf-8")
@@ -592,5 +601,5 @@ def load_index(index_dir: str | Path) -> IndexBundle:
         raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [positions] object")
 
     docs = load_documents(root / DOCS_FILE)
-    vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, [doc.id for doc in docs])
+    vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, docs.ids)
     return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=docs)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .backends import BackendError, Embedder
-from .corpus import Document, normalize_keyword
+from .corpus import Document, Documents, normalize_keyword
 from .index import EMBED_BATCH_SIZE, IndexBuildError, IndexBundle, embed_chunks
 from .index import keyword_lookup, screen_rows, vector_topk
 
@@ -215,7 +215,8 @@ def retrieve(
     hits.  Phase 2 embeds the full query and appends the cosine top-K rows
     not already taken; it runs only on zero keyword hits under
     ``strict_fallback``, or whenever the cap is not yet filled under
-    ``fill``.  Deterministic for a deterministic embedder.
+    ``fill``.  Deterministic for a deterministic embedder.  A position's
+    Document is built the first time it reaches a result, then reused.
 
     ``prepared`` is this query as :func:`prepare_queries` left it, for a
     caller that prepared a whole batch; without it the query is prepared
@@ -225,15 +226,17 @@ def retrieve(
         (prepared,) = prepare_queries([query], indexes, embedder, config)
     if prepared.error is not None:
         raise prepared.error
+    docs = indexes.docs
+    built = docs.built if isinstance(docs, Documents) else docs  # None where not built yet
     results = [
-        RetrievalResult(indexes.docs[row], 1.0, KEYWORD, phrase)
+        RetrievalResult(built[row] or docs[row], 1.0, KEYWORD, phrase)
         for row, phrase in prepared.keyword.items()
     ]
     if prepared.embedding is not None:
         ranked = vector_topk(indexes.vector, prepared.embedding, config.k_vector, prepared.rows)
         fresh = [(row, score) for row, score in ranked if row not in prepared.keyword]
         results += [
-            RetrievalResult(indexes.docs[row], score, VECTOR)
+            RetrievalResult(built[row] or docs[row], score, VECTOR)
             for row, score in fresh[: config.k_total - len(results)]
         ]
     return results

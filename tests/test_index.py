@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lexrag
 from lexrag.backends import MockEmbedder
-from lexrag.corpus import IngestError, to_documents
+from lexrag import corpus
+from lexrag.corpus import Document, IngestError, save_documents, to_documents
 from lexrag.index import (
     DOCS_FILE,
     FORMAT_VERSION,
@@ -46,7 +47,7 @@ from lexrag.index import (
     screen_rows,
     vector_topk,
 )
-from lexrag.retrieval import extract_query_terms
+from lexrag.retrieval import RetrievalConfig, extract_query_terms, retrieve
 from oracles import oracle_topk
 
 
@@ -1121,3 +1122,109 @@ def test_truncated_index_file_rejected_or_unchanged(tiny_docs, tmp_path):
         _assert_same_bundle(bundle, expected)
 
     check()
+
+
+def _list_documents(dictionary_count, columns):
+    """The Document list a load gave before documents were kept as columns:
+    every Document built, ids and kinds from position."""
+    examples = len(columns[0]) - dictionary_count
+    ids = [f"d:{seq}" for seq in range(dictionary_count)]
+    ids += [f"x:{seq}" for seq in range(examples)]
+    kinds = ["dictionary"] * dictionary_count + ["example"] * examples
+    return list(map(Document._make, zip(ids, kinds, *columns)))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The Documents lexrag.corpus builds from here on, one entry each."""
+    made: list = []
+
+    class Counted(Document):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+        @classmethod
+        def _make(cls, iterable):
+            made.append(iterable)
+            return super()._make(iterable)
+
+    monkeypatch.setattr(corpus, "Document", Counted)
+    return made
+
+
+class TestDocumentsAsColumns:
+    """A load keeps docs.json's columns; a Document is built when its
+    position is read, and the first one built is handed out after it."""
+
+    _TEXT = st.text(alphabet="ab ᎠᎹ", min_size=1, max_size=5).filter(str.strip)
+    _ROW = st.tuples(_TEXT, _TEXT, st.none() | _TEXT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.lists(_ROW.map(lambda row: ("dictionary", *row)), max_size=5),
+        examples=st.lists(_ROW.map(lambda row: ("example", row[0], row[1], None)), max_size=5),
+        data=st.data(),
+    )
+    def test_each_position_is_the_document_the_list_gave(self, entries, examples, data):
+        assume(entries or examples)
+        docs = to_documents(entries, examples)
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = _saved_tiny_index(docs, Path(tmp, "index"))
+            columns = json.loads(Path(tmp, "index", DOCS_FILE).read_text(encoding="utf-8"))
+            save_documents(list(docs), Path(tmp, "from-list.json"))
+            saved = Path(tmp, "index", DOCS_FILE).read_bytes()
+            assert Path(tmp, "from-list.json").read_bytes() == saved
+        old = _list_documents(columns.pop("dictionary_count"), list(columns.values()))
+        loaded, count = bundle.docs, len(old)
+        assert len(loaded) == count
+        for position in [*range(count), *range(-count, 0)]:
+            assert loaded[position] == old[position]
+            assert bundle.vector.ids[position] == old[position].id
+        for position in (count, -count - 1):
+            with pytest.raises(IndexError):
+                loaded[position]
+            with pytest.raises(IndexError):
+                bundle.vector.ids[position]
+        bounds = st.none() | st.integers(-count - 2, count + 2)
+        step = st.none() | st.integers(-3, 3).filter(bool)
+        cut = slice(data.draw(bounds), data.draw(bounds), data.draw(step))
+        assert loaded[cut] == old[cut]
+        assert bundle.vector.ids[cut] == [doc.id for doc in old[cut]]
+        assert loaded == old and old == loaded and not loaded != old and not old != loaded
+        assert loaded == docs and list(loaded) == old
+        assert loaded != old[1:] and old[1:] != loaded
+        ids = [doc.id for doc in old]
+        assert bundle.vector.ids == ids and ids == bundle.vector.ids
+        assert np.array_equal(np.array(bundle.vector.ids), np.array(ids))
+
+    def test_load_and_save_build_no_document_and_no_id(
+        self, tiny_docs, tmp_path, built, monkeypatch
+    ):
+        _saved_tiny_index(tiny_docs, tmp_path / "index")
+        built.clear()
+
+        def no_id(*args):
+            raise AssertionError("an id was made")
+
+        monkeypatch.setattr(corpus.DocumentIds, "__getitem__", no_id)
+        monkeypatch.setattr(corpus.DocumentIds, "__iter__", no_id)
+        bundle = load_index(tmp_path / "index")
+        save_documents(bundle.docs, tmp_path / DOCS_FILE)
+        assert built == []
+        assert (tmp_path / DOCS_FILE).read_bytes() == (tmp_path / "index" / DOCS_FILE).read_bytes()
+
+    def test_a_query_builds_at_most_k_total_documents_once(self, tiny_docs, tmp_path, built):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        bundle = load_index(tmp_path)
+        config = RetrievalConfig(k_vector=1, k_total=4)
+        query = "the man saw the dog water is good"
+        built.clear()
+        results = retrieve(query, bundle, MockEmbedder(dim=8), config)
+        assert len(built) == len(results) == config.k_total
+        assert retrieve(query, bundle, MockEmbedder(dim=8), config) == results
+        assert len(built) == config.k_total
+        as_list = IndexBundle(bundle.keyword, bundle.vector, bundle.manifest, list(bundle.docs))
+        assert retrieve(query, as_list, MockEmbedder(dim=8), config) == results
