@@ -257,20 +257,18 @@ def _emit(text: str, output: str | None) -> None:
 def _render(fmt: str, payload, header: list[str], rows) -> str:
     """``payload`` as indented JSON, or ``rows`` under ``header`` as CSV
     (cells as ``str`` gives them, quoted where they hold a comma, a quote or
-    a line break) or as a markdown table (floats to 3 decimals).  ``rows``
-    is consumed only for CSV and markdown."""
+    a line break) or as a markdown table (floats to 3 decimals, ``|`` as
+    ``\\|`` so a cell stays one cell).  ``rows`` is consumed only for CSV and
+    markdown."""
     if fmt == "json":
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows([header, *rows])
         return out.getvalue()
-    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
-    lines += [
-        "| " + " | ".join(_round3(c) if isinstance(c, float) else str(c) for c in row) + " |"
-        for row in rows
-    ]
-    return "".join(line + "\n" for line in lines)
+    table = [header, ["---"] * len(header)]
+    table += ([_round3(c) if isinstance(c, float) else str(c) for c in row] for row in rows)
+    return "".join("| " + " | ".join(c.replace("|", r"\|") for c in row) + " |\n" for row in table)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

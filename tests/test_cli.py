@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import re
 import shutil
 import struct
 import tempfile
@@ -1708,6 +1709,35 @@ class TestCsvQuoting:
         assert stdout.splitlines()[1] == f"chr,{self.QUOTED},1.000,-,-,-,-,-"
 
 
+class TestMarkdownPipes:
+    """A ``|`` in a markdown cell is escaped as ``\\|``, so a markdown reader
+    splits each row into the header's columns."""
+
+    @staticmethod
+    def columns(line: str) -> int:
+        return len(re.split(r"(?<!\\)\|", line)) - 2
+
+    def test_evaluate(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("ᎠᎹ\n", encoding="utf-8")
+        argv = ["--hyp", str(hyp), "--ref", str(hyp), "--metrics", "bleu", "--model", "m|"]
+        code, stdout, _ = run(capsys, "evaluate", *argv, "--language", "a|b", "--format", "markdown")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[2] == r"| a\|b | m\| | 1 | 1.000 |"
+        assert [self.columns(line) for line in lines] == [4, 4, 4]
+
+    def test_report(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        row = {"language": "|chr", "model": "gpt|rag", "bleu": 1}
+        path.write_text(json.dumps(row), encoding="utf-8")
+        code, stdout, _ = run(capsys, "report", str(path), "--format", "markdown")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[2] == r"| \|chr | gpt\|rag | 1.000 | - | - | - | - | - |"
+        assert [self.columns(line) for line in lines] == [8, 8, 8]
+
+
 class TestNonUtf8Files:
     """A file that is not valid UTF-8 is exit 1 with one line naming it."""
 
@@ -2191,6 +2221,14 @@ class TestErrorExits:
                 "validation error: unknown metrics: ['bogus']",
             ),
             (
+                (*_EVALUATE_AB, "--metrics", ""), _PAIR_FILES, 65,
+                "validation error: no metrics selected: choose from bleu, rouge, bertscore",
+            ),
+            (
+                (*_EVALUATE_AB, "--metrics", ","), _PAIR_FILES, 65,
+                "validation error: no metrics selected: choose from bleu, rouge, bertscore",
+            ),
+            (
                 (*_EVALUATE_AB, "--config", "{tmp}/c.json"),
                 {**_PAIR_FILES, "c.json": '{"backend": {"max_in_flight": 0}}'}, 65,
                 "validation error: {tmp}/c.json: backend: max_in_flight must be >= 1",
@@ -2204,7 +2242,7 @@ class TestErrorExits:
             "humaneval-header", "humaneval-columns", "humaneval-score", "humaneval-long-field",
             "dict-surrogate", "parallel-surrogate", "batch-surrogate-source", "batch-surrogate-id",
             "config-surrogate", "template-surrogate", "report-surrogate",
-            "evaluate-metric", "max-in-flight-0",
+            "evaluate-metric", "evaluate-no-metric", "evaluate-comma-metric", "max-in-flight-0",
         ],
     )
     def test_exit_code_and_one_line(

@@ -493,7 +493,7 @@ class TestEvaluateOnce:
 
 
 # ---------------------------------------------------------------------------
-# The count-down BLEU clipping and the row-gathered BERTScore matrices keep
+# The sorted BLEU clipping and the row-gathered BERTScore matrices keep
 # every bit of the formulas they replaced, which are kept here as references.
 # ---------------------------------------------------------------------------
 
@@ -592,3 +592,50 @@ class TestKernelsKeepReferenceBits:
             if hyp:
                 expected = stacked_bertscore(hyp, ref, stacked_token_vectors(hyp + ref, embedder))
                 assert bertscore(hyp, ref, embedder) == expected
+
+
+# Tokens of several characters, holding a space or sharing a prefix with
+# another, so that only whole-token equality may match.
+bleu_token_st = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "a b", "b", "ba", " ", "ᎠᎴ", "Ꭰ"]),
+    st.text("ab ", min_size=1, max_size=4),
+)
+bleu_ref_st = st.lists(bleu_token_st, min_size=1, max_size=12)
+bleu_hyp_st = st.one_of(
+    st.just([]), st.lists(bleu_token_st, min_size=1, max_size=3), bleu_ref_st
+)
+
+
+class TestSortedBleuClipping:
+    """``bleu`` clips over one sort of the whole set; the Counter references
+    above give the same bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(bleu_hyp_st, bleu_ref_st), min_size=1, max_size=40))
+    def test_equals_counter_min_bleu(self, pairs):
+        assert bleu(pairs) == counter_min_bleu(pairs)
+
+    @pytest.mark.parametrize("policy", list(TokenizationPolicy))
+    def test_seeded_syllabary_set(self, policy):
+        # 2,000 pairs: pair numbers, and under whitespace tokens the ids,
+        # take two bytes of the sort keys.
+        hyps, refs = syllabary_pairs(GOLDEN_SEED + 1, 2000)
+        pairs = [(tokenize(h, policy), tokenize(r, policy)) for h, r in zip(hyps, refs)]
+        assert bleu(pairs) == counter_min_bleu(pairs)
+
+    def test_ids_past_two_bytes(self):
+        rng = random.Random(7)
+        pairs = []
+        for i in range(700):
+            ref = [f"{i}.{j}" for j in range(100)]
+            at = rng.randrange(90)
+            pairs.append((ref[at : at + rng.randint(1, 10)] + ref[:3], ref))
+        assert bleu(pairs) == counter_min_bleu(pairs)
+
+    def test_no_ngram_spans_two_sentences(self):
+        # Laid end to end, pair A's hypothesis and pair B's would give the
+        # bigram "x y", which A's reference holds.  Order 1 matches A's "x"
+        # only, and order 2 matches nothing, so it takes the epsilon.
+        pairs = [(["w", "x"], ["x", "y"]), (["y", "z"], ["q", "r"])]
+        assert bleu(pairs) == math.exp((math.log(1 / 4) + math.log(BLEU_EPS)) / 2)
+        assert bleu(pairs) == counter_min_bleu(pairs)
