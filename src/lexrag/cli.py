@@ -185,6 +185,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 def cmd_translate(args: argparse.Namespace) -> int:
     if (args.text is None) == (args.input is None):
         raise UsageError("exactly one of --text or --input is required")
+    if args.text is not None and not args.text.strip():
+        raise UsageError("--text is blank: give a sentence to translate")
     if not 1 <= args.parallel <= MAX_PARALLELISM:
         raise UsageError(f"--parallel must be between 1 and {MAX_PARALLELISM}")
     config = load_config(args.config)

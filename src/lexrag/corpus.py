@@ -125,10 +125,10 @@ def normalize_keyword(text: str) -> str:
 
 
 def read_utf8(path: Path) -> str:
-    """The text of a UTF-8 file, line ends as they are; a decode error names
-    the file."""
+    """The text of a UTF-8 file, line ends as they are and a leading byte order
+    mark dropped; a decode error names the file."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
 

@@ -1,29 +1,28 @@
 """The two index structures behind retrieval, plus their on-disk form.
 
 A corpus is indexed twice: a plain dict from normalized phrase to ascending
-document positions, the same object in memory as in ``keyword_index.json``,
-and a vector store of unit-normalized embeddings queried by cosine
-similarity (dot product, since rows are unit vectors).  The build writes
-each chunk of embeddings into the float32 matrix as it arrives, so its peak
-is about that matrix plus one chunk of replies.  Top-K is
-exact and flat, in two passes.  A float32 product screens every row and
-gives the k-th best screen score; its proven error bound then rules out
-every row that cannot reach the k-th float64 score.  The screen runs on a
-batch of queries at once, so the matrix is read once per batch; it holds
-``count`` x 4 bytes per query (2.5 MB for 32 queries over 20,000 rows).
-The 8-row groups holding a remaining row are scored in float64, one query
-at a time and at most ``SCORE_BLOCK_ROWS`` rows per product, so no query
-allocates a float64 copy of the matrix (25 MB at 3,000 x 1,536).  They are
-sorted by (-score, row), a row being a document's position, as a keyword
-posting is.  The result, every score bit included, equals a full float64
-sort of every row.
+document positions, which ``keyword_index.json`` keeps packed, and a vector
+store of unit-normalized embeddings queried by cosine similarity (dot
+product, since rows are unit vectors).  The build writes each chunk of
+embeddings into the float32 matrix as it arrives, so its peak is about that
+matrix plus one chunk of replies.  Top-K is exact and flat, in two passes.
+A float32 product screens every row and gives the k-th best screen score;
+its proven error bound then rules out every row that cannot reach the k-th
+float64 score.  The screen runs on a batch of queries at once, so the matrix
+is read once per batch; it holds ``count`` x 4 bytes per query (2.5 MB for
+32 queries over 20,000 rows).  The 8-row groups holding a remaining row are
+scored in float64, one query at a time and at most ``SCORE_BLOCK_ROWS`` rows
+per product, so no query allocates a float64 copy of the matrix (25 MB at
+3,000 x 1,536).  They are sorted by (-score, row), a row being a document's
+position, as a keyword posting is.  The result, every score bit included,
+equals a full float64 sort of every row.
 
 Index directory layout::
 
     manifest.json       the fields of IndexManifest: dim / count / embedder_id /
                         created_at / max_phrase_len / version
-    keyword_index.json  normalized phrase -> ascending array of document
-                        positions (indexes into docs.json), compact
+    keyword_index.json  sorted phrases, their posting counts, then every posting
+                        (a docs.json index) as base64 of little-endian uint32s
     docs.json           dictionary_count, then arrays source_text / target_text /
                         definition, one value per document: the first
                         dictionary_count documents are dictionary entries,
@@ -31,29 +30,30 @@ Index directory layout::
     vectors.bin         binary vector payload (see below)
     cache/embeddings.jsonl   optional embedding cache
 
-``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=6), dim u32,
+``vectors.bin``, little-endian: magic ``LRXV``, version u32 (=7), dim u32,
 count u64, then ``count × dim`` float32 values, one row per document in
 ``docs.json`` order.
 
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
 leaves a directory that ``load_index`` rejects, never one that loads.
-Each file is checked by ``load_index``; the keyword postings, and how the
-files fit together, only by :class:`IndexBundle`, which ``save_index``
-builds before writing anything.  A load keeps the ``docs.json`` columns and
-builds no Document or id: a Document is built when its position first
-reaches a result.
+Each file is checked by ``load_index``, the keyword postings against the
+document count in one numpy pass; the rest of how the files fit together by
+:class:`IndexBundle`, which ``save_index`` builds before writing anything.
+A load keeps the ``docs.json`` columns and builds no Document or id: a
+Document is built when its position first reaches a result.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
 import logging
 import struct
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -67,7 +67,7 @@ from .corpus import load_documents, normalize_keyword, save_documents
 logger = logging.getLogger(__name__)
 
 MAGIC = b"LRXV"
-FORMAT_VERSION = 6  # of both manifest.json and the vectors.bin header
+FORMAT_VERSION = 7  # of both manifest.json and the vectors.bin header
 VECTORS_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 UNIT_NORM_TOL = 1e-4
 EMBED_BATCH_SIZE = 32  # texts per embedding request
@@ -474,21 +474,23 @@ def vector_topk(
 @dataclass
 class IndexBundle:
     """One index, as saved and loaded; ``keyword`` is the phrase -> positions
-    dict of ``keyword_index.json``; loaded ``docs`` are the columns of
+    dict that ``keyword_index.json`` packs; loaded ``docs`` are the columns of
     ``docs.json``, which build a Document when its position first reaches a
     result.  Construction checks its parts against each other, here only:
     the manifest describes the vectors, whose rows follow the documents (at
     load, two id views compared by their counts), and every keyword posting
     is the position of a document.  The postings take three C-level passes,
-    over their types, for their ``min`` and for their ``max``; only a bundle
-    that fails one is scanned, for the phrase and the value to name."""
+    over their types, for their ``min`` and for their ``max`` (a load checks
+    them itself and passes ``postings_checked``); only a bundle that fails
+    one is scanned, for the phrase and the value to name."""
 
     keyword: dict[str, list[int]]
     vector: VectorIndex
     manifest: IndexManifest
     docs: Sequence[Document]
+    postings_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, postings_checked: bool) -> None:
         described = (self.manifest.count, self.manifest.dim, self.manifest.embedder_id)
         stored = (self.vector.count, self.vector.dim, self.vector.embedder_id)
         if described != stored:
@@ -497,23 +499,24 @@ class IndexBundle:
             )
         if self.vector.ids != _ids(self.docs):
             raise IndexFormatError("vector index ids do not follow the documents in order")
-        count, entries = len(self.docs), self.keyword
-        postings = itertools.chain.from_iterable
-        if not (
-            set(map(type, postings(entries.values()))) <= {int}  # not bool or float
-            and min(postings(entries.values()), default=0) >= 0
-            and max(postings(entries.values()), default=-1) < count
-        ):
-            phrase, bad = next(
-                (phrase, position)
-                for phrase, positions in entries.items()
-                for position in positions
-                if type(position) is not int or not 0 <= position < count
-            )
-            raise IndexFormatError(
-                f"{KEYWORD_FILE}: phrase {phrase!r} lists {bad!r}, not the position of "
-                f"one of the {count} documents"
-            )
+        if not postings_checked:
+            _check_postings(self.keyword, len(self.docs))
+
+
+def _check_postings(entries: dict[str, list[int]], count: int) -> None:
+    postings = itertools.chain.from_iterable
+    if not (
+        set(map(type, postings(entries.values()))) <= {int}  # not bool or float
+        and min(postings(entries.values()), default=0) >= 0
+        and max(postings(entries.values()), default=-1) < count
+    ):
+        for phrase, positions in entries.items():
+            for bad in positions:
+                if type(bad) is not int or not 0 <= bad < count:
+                    raise IndexFormatError(
+                        f"{KEYWORD_FILE}: phrase {phrase!r} lists {bad!r}, not the position of "
+                        f"one of the {count} documents"
+                    )
 
 
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
@@ -559,11 +562,12 @@ def save_index(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
-    (out / KEYWORD_FILE).write_text(
-        json.dumps(keyword, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-        + "\n",
-        encoding="utf-8",
-    )
+    phrases = sorted(keyword)
+    counts = [len(keyword[phrase]) for phrase in phrases]
+    flat = np.fromiter(itertools.chain.from_iterable(map(keyword.__getitem__, phrases)), "<u4")
+    fields = {"phrases": phrases, "counts": counts, "positions": base64.b64encode(flat).decode()}
+    text = json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+    (out / KEYWORD_FILE).write_text(text + "\n", encoding="utf-8")
     save_documents(docs, out / DOCS_FILE)
     _write_vectors(out / VECTORS_FILE, vector)
     manifest_text = json.dumps(asdict(manifest), indent=2) + "\n"
@@ -591,15 +595,38 @@ def load_index(index_dir: str | Path) -> IndexBundle:
             f"{FORMAT_VERSION}); rebuild it with `lexrag index-build`"
         )
 
-    try:
-        keyword = json.loads((root / KEYWORD_FILE).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # decode, syntax, int-digit limit, depth
-        raise IndexFormatError(f"{root / KEYWORD_FILE}: {exc}") from exc
-    # Each value must be a list (one C-level pass); the bundle checks the
-    # positions in them.
-    if not (isinstance(keyword, dict) and set(map(type, keyword.values())) <= {list}):
-        raise IndexFormatError(f"{root / KEYWORD_FILE}: expected phrase -> [positions] object")
-
     docs = load_documents(root / DOCS_FILE)
     vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, docs.ids)
-    return IndexBundle(keyword=keyword, vector=vector, manifest=manifest, docs=docs)
+    keyword = _read_keyword(root / KEYWORD_FILE, len(docs))
+    return IndexBundle(keyword, vector, manifest, docs, postings_checked=True)
+
+
+def _read_keyword(path: Path, count: int) -> dict[str, list[int]]:
+    """The phrase -> positions map that ``keyword_index.json`` packs, checked."""
+    try:
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        phrases, counts, positions = fields["phrases"], fields["counts"], fields["positions"]
+    except (OSError, ValueError, RecursionError) as exc:  # decode, syntax, int-digit limit, depth
+        raise IndexFormatError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise IndexFormatError(f"{path}: expected phrases, counts and positions") from exc
+    try:
+        postings = np.frombuffer(base64.b64decode(positions, validate=True), "<u4")
+    except (TypeError, ValueError) as exc:  # not a string, not base64, or a cut uint32
+        raise IndexFormatError(f"{path}: positions are not base64 of uint32s: {exc}") from exc
+    if not (
+        type(phrases) is type(counts) is list and len(phrases) == len(counts)
+        and set(map(type, phrases)) <= {str} and set(map(type, counts)) <= {int}  # no bool
+        and min(counts, default=0) >= 0
+    ):
+        raise IndexFormatError(f"{path}: expected string phrases, each with an int count >= 0")
+    if sum(counts) != postings.size:
+        raise IndexFormatError(f"{path}: counts sum to {sum(counts)}, not {postings.size} postings")
+    slices = map(slice, itertools.accumulate(counts, initial=0), itertools.accumulate(counts))
+    keyword = dict(zip(phrases, map(postings.tolist().__getitem__, slices)))
+    if postings.size and postings.max() >= count:  # the bundle's scan names the first bad one
+        _check_postings(keyword, count)
+    if len(keyword) != len(phrases):
+        repeat = next(a for a, b in itertools.pairwise(sorted(phrases)) if a == b)
+        raise IndexFormatError(f"{path}: phrase {repeat!r} repeats")
+    return keyword

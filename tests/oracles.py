@@ -8,7 +8,10 @@ these, so keep them slow and obvious.
 
 from __future__ import annotations
 
+import base64
+import json
 import math
+import struct
 from functools import lru_cache
 
 BLEU_EPS = 1e-9
@@ -103,3 +106,29 @@ def oracle_topk(rows, query, k):
         scored.append((doc_id, math.fsum(x * q for x, q in zip(vec, query))))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[: max(k, 0)]
+
+
+def oracle_pack_keyword(keyword):
+    """The text of ``keyword_index.json`` for a phrase -> positions dict:
+    sorted phrases, their posting counts, and every posting in phrase order
+    as base64 of little-endian uint32 values."""
+    phrases = sorted(keyword)
+    packed = b"".join(struct.pack("<I", p) for phrase in phrases for p in keyword[phrase])
+    fields = {
+        "phrases": phrases,
+        "counts": [len(keyword[phrase]) for phrase in phrases],
+        "positions": base64.b64encode(packed).decode("ascii"),
+    }
+    return json.dumps(fields, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def oracle_unpack_keyword(text):
+    """The phrase -> positions dict of a ``keyword_index.json`` text."""
+    fields = json.loads(text)
+    packed = base64.b64decode(fields["positions"])
+    postings = [value for (value,) in struct.iter_unpack("<I", packed)]
+    keyword, start = {}, 0
+    for phrase, count in zip(fields["phrases"], fields["counts"]):
+        keyword[phrase] = postings[start : start + count]
+        start += count
+    return keyword

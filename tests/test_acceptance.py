@@ -276,7 +276,7 @@ def test_criterion_7_persistence_round_trip(tmp_path, data_dir):
 
     def bad_version(d):
         payload = bytearray((d / "vectors.bin").read_bytes())
-        payload[4:8] = (7).to_bytes(4, "little")
+        payload[4:8] = (99).to_bytes(4, "little")
         (d / "vectors.bin").write_bytes(bytes(payload))
 
     err = corrupt(bad_version)

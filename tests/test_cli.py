@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import contextlib
 import copy
 import io
@@ -30,6 +31,7 @@ from lexrag.index import (
     load_index,
 )
 from lexrag.retrieval import RetrievalConfig
+from oracles import oracle_pack_keyword, oracle_unpack_keyword
 from test_backends import stub_server  # noqa: F401  (a fixture)
 
 pytestmark = pytest.mark.usefixtures("_cwd_tmp")
@@ -521,6 +523,27 @@ class TestFaultyEmbedderContract:
         )
 
 
+_COUNTS_MESSAGE = "expected string phrases, each with an int count >= 0"
+_BASE64_MESSAGE = "positions are not base64 of uint32s: "
+
+
+def _water_postings(fields, postings):
+    """``fields`` packed anew with the postings of the phrase 'water' set to ``postings``."""
+    keyword = oracle_unpack_keyword(json.dumps(fields))
+    return json.loads(oracle_pack_keyword({**keyword, "water": postings}))
+
+
+def _water_count(fields, count):
+    """``fields`` with the posting count of the phrase 'water' set to ``count``."""
+    counts = list(fields["counts"])
+    counts[fields["phrases"].index("water")] = count
+    return {**fields, "counts": counts}
+
+
+def _postings(fields):
+    return base64.b64decode(fields["positions"])
+
+
 class TestDamagedIndex:
     def test_nan_vector_is_exit_1(self, built_index, capsys):
         path = built_index / "vectors.bin"
@@ -543,26 +566,62 @@ class TestDamagedIndex:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "posting, message",
+        "edit, message",
         [
-            (-1, "lists -1,"),
-            (11, "lists 11,"),
-            (True, "lists True,"),
-            (1.0, "lists 1.0,"),
-            ("d:0", "lists 'd:0',"),
+            (
+                lambda fields: _water_postings(fields, [11]),
+                f"{KEYWORD_FILE}: phrase 'water' lists 11, not the position of one of the 11 ",
+            ),
+            (lambda fields: _water_count(fields, True), _COUNTS_MESSAGE),
+            (lambda fields: _water_count(fields, 1.0), _COUNTS_MESSAGE),
+            (lambda fields: _water_count(fields, -1), _COUNTS_MESSAGE),
+            (lambda fields: {**fields, "positions": "d:0"}, _BASE64_MESSAGE),
+            (lambda fields: _water_count(fields, 2), "counts sum to 14, not 13 postings"),
         ],
-        ids=["negative", "count", "true", "float", "v4_id"],
+        ids=["count", "true", "float", "negative", "v4_id", "sum"],
     )
-    def test_bad_keyword_posting_is_exit_1(self, posting, message, built_index, capsys):
+    def test_bad_keyword_posting_is_exit_1(self, edit, message, built_index, capsys):
         path = built_index / KEYWORD_FILE
-        entries = json.loads(path.read_text(encoding="utf-8"))
-        assert entries["water"] == [0]
-        entries["water"] = [posting]
-        path.write_text(json.dumps(entries), encoding="utf-8")
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        assert oracle_unpack_keyword(json.dumps(fields))["water"] == [0]
+        path.write_text(json.dumps(edit(fields)), encoding="utf-8")
         code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
         assert (code, out) == (1, "")
         assert err.startswith("lexrag: error: ") and len(err.splitlines()) == 1
-        assert f"{KEYWORD_FILE}: phrase 'water' {message} not the position of one of the 11 " in err
+        assert KEYWORD_FILE in err and message in err, err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda f: {**f, "positions": f["positions"][:-2]}, _BASE64_MESSAGE),
+            (
+                lambda f: {**f, "positions": base64.b64encode(_postings(f) + b"\0").decode()},
+                "multiple of element size",
+            ),
+            (
+                lambda f: {**f, "phrases": f["phrases"][:1] + f["phrases"][:-1]},
+                "phrase 'baked' repeats",
+            ),
+            (lambda f: {**f, "phrases": [5, *f["phrases"][1:]]}, _COUNTS_MESSAGE),
+            (
+                lambda f: _water_postings(f, [2**32 - 1]),
+                "phrase 'water' lists 4294967295, not the position of one of the 11 documents",
+            ),
+            (lambda f: f["phrases"], "expected phrases, counts and positions"),
+            (lambda f: {"phrases": f["phrases"], "positions": f["positions"]}, "expected phrases"),
+        ],
+        ids=[
+            "cut_base64", "partial_uint32", "repeated_phrase", "int_phrase", "largest_uint32",
+            "array", "no_counts",
+        ],
+    )
+    def test_damaged_packed_keyword_file_is_exit_1(self, edit, message, built_index, capsys):
+        path = built_index / KEYWORD_FILE
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))))
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--text", "water")
+        assert (code, out) == (1, "")
+        assert err.startswith("lexrag: error: ") and len(err.splitlines()) == 1
+        assert KEYWORD_FILE in err and message in err, err
 
     @pytest.mark.parametrize("name", [KEYWORD_FILE, DOCS_FILE])
     def test_integer_over_digit_limit_is_exit_1(self, name, built_index, capsys):
@@ -622,6 +681,52 @@ class TestDamagedIndex:
                 assert err.startswith("lexrag:") and len(err.splitlines()) == 1, err
 
         check()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark at the start of an input file, as Windows
+    editors and spreadsheet "CSV UTF-8" exports write it, is dropped: the
+    file reads as it does without one."""
+
+    def test_batch_input_first_line(self, built_index, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_bytes("\ufeffwater\nwater\n".encode("utf-8"))
+        code, out, err = run(capsys, "translate", "--index", str(built_index), "--input", str(path))
+        assert code == 0, err
+        records = [json.loads(line) for line in out.splitlines()]
+        first, second = ([record[k] for k in ("query", "output", "results")] for record in records)
+        assert first == second
+        assert first[1] == "ᎠᎹ" and first[2][0]["provenance"] == "keyword"
+
+    def test_evaluate_hypothesis(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_bytes("\ufeffᎠᎹ ᎠᏂ\n".encode("utf-8"))
+        (tmp_path / "r.txt").write_text("ᎠᎹ ᎠᏂ\n", encoding="utf-8")
+        argv = ("evaluate", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt"))
+        code, out, err = run(capsys, *argv, "--metrics", "bleu,rouge")
+        assert code == 0, err
+        report = json.loads(out)
+        assert (report["bleu"], report["rouge_l_f"]) == (1.0, 1.0)
+
+    def test_humaneval_sheet(self, data_dir, tmp_path, capsys):
+        sheet = data_dir / "human_scores_cherokee.csv"
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + sheet.read_bytes())
+        expected = run(capsys, "humaneval", "--scores", str(sheet))
+        assert expected[0] == 0, expected[2]
+        assert run(capsys, "humaneval", "--scores", str(path)) == expected
+
+    def test_dictionary_jsonl(self, data_dir, tmp_path, capsys):
+        source = data_dir / "tiny_dict.jsonl"
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        for name, dictionary in (("plain", source), ("marked", path)):
+            code, _, err = run(
+                capsys, "index-build", "--dict", str(dictionary), "--out", str(tmp_path / name)
+            )
+            assert code == 0, err
+        for name in (KEYWORD_FILE, DOCS_FILE, VECTORS_FILE):
+            marked, plain = (tmp_path / build / name for build in ("marked", "plain"))
+            assert marked.read_bytes() == plain.read_bytes()
 
 
 class TestTranslate:
@@ -2138,6 +2243,14 @@ class TestErrorExits:
                 {"in.txt": "\n  \n\t\n"}, 1, "error: {tmp}/in.txt: no input sentences",
             ),
             (
+                ("translate", "--index", "{index}", "--text", ""), {}, 64,
+                "error: --text is blank: give a sentence to translate",
+            ),
+            (
+                ("translate", "--index", "{index}", "--text", "   "), {}, 64,
+                "error: --text is blank: give a sentence to translate",
+            ),
+            (
                 ("evaluate", "--hyp", "{tmp}/absent.txt", "--ref", "{tmp}/r.txt"),
                 {"r.txt": "a\n"}, 1, "error: file not found: {tmp}/absent.txt",
             ),
@@ -2235,7 +2348,8 @@ class TestErrorExits:
             ),
         ],
         ids=[
-            "no-index", "template-missing", "blank-batch", "hyp-missing", "report-missing",
+            "no-index", "template-missing", "blank-batch", "empty-text", "blank-text",
+            "hyp-missing", "report-missing",
             "dict-not-object", "dict-definition-int", "dict-target-empty", "dict-examples-str",
             "dict-example-pair", "dict-example-empty", "parallel-source-empty",
             "parallel-target-empty", "parallel-provenance-int", "report-unknown-field",

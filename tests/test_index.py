@@ -48,7 +48,7 @@ from lexrag.index import (
     vector_topk,
 )
 from lexrag.retrieval import RetrievalConfig, extract_query_terms, retrieve
-from oracles import oracle_topk
+from oracles import oracle_pack_keyword, oracle_topk, oracle_unpack_keyword
 
 
 class TestNormalizeKeyword:
@@ -767,7 +767,7 @@ class TestPersistence:
         assert not (tmp_path / "refused").exists()
 
         save_index(keyword, vector, manifest, tiny_docs, tmp_path)
-        (tmp_path / KEYWORD_FILE).write_text(json.dumps(ghost), encoding="utf-8")
+        (tmp_path / KEYWORD_FILE).write_text(oracle_pack_keyword(ghost), encoding="utf-8")
         with pytest.raises(IndexFormatError, match="'ghost' lists 999, not the position"):
             load_index(tmp_path)
 
@@ -1079,9 +1079,9 @@ class TestFormatV3:
         assert bundle.docs == tiny_docs
         assert [d.render_text for d in bundle.docs] == [d.render_text for d in tiny_docs]
         manifest = json.loads((tmp_path / MANIFEST_FILE).read_text())
-        assert manifest["version"] == FORMAT_VERSION == 6
+        assert manifest["version"] == FORMAT_VERSION == 7
         header = (tmp_path / VECTORS_FILE).read_bytes()[: VECTORS_HEADER.size]
-        assert VECTORS_HEADER.unpack(header)[1] == 6
+        assert VECTORS_HEADER.unpack(header)[1] == 7
 
     def test_nan_row_in_vectors_bin_rejected(self, tmp_path):
         entries = [("dictionary", "water", "ᎠᎹ", None), ("dictionary", "sun", "ᏅᏓ", None)]
@@ -1228,3 +1228,59 @@ class TestDocumentsAsColumns:
         assert len(built) == config.k_total
         as_list = IndexBundle(bundle.keyword, bundle.vector, bundle.manifest, list(bundle.docs))
         assert retrieve(query, as_list, MockEmbedder(dim=8), config) == results
+
+
+class TestPackedKeywordFile:
+    """keyword_index.json keeps the phrases, their posting counts and every
+    posting as base64 uint32s; a load unpacks it to the dict a build makes."""
+
+    _PHRASE = st.text(alphabet="ab ᎠᎹé𝄞", min_size=1, max_size=6)  # shared prefixes, non-ASCII
+
+    @staticmethod
+    def _parts(keyword, count):
+        docs = to_documents([("dictionary", f"w{i}", f"t{i}", None) for i in range(count)], [])
+        vector = VectorIndex(dim=1, embedder_id="e", ids=docs.ids, vectors=np.ones((count, 1)))
+        return keyword, vector, IndexManifest.create(keyword, vector), docs
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 300), data=st.data())
+    def test_round_trip_keeps_every_list_and_every_byte(self, count, data):
+        postings = st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True)
+        keyword = data.draw(
+            st.dictionaries(self._PHRASE, postings | st.just([count - 1]), min_size=1, max_size=20)
+        )
+        keyword = {phrase: sorted(positions) for phrase, positions in keyword.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            save_index(*self._parts(keyword, count), first)
+            text = (first / KEYWORD_FILE).read_text(encoding="utf-8")
+            loaded = load_index(first)
+            save_index(loaded.keyword, loaded.vector, loaded.manifest, loaded.docs, second)
+            assert (second / KEYWORD_FILE).read_text(encoding="utf-8") == text
+        assert text == oracle_pack_keyword(keyword)
+        assert oracle_unpack_keyword(text) == keyword
+        assert loaded.keyword == keyword and list(loaded.keyword) == sorted(keyword)
+        assert all(type(p) is int for positions in loaded.keyword.values() for p in positions)
+
+    def test_long_and_single_position_lists(self, tmp_path):
+        keyword = {"the": list(range(5000)), "ᎠᎹ": [4999], "a": [0], "a b": [1, 4998]}
+        save_index(*self._parts(keyword, 5000), tmp_path)
+        assert load_index(tmp_path).keyword == keyword
+
+    def test_load_runs_none_of_the_bundles_posting_passes(self, tmp_path, monkeypatch):
+        keyword = {"water": [0, 2], "sun": [1]}
+        save_index(*self._parts(keyword, 3), tmp_path)
+
+        def walk(entries, count):
+            raise AssertionError("the bundle walked the postings")
+
+        monkeypatch.setattr("lexrag.index._check_postings", walk)
+        assert load_index(tmp_path).keyword == keyword
+        with pytest.raises(AssertionError, match="walked"):
+            IndexBundle(*self._parts(keyword, 3))
+
+    def test_file_holds_three_fields_in_order(self, tiny_docs, tmp_path):
+        bundle = _saved_tiny_index(tiny_docs, tmp_path)
+        packed = (tmp_path / KEYWORD_FILE).read_text(encoding="utf-8")
+        assert list(json.loads(packed)) == ["phrases", "counts", "positions"]
+        assert packed == oracle_pack_keyword(bundle.keyword)
