@@ -33,6 +33,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
+import numpy as np
+
 
 class BackendError(Exception):
     """Transport or provider failure, raised after retries are exhausted."""
@@ -88,36 +90,43 @@ class Generator(Protocol):
     def generate(self, prompt: str) -> GenerationResult: ...
 
 
+MAX_MOCK_DIM = 65536  # far above the few thousand dimensions of real embedding models
+
+
 class MockEmbedder:
     """Deterministic embedder: each text maps to a fixed unit vector derived
-    from the SHA-256 of the text (digest seeds a PRNG that fills ``dim``
-    values in [-1, 1], which are then normalized).
+    from the SHA-256 of the text (digest seeds a Mersenne Twister; one
+    ``getrandbits`` draw per text holds the bits of ``dim`` per-value
+    ``uniform(-1, 1)`` calls, then fsum-normalized); seeding is the cost floor.
 
     Bit-identical across processes and runs; ``calls`` counts backend
     invocations so tests can assert cache hits and fallback behavior.
     """
 
     def __init__(self, dim: int = 8) -> None:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= dim <= MAX_MOCK_DIM:
+            raise ValueError(f"dim must be >= 1 and <= {MAX_MOCK_DIM}")
         self.dim = dim
         self.embedder_id = f"mock-embed-{dim}"
         self.calls = 0
         self._lock = threading.Lock()
-
-    def _vector(self, text: str) -> list[float]:
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        values = [rng.uniform(-1.0, 1.0) for _ in range(self.dim)]
-        norm = math.sqrt(math.fsum(v * v for v in values))
-        return [v / norm for v in values]
+        self._rng = random.Random(0)  # reseeded per text; a fixed seed reads no entropy
 
     def embed_texts(self, texts: Sequence[str]) -> list[list[float]]:
         if not texts:
             raise ValueError("embed_texts requires at least one text")
-        with self._lock:
+        keys = [int.from_bytes(hashlib.sha256(t.encode("utf-8")).digest(), "big") for t in texts]
+        bits = bytearray()
+        with self._lock:  # guards the shared twister between its seed and its draw
             self.calls += 1
-        return [self._vector(text) for text in texts]
+            for key in keys:
+                self._rng.seed(key)
+                bits += self._rng.getrandbits(64 * self.dim).to_bytes(8 * self.dim, "little")
+        words = np.frombuffer(bits, dtype="<u4").reshape(len(texts), self.dim, 2)
+        a, b = words[..., 0] >> 5, words[..., 1] >> 6  # CPython's random(), then uniform(-1, 1)
+        values = -1.0 + 2.0 * ((a * 67108864.0 + b) / 9007199254740992.0)
+        norms = [math.sqrt(math.fsum(row)) for row in (values * values).tolist()]
+        return (values / np.array(norms)[:, None]).tolist()
 
     def embed_tokens(self, tokens: Sequence[str]) -> list[list[float]]:
         if not tokens:

@@ -21,6 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .backends import (
+    MAX_MOCK_DIM,
     BackendConfig,
     BackendError,
     Embedder,
@@ -115,6 +116,8 @@ class BackendSettings(BackendConfig):
             raise ValueError(f"provider must be 'mock' or 'http', got {self.provider!r}")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
+        if self.embed_dim > MAX_MOCK_DIM:
+            raise ValueError(f"embed_dim must be <= {MAX_MOCK_DIM}")
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,9 @@ def _clean_headword(raw: str) -> str:
 
 
 def _strip_punctuation(word: str) -> str:
+    # No P* code point is alphanumeric (a test checks), so these ends strip nothing.
+    if word[:1].isalnum() and word[-1:].isalnum():
+        return word
     start, end = 0, len(word)
     while start < end and unicodedata.category(word[start]).startswith("P"):
         start += 1

@@ -9,9 +9,12 @@ these, so keep them slow and obvious.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
+import random
 import struct
+import unicodedata
 from functools import lru_cache
 
 BLEU_EPS = 1e-9
@@ -132,3 +135,28 @@ def oracle_unpack_keyword(text):
         keyword[phrase] = postings[start : start + count]
         start += count
     return keyword
+
+
+def oracle_mock_vector(text, dim):
+    """The mock embedder's vector for ``text``: the SHA-256 digest seeds a
+    ``random.Random``, ``dim`` ``uniform(-1, 1)`` draws, then an fsum norm."""
+    rng = random.Random(int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest(), "big"))
+    values = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+    norm = math.sqrt(math.fsum(v * v for v in values))
+    return [v / norm for v in values]
+
+
+def oracle_normalize_keyword(text):
+    """NFC, casefold, NFC again, then each whitespace-split word with its
+    leading and trailing P* characters scanned off; empty words dropped."""
+    text = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).casefold())
+    words = []
+    for word in text.split():
+        start, end = 0, len(word)
+        while start < end and unicodedata.category(word[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            words.append(word[start:end])
+    return " ".join(words)

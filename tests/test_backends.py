@@ -16,8 +16,11 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexrag.backends import (
+    MAX_MOCK_DIM,
     BackendConfig,
     BackendError,
     MockEmbedder,
@@ -27,17 +30,22 @@ from lexrag.backends import (
 )
 from lexrag.cli import main
 
+from oracles import oracle_mock_vector
+
 # Pinned output of MockEmbedder(dim=8) for "a"; guards cross-process stability.
 FROZEN_A = [
-    0.226258816573,
-    -0.613330712504,
-    0.225728070896,
-    -0.503755992483,
-    0.091208738665,
-    -0.323182455177,
-    0.390327774006,
-    -0.052796008985,
+    0.22625881657320665,
+    -0.6133307125044629,
+    0.22572807089608618,
+    -0.5037559924833752,
+    0.0912087386647774,
+    -0.32318245517683586,
+    0.3903277740060869,
+    -0.05279600898540516,
 ]
+
+# Odd, even, one-word and real-model sizes.
+MOCK_DIMS = [1, 2, 3, 7, 8, 63, 64, 384, 1536]
 
 
 def norm(vec):
@@ -51,7 +59,7 @@ class TestMockEmbedder:
 
     def test_pinned_value(self):
         vec = MockEmbedder(dim=8).embed_texts(["a"])[0]
-        assert vec == pytest.approx(FROZEN_A, abs=1e-9)
+        assert vec == FROZEN_A
 
     def test_distinct_inputs_distinct_unit_vectors(self):
         vectors = MockEmbedder(dim=8).embed_texts(["a", "b"])
@@ -64,6 +72,58 @@ class TestMockEmbedder:
         two = MockEmbedder(dim=8)
         one.embed_texts(["noise", "more noise"])
         assert one.embed_texts(["target"]) == two.embed_texts(["target"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(st.text(st.characters(blacklist_categories=["Cs"]), max_size=12), max_size=6),
+        repeats=st.integers(0, 3),
+        dim=st.sampled_from(MOCK_DIMS),
+    )
+    def test_bits_equal_per_value_uniform(self, texts, repeats, dim):
+        texts = ["", *texts, *texts[:repeats]]
+        got = MockEmbedder(dim).embed_texts(texts)
+        assert all(type(value) is float for vector in got for value in vector)
+        assert [[value.hex() for value in vector] for vector in got] == [
+            [value.hex() for value in oracle_mock_vector(text, dim)] for text in texts
+        ]
+
+    @pytest.mark.parametrize("dim", MOCK_DIMS)
+    def test_vector_independent_of_its_request(self, dim):
+        embedder = MockEmbedder(dim)
+        alone = embedder.embed_texts(["target"])[0]
+        for request in (["target", "other"], ["x", "target", "target"], ["", "ᎠᎹ", "target"]):
+            for vector, text in zip(embedder.embed_texts(request), request):
+                if text == "target":
+                    assert vector == alone
+
+    def test_threads_sharing_one_embedder_get_single_thread_vectors(self):
+        embedder = MockEmbedder(dim=64)
+        requests = [[f"text {i} {j}" for j in range(i % 5 + 1)] for i in range(200)]
+        expected = [MockEmbedder(dim=64).embed_texts(request) for request in requests]
+        results: dict[int, list] = {}
+
+        def work(worker):
+            results[worker] = [embedder.embed_texts(request) for request in requests]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {worker: expected for worker in range(8)}
+        assert embedder.calls == 8 * len(requests)
+
+    def test_dim_bounds(self):
+        assert len(MockEmbedder(MAX_MOCK_DIM).embed_texts(["x"])[0]) == MAX_MOCK_DIM == 65536
+        for dim in (0, MAX_MOCK_DIM + 1):
+            with pytest.raises(ValueError, match="dim must be >= 1 and <= 65536"):
+                MockEmbedder(dim)
 
     def test_embed_tokens(self):
         vectors = MockEmbedder(dim=8).embed_tokens(["the", "cat"])

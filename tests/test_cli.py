@@ -121,6 +121,17 @@ class TestIndexBuild:
             trees.append((files, manifest))
         assert trees[0] == trees[1]
 
+    def test_cold_build_writes_the_golden_vectors(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "idx"
+        config = write_config(tmp_path / "cfg.json")
+        inputs = ("--dict", str(data_dir / "tiny_dict.jsonl"))
+        inputs += ("--parallel", str(data_dir / "tiny_parallel.jsonl"))
+        code, stdout, err = run(capsys, "index-build", *inputs, "--out", str(out), "--config", str(config))
+        assert code == 0, err
+        assert stdout.startswith("indexed 14 documents") and "cache_misses=14)" in stdout
+        golden = (data_dir / "golden_tiny_vectors.bin").read_bytes()
+        assert (out / VECTORS_FILE).read_bytes() == golden
+
     def test_no_inputs_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "index-build", "--out", str(tmp_path / "idx"))
         assert code == 64
@@ -1559,6 +1570,31 @@ class TestConfigValues:
         assert (code, out) == (65, "")
         section = "backend.retry" if "retry" in backend else "backend"
         assert err == f"lexrag: validation error: {path}: {section}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "index-build"])
+    def test_mock_dim_over_the_cap_is_exit_65(self, command, tmp_path, data_dir, capsys):
+        path = write_config(tmp_path / "cfg.json", backend={"provider": "mock", "embed_dim": 65537})
+        if command == "evaluate":
+            pairs = tmp_path / "pairs.txt"
+            pairs.write_text("ᎠᎹ\n", encoding="utf-8")
+            argv = ["--hyp", str(pairs), "--ref", str(pairs)]
+        else:
+            argv = ["--dict", str(data_dir / "tiny_dict.jsonl"), "--out", str(tmp_path / "idx")]
+        code, out, err = run(capsys, command, *argv, "--config", str(path))
+        assert (code, out) == (65, "")
+        assert err == f"lexrag: validation error: {path}: backend: embed_dim must be <= 65536\n"
+        assert not (tmp_path / "idx").exists()
+
+    def test_mock_dim_at_the_cap_embeds(self, tmp_path, capsys):
+        path = write_config(tmp_path / "cfg.json", backend={"provider": "mock", "embed_dim": 65536})
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("ᎠᎹ\n", encoding="utf-8")  # one token
+        argv = ("evaluate", "--hyp", str(pairs), "--ref", str(pairs), "--config", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["n_sentences"] == 1
+        assert report["bert_f1"] == pytest.approx(1.0)
 
     def test_any_damaged_config_exits_with_a_documented_code(self, built_index, tmp_path, capsys):
         """The README sample config (with the mock provider), with one value

@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 import shutil
+import string
 import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import unicodedata
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -48,7 +50,22 @@ from lexrag.index import (
     vector_topk,
 )
 from lexrag.retrieval import RetrievalConfig, extract_query_terms, retrieve
-from oracles import oracle_pack_keyword, oracle_topk, oracle_unpack_keyword
+from oracles import (
+    oracle_normalize_keyword,
+    oracle_pack_keyword,
+    oracle_topk,
+    oracle_unpack_keyword,
+)
+
+# Word characters, edge punctuation (the tsheg and shad are Po), combining
+# marks, casefold expanders, Cherokee in both cases and str.split separators.
+KEYWORD_ALPHABET = (
+    string.ascii_letters
+    + string.digits
+    + "_-'\u00bf\u00ab\u0f0b\u0f0d\u0301\u0345\u0f72\u00df\u0390\ufb01"
+    + "\u13a0\u13a1\u13f5\u13f8\u13fd\uab70\uabbf"
+    + " \t\n\x1c\x85\xa0\u3000"
+)
 
 
 class TestNormalizeKeyword:
@@ -71,6 +88,16 @@ class TestNormalizeKeyword:
         # without the first pass: "a\u03af"; without the second: "\u03b9\u0308\u0301"
         assert normalize_keyword("a\u0345\u0301") == "\u00e1\u03b9"
         assert normalize_keyword("\u0390") == "\u0390"
+
+    @settings(max_examples=500)
+    @given(st.text(KEYWORD_ALPHABET, max_size=30))
+    def test_equals_the_punctuation_scan(self, text):
+        assert normalize_keyword(text) == oracle_normalize_keyword(text)
+
+    def test_no_punctuation_is_alphanumeric(self):
+        # The premise that lets a word with alphanumeric ends skip the scan.
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [c for c in chars if c.isalnum() and unicodedata.category(c)[0] == "P"] == []
 
     @given(st.text(max_size=50))
     def test_idempotent(self, text):
