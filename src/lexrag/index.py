@@ -1,11 +1,12 @@
 """The two index structures behind retrieval, plus their on-disk form.
 
-A corpus is indexed twice: a plain dict from normalized phrase to ascending
-document positions, which ``keyword_index.json`` keeps packed, and a vector
-store of unit-normalized embeddings queried by cosine similarity (dot
-product, since rows are unit vectors).  The build writes each chunk of
-embeddings into the float32 matrix as it arrives, so its peak is about that
-matrix plus one chunk of replies.  Top-K is exact and flat, in two passes.
+A corpus is indexed twice: a :class:`KeywordIndex` from normalized phrase to
+ascending document positions, packed in memory as in ``keyword_index.json``
+(one uint32 array and one offset per phrase), and a vector store of
+unit-normalized embeddings queried by cosine similarity (dot product, since
+rows are unit vectors).  The build writes each chunk of embeddings into the
+float32 matrix as it arrives, so its peak is about that matrix plus one
+chunk of replies.  Top-K is exact and flat, in two passes.
 A float32 product screens every row and gives the k-th best screen score;
 its proven error bound then rules out every row that cannot reach the k-th
 float64 score.  The screen runs on a batch of queries at once, so the matrix
@@ -37,9 +38,9 @@ count u64, then ``count × dim`` float32 values, one row per document in
 ``save_index`` deletes ``manifest.json`` first and writes it last, so the
 manifest commits the other files: a save that raises or is killed part-way
 leaves a directory that ``load_index`` rejects, never one that loads.
-Each file is checked by ``load_index``, the keyword postings against the
-document count in one numpy pass; the rest of how the files fit together by
-:class:`IndexBundle`, which ``save_index`` builds before writing anything.
+Each file is checked by ``load_index``; how the files fit together, the
+keyword postings included (one numpy pass), by :class:`IndexBundle`, which
+``save_index`` builds before writing anything.
 A load keeps the ``docs.json`` columns and builds no Document or id: a
 Document is built when its position first reaches a result.
 """
@@ -53,7 +54,8 @@ import json
 import logging
 import struct
 import threading
-from dataclasses import InitVar, asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -106,13 +108,46 @@ def build_keyword_index(docs: Sequence[Document]) -> dict[str, list[int]]:
     return index
 
 
-def keyword_lookup(index: dict[str, list[int]], phrase: str) -> list[int]:
-    """Exact lookup of an already normalized phrase: its ascending document
-    positions, or an empty list on a miss.  The list is the index's own;
-    do not modify it.  The index keys and the phrases of
-    ``extract_query_terms`` are both ``normalize_keyword`` outputs, so a
-    query is normalized once and each of its n-grams is looked up as it is."""
-    return index.get(phrase, [])
+class KeywordIndex(Mapping):
+    """A read-only phrase -> positions map, packed as ``keyword_index.json``
+    keeps it: sorted phrases, their posting counts and every posting in one
+    uint32 array.  ``rows`` maps a phrase to its row r, whose postings
+    ``postings[offsets[r]:offsets[r + 1]]`` a lookup slices into a new list."""
+
+    def __init__(self, phrases: list[str], counts: list[int], postings: np.ndarray) -> None:
+        self.phrases, self.counts, self.postings = phrases, counts, postings
+        self.offsets = list(itertools.accumulate(counts, initial=0))
+        self.rows = dict(zip(phrases, range(len(phrases))))
+
+    @classmethod
+    def pack(cls, keyword: Mapping[str, Sequence[int]], count: int) -> KeywordIndex:
+        """``keyword`` packed, once its postings are checked to be int
+        positions (no bool or float) of ``count`` documents, in three C-level
+        passes over their types, ``min`` and ``max``."""
+        phrases = sorted(keyword)
+        rows = [keyword[phrase] for phrase in phrases]
+        flat = list(itertools.chain.from_iterable(rows))
+        ints = set(map(type, flat)) <= {int}
+        if not (ints and min(flat, default=0) >= 0 and max(flat, default=-1) < count):
+            _name_bad_posting(keyword, count)
+        return cls(phrases, list(map(len, rows)), np.array(flat, dtype="<u4"))
+
+    def __getitem__(self, phrase: str) -> list[int]:
+        row = self.rows[phrase]
+        return self.postings[self.offsets[row] : self.offsets[row + 1]].tolist()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.phrases)
+
+    def __len__(self) -> int:
+        return len(self.phrases)
+
+
+def keyword_lookup(index: KeywordIndex, phrase: str) -> list[int]:
+    """A fresh list of an already normalized phrase's ascending document
+    positions; an empty list on a miss.  Index keys and query n-grams are both
+    ``normalize_keyword`` outputs, so each n-gram is looked up as it is."""
+    return index[phrase] if phrase in index.rows else []
 
 
 @dataclass(eq=False)
@@ -473,24 +508,20 @@ def vector_topk(
 
 @dataclass
 class IndexBundle:
-    """One index, as saved and loaded; ``keyword`` is the phrase -> positions
-    dict that ``keyword_index.json`` packs; loaded ``docs`` are the columns of
-    ``docs.json``, which build a Document when its position first reaches a
-    result.  Construction checks its parts against each other, here only:
-    the manifest describes the vectors, whose rows follow the documents (at
-    load, two id views compared by their counts), and every keyword posting
-    is the position of a document.  The postings take three C-level passes,
-    over their types, for their ``min`` and for their ``max`` (a load checks
-    them itself and passes ``postings_checked``); only a bundle that fails
-    one is scanned, for the phrase and the value to name."""
+    """One index, as saved and loaded; ``keyword`` is packed as in
+    ``keyword_index.json`` (a dict, as a build makes it, is packed here);
+    loaded ``docs`` are the columns of ``docs.json``, which build a Document
+    when its position first reaches a result.  Construction checks its parts
+    against each other, here only: the manifest describes the vectors, whose
+    rows follow the documents (at load, two id views compared by their
+    counts), and each phrase lists documents in ascending position."""
 
-    keyword: dict[str, list[int]]
+    keyword: KeywordIndex
     vector: VectorIndex
     manifest: IndexManifest
     docs: Sequence[Document]
-    postings_checked: InitVar[bool] = False
 
-    def __post_init__(self, postings_checked: bool) -> None:
+    def __post_init__(self) -> None:
         described = (self.manifest.count, self.manifest.dim, self.manifest.embedder_id)
         stored = (self.vector.count, self.vector.dim, self.vector.embedder_id)
         if described != stored:
@@ -499,24 +530,32 @@ class IndexBundle:
             )
         if self.vector.ids != _ids(self.docs):
             raise IndexFormatError("vector index ids do not follow the documents in order")
-        if not postings_checked:
-            _check_postings(self.keyword, len(self.docs))
+        if not isinstance(self.keyword, KeywordIndex):
+            self.keyword = KeywordIndex.pack(self.keyword, len(self.docs))
+        _check_postings(self.keyword, len(self.docs))
 
 
-def _check_postings(entries: dict[str, list[int]], count: int) -> None:
-    postings = itertools.chain.from_iterable
-    if not (
-        set(map(type, postings(entries.values()))) <= {int}  # not bool or float
-        and min(postings(entries.values()), default=0) >= 0
-        and max(postings(entries.values()), default=-1) < count
-    ):
-        for phrase, positions in entries.items():
-            for bad in positions:
-                if type(bad) is not int or not 0 <= bad < count:
-                    raise IndexFormatError(
-                        f"{KEYWORD_FILE}: phrase {phrase!r} lists {bad!r}, not the position of "
-                        f"one of the {count} documents"
-                    )
+def _check_postings(keyword: KeywordIndex, count: int) -> None:
+    """One numpy pass over the packed postings: each is below ``count`` (a
+    uint32 is never negative), and above the one before it unless it starts
+    a row.  Only an index that fails is scanned, for what to name."""
+    postings, starts = keyword.postings, np.zeros(keyword.postings.size + 1, dtype=bool)
+    starts[keyword.offsets] = True
+    rising = (postings[1:] > postings[:-1]) | starts[1:-1]
+    if postings.size and not (postings.max() < count and rising.all()):
+        _name_bad_posting(keyword, count)
+
+
+def _name_bad_posting(keyword: Mapping[str, Sequence[int]], count: int) -> None:
+    for phrase, positions in keyword.items():
+        for before, bad in zip([-1, *positions], positions):
+            if type(bad) is not int or not 0 <= bad < count:
+                fault = f"{bad!r}, not the position of one of the {count} documents"
+            elif bad <= before:
+                fault = f"{bad} after {before}, not in strictly ascending order"
+            else:
+                continue
+            raise IndexFormatError(f"{KEYWORD_FILE}: phrase {phrase!r} lists {fault}")
 
 
 def _write_vectors(path: Path, vector: VectorIndex) -> None:
@@ -550,7 +589,7 @@ def _read_vectors(path: Path, embedder_id: str, ids: Sequence[str]) -> VectorInd
 
 
 def save_index(
-    keyword: dict[str, list[int]],
+    keyword: Mapping[str, Sequence[int]],
     vector: VectorIndex,
     manifest: IndexManifest,
     docs: Sequence[Document],
@@ -558,14 +597,12 @@ def save_index(
 ) -> None:
     """Persist one index directory: keyword map, docs and vectors, then the
     manifest, which is removed first so that only a finished save loads."""
-    IndexBundle(keyword, vector, manifest, docs)
+    packed = IndexBundle(keyword, vector, manifest, docs).keyword
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_FILE).unlink(missing_ok=True)
-    phrases = sorted(keyword)
-    counts = [len(keyword[phrase]) for phrase in phrases]
-    flat = np.fromiter(itertools.chain.from_iterable(map(keyword.__getitem__, phrases)), "<u4")
-    fields = {"phrases": phrases, "counts": counts, "positions": base64.b64encode(flat).decode()}
+    positions = base64.b64encode(packed.postings).decode()
+    fields = {"phrases": packed.phrases, "counts": packed.counts, "positions": positions}
     text = json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
     (out / KEYWORD_FILE).write_text(text + "\n", encoding="utf-8")
     save_documents(docs, out / DOCS_FILE)
@@ -597,12 +634,12 @@ def load_index(index_dir: str | Path) -> IndexBundle:
 
     docs = load_documents(root / DOCS_FILE)
     vector = _read_vectors(root / VECTORS_FILE, manifest.embedder_id, docs.ids)
-    keyword = _read_keyword(root / KEYWORD_FILE, len(docs))
-    return IndexBundle(keyword, vector, manifest, docs, postings_checked=True)
+    keyword = _read_keyword(root / KEYWORD_FILE)
+    return IndexBundle(keyword, vector, manifest, docs)
 
 
-def _read_keyword(path: Path, count: int) -> dict[str, list[int]]:
-    """The phrase -> positions map that ``keyword_index.json`` packs, checked."""
+def _read_keyword(path: Path) -> KeywordIndex:
+    """``keyword_index.json``, its fields checked; the bundle checks the postings."""
     try:
         fields = json.loads(path.read_text(encoding="utf-8"))
         phrases, counts, positions = fields["phrases"], fields["counts"], fields["positions"]
@@ -622,11 +659,8 @@ def _read_keyword(path: Path, count: int) -> dict[str, list[int]]:
         raise IndexFormatError(f"{path}: expected string phrases, each with an int count >= 0")
     if sum(counts) != postings.size:
         raise IndexFormatError(f"{path}: counts sum to {sum(counts)}, not {postings.size} postings")
-    slices = map(slice, itertools.accumulate(counts, initial=0), itertools.accumulate(counts))
-    keyword = dict(zip(phrases, map(postings.tolist().__getitem__, slices)))
-    if postings.size and postings.max() >= count:  # the bundle's scan names the first bad one
-        _check_postings(keyword, count)
-    if len(keyword) != len(phrases):
+    keyword = KeywordIndex(phrases, counts, postings)
+    if len(keyword.rows) != len(phrases):
         repeat = next(a for a, b in itertools.pairwise(sorted(phrases)) if a == b)
         raise IndexFormatError(f"{path}: phrase {repeat!r} repeats")
     return keyword

@@ -125,6 +125,12 @@ def oracle_pack_keyword(keyword):
     return json.dumps(fields, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
+def oracle_keyword_lookup(keyword, phrase):
+    """A phrase's positions in a phrase -> positions dict, as a new list,
+    or an empty list when the phrase is not a key."""
+    return list(keyword.get(phrase, []))
+
+
 def oracle_unpack_keyword(text):
     """The phrase -> positions dict of a ``keyword_index.json`` text."""
     fields = json.loads(text)

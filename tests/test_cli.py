@@ -132,6 +132,16 @@ class TestIndexBuild:
         golden = (data_dir / "golden_tiny_vectors.bin").read_bytes()
         assert (out / VECTORS_FILE).read_bytes() == golden
 
+    def test_cold_build_writes_the_golden_keyword_index(self, tmp_path, data_dir, capsys):
+        out = tmp_path / "idx"
+        config = write_config(tmp_path / "cfg.json")
+        inputs = ("--dict", str(data_dir / "tiny_dict.jsonl"))
+        inputs += ("--parallel", str(data_dir / "tiny_parallel.jsonl"))
+        code, _, err = run(capsys, "index-build", *inputs, "--out", str(out), "--config", str(config))
+        assert code == 0, err
+        golden = (data_dir / "golden_tiny_keyword_index.json").read_bytes()
+        assert (out / KEYWORD_FILE).read_bytes() == golden
+
     def test_no_inputs_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "index-build", "--out", str(tmp_path / "idx"))
         assert code == 64
@@ -620,10 +630,14 @@ class TestDamagedIndex:
             ),
             (lambda f: f["phrases"], "expected phrases, counts and positions"),
             (lambda f: {"phrases": f["phrases"], "positions": f["positions"]}, "expected phrases"),
+            (
+                lambda f: _water_postings(f, [2, 1]),
+                "phrase 'water' lists 1 after 2, not in strictly ascending order",
+            ),
         ],
         ids=[
             "cut_base64", "partial_uint32", "repeated_phrase", "int_phrase", "largest_uint32",
-            "array", "no_counts",
+            "array", "no_counts", "descending",
         ],
     )
     def test_damaged_packed_keyword_file_is_exit_1(self, edit, message, built_index, capsys):

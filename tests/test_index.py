@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import lexrag
 from lexrag.backends import MockEmbedder
 from lexrag import corpus
+from lexrag import index as index_module
 from lexrag.corpus import Document, IngestError, save_documents, to_documents
 from lexrag.index import (
     DOCS_FILE,
@@ -37,6 +38,7 @@ from lexrag.index import (
     IndexBundle,
     IndexFormatError,
     IndexManifest,
+    KeywordIndex,
     VectorIndex,
     build_keyword_index,
     build_vector_index,
@@ -51,6 +53,7 @@ from lexrag.index import (
 )
 from lexrag.retrieval import RetrievalConfig, extract_query_terms, retrieve
 from oracles import (
+    oracle_keyword_lookup,
     oracle_normalize_keyword,
     oracle_pack_keyword,
     oracle_topk,
@@ -142,21 +145,32 @@ class TestKeywordIndex:
 
     def test_lookup_normalizes(self):
         # the query is normalized once, into phrases that match the keys as they are
-        index = {"water": [0]}
+        index = KeywordIndex.pack({"water": [0]}, 1)
         assert [keyword_lookup(index, p) for p in extract_query_terms("Water", 4)] == [[0]]
 
     def test_lookup_miss(self):
-        index = {"water": [0]}
+        index = KeywordIndex.pack({"water": [0]}, 1)
         assert keyword_lookup(index, "earth") == []
 
     def test_lookup_multiword(self, tiny_docs):
-        index = build_keyword_index(tiny_docs)
+        index = KeywordIndex.pack(build_keyword_index(tiny_docs), len(tiny_docs))
         phrases = extract_query_terms("Mountain Lion", 2)
         assert phrases[0] == "mountain lion"
         assert [tiny_docs[i].id for i in keyword_lookup(index, phrases[0])] == ["d:8"]
 
+    def test_lookup_returns_a_fresh_list(self, tiny_bundle):
+        index = tiny_bundle.keyword
+        first = keyword_lookup(index, "water")
+        expected = list(first)
+        first.append(99)
+        first[0] = -1
+        assert expected and keyword_lookup(index, "water") == expected
+        assert keyword_lookup(index, "water") is not keyword_lookup(index, "water")
+        keyword_lookup(index, "zorp").append(0)
+        assert keyword_lookup(index, "zorp") == []
+
     def test_every_headword_reachable(self, tiny_docs):
-        index = build_keyword_index(tiny_docs)
+        index = KeywordIndex.pack(build_keyword_index(tiny_docs), len(tiny_docs))
         for position, doc in enumerate(tiny_docs):
             if doc.kind == "dictionary":
                 assert position in keyword_lookup(index, doc.source_text)
@@ -821,10 +835,18 @@ class TestPersistence:
                 lambda k, v, m, d: ({**k, "ghost": [1.0]}, v, m, d),
                 "'ghost' lists 1.0, not the position",
             ),
+            (
+                lambda k, v, m, d: ({**k, "ghost": [3, 2]}, v, m, d),
+                f"{KEYWORD_FILE}: phrase 'ghost' lists 2 after 3, not in strictly ascending order",
+            ),
+            (
+                lambda k, v, m, d: ({**k, "ghost": [0, 2, 2]}, v, m, d),
+                "'ghost' lists 2 after 2, not in strictly ascending order",
+            ),
         ],
         ids=[
             "count", "dim", "embedder_id", "id_order", "dangling_id", "negative", "id_string",
-            "float",
+            "float", "descending", "repeated",
         ],
     )
     def test_bundle_checks_each_invariant(self, tiny_docs, tmp_path, break_parts, message):
@@ -848,7 +870,7 @@ class TestPersistence:
 def test_headword_lookup_property(headwords):
     entries = [("dictionary", h, f"t-{h}", None) for h in headwords]
     docs = to_documents(entries, [])
-    index = build_keyword_index(docs)
+    index = KeywordIndex.pack(build_keyword_index(docs), len(docs))
     for position, doc in enumerate(docs):
         assert position in keyword_lookup(index, doc.source_text)
 
@@ -1259,7 +1281,8 @@ class TestDocumentsAsColumns:
 
 class TestPackedKeywordFile:
     """keyword_index.json keeps the phrases, their posting counts and every
-    posting as base64 uint32s; a load unpacks it to the dict a build makes."""
+    posting as base64 uint32s; a load keeps them packed, in a KeywordIndex
+    equal to the dict a build makes."""
 
     _PHRASE = st.text(alphabet="ab ᎠᎹé𝄞", min_size=1, max_size=6)  # shared prefixes, non-ASCII
 
@@ -1294,17 +1317,48 @@ class TestPackedKeywordFile:
         save_index(*self._parts(keyword, 5000), tmp_path)
         assert load_index(tmp_path).keyword == keyword
 
-    def test_load_runs_none_of_the_bundles_posting_passes(self, tmp_path, monkeypatch):
+    def test_load_runs_the_postings_pass_once(self, tmp_path, monkeypatch):
         keyword = {"water": [0, 2], "sun": [1]}
         save_index(*self._parts(keyword, 3), tmp_path)
+        passes = []
+        check = index_module._check_postings
+        monkeypatch.setattr(index_module, "_check_postings", lambda *a: passes.append(check(*a)))
+        loaded = load_index(tmp_path).keyword
+        assert len(passes) == 1 and loaded == keyword
+        assert isinstance(loaded, KeywordIndex) and loaded.postings.dtype == np.dtype("<u4")
 
-        def walk(entries, count):
-            raise AssertionError("the bundle walked the postings")
+    @settings(max_examples=80, deadline=None)
+    @given(count=st.integers(1, 40), data=st.data())
+    def test_packed_index_equals_the_dict_oracle(self, count, data):
+        rows = st.lists(st.integers(0, count - 1), max_size=count, unique=True).map(sorted)
+        keyword = data.draw(st.dictionaries(self._PHRASE, rows, max_size=12), label="keyword")
+        misses = data.draw(st.lists(self._PHRASE.filter(lambda p: p not in keyword)), label="misses")
+        packed = KeywordIndex.pack(keyword, count)
+        assert packed == keyword and len(packed) == len(keyword) and list(packed) == sorted(keyword)
+        assert all(phrase in packed for phrase in keyword)
+        assert not any(phrase in packed for phrase in misses)
+        for phrase in [*keyword, *misses]:
+            assert keyword_lookup(packed, phrase) == oracle_keyword_lookup(keyword, phrase)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(*self._parts(keyword, count), tmp)
+            text = Path(tmp, KEYWORD_FILE).read_text(encoding="utf-8")
+            loaded = load_index(tmp).keyword
+        assert isinstance(loaded, KeywordIndex) and loaded == packed
+        assert text == oracle_pack_keyword(keyword)
 
-        monkeypatch.setattr("lexrag.index._check_postings", walk)
-        assert load_index(tmp_path).keyword == keyword
-        with pytest.raises(AssertionError, match="walked"):
-            IndexBundle(*self._parts(keyword, 3))
+    def test_row_out_of_order_is_named(self, tiny_docs, tmp_path):
+        _saved_tiny_index(tiny_docs, tmp_path)
+        path = tmp_path / KEYWORD_FILE
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        counts = dict(zip(fields["phrases"], fields["counts"]))
+        assert oracle_unpack_keyword(path.read_text(encoding="utf-8"))["bread"] == [9, 13]
+        counts.update(baked=0, bread=3)  # bread takes baked's posting: 13, 9, 13
+        path.write_text(json.dumps({**fields, "counts": list(counts.values())}), encoding="utf-8")
+        with pytest.raises(IndexFormatError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == (
+            f"{KEYWORD_FILE}: phrase 'bread' lists 9 after 13, not in strictly ascending order"
+        )
 
     def test_file_holds_three_fields_in_order(self, tiny_docs, tmp_path):
         bundle = _saved_tiny_index(tiny_docs, tmp_path)
